@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -174,23 +175,24 @@ func BenchmarkExpansionUpperWitnesses(b *testing.B) {
 func BenchmarkExpansionExact(b *testing.B) {
 	w := topology.NewWrappedButterfly(8)
 	for i := 0; i < b.N; i++ {
-		if _, ee := exact.MinEdgeExpansion(w.Graph, 4); ee <= 0 {
-			b.Fatalf("EE = %d", ee)
+		res := exact.SolveEdgeExpansion(context.Background(), w.Graph, 4, exact.SolveOptions{Workers: 1})
+		if res.Value <= 0 {
+			b.Fatalf("EE = %d", res.Value)
 		}
 	}
 }
 
-// BenchmarkExpansionExactParallel{Edge,Node} measure the parallel
-// prefix-fan-out expansion engine on a W16 workload the serial engine of
-// the seed handled in the hundreds of milliseconds; the serial entries
-// above stay as the baseline of the trajectory.
+// BenchmarkExpansionExactParallel{Edge,Node} measure the expansion engine
+// fanned out over GOMAXPROCS workers on a W16 workload;
+// BenchmarkExpansionExact above is the one-worker, one-job entry.
 func BenchmarkExpansionExactParallelEdge(b *testing.B) {
 	w := topology.NewWrappedButterfly(16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ee := exact.MinEdgeExpansionParallel(w.Graph, 6, 0); ee != 10 {
-			b.Fatalf("EE(W16,6) = %d", ee)
+		res := exact.SolveEdgeExpansion(context.Background(), w.Graph, 6, exact.SolveOptions{})
+		if res.Value != 10 {
+			b.Fatalf("EE(W16,6) = %d", res.Value)
 		}
 	}
 }
@@ -200,8 +202,9 @@ func BenchmarkExpansionExactParallelNode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ne := exact.MinNodeExpansionParallel(w.Graph, 6, 0); ne != 9 {
-			b.Fatalf("NE(W16,6) = %d", ne)
+		res := exact.SolveNodeExpansion(context.Background(), w.Graph, 6, exact.SolveOptions{})
+		if res.Value != 9 {
+			b.Fatalf("NE(W16,6) = %d", res.Value)
 		}
 	}
 }
@@ -503,13 +506,15 @@ func BenchmarkLayout(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExactParallel measures the parallel branch-and-bound
-// against BenchmarkAblationExactUnseeded's serial run on the same network.
+// BenchmarkAblationExactParallel measures the bisection engine fanned out
+// over GOMAXPROCS workers against BenchmarkAblationExactUnseeded's
+// one-worker run on the same network.
 func BenchmarkAblationExactParallel(b *testing.B) {
 	bt := topology.NewButterfly(8)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, w := exact.MinBisectionParallel(bt.Graph, 0); w != 8 {
-			b.Fatalf("BW = %d", w)
+		if res := exact.SolveBisection(context.Background(), bt.Graph, exact.SolveOptions{}); res.Width != 8 {
+			b.Fatalf("BW = %d", res.Width)
 		}
 	}
 }

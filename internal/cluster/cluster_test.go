@@ -48,7 +48,8 @@ func simCluster(t *testing.T, sim *SimNet, nPeers int, cfg CoordinatorConfig) *C
 // a witness the graph itself validates.
 func TestDistributedSearchMatchesSingleNode(t *testing.T) {
 	g, gspec, k := testInstance()
-	wantSet, want := exact.MinEdgeExpansionParallelContaining(g, k, 0, 0)
+	ref := exact.SolveEdgeExpansion(context.Background(), g, k, exact.SolveOptions{Containing: true, Root: 0})
+	wantSet, want := ref.Set, ref.Value
 	if len(wantSet) != k {
 		t.Fatalf("single-node reference returned a %d-set, want %d", len(wantSet), k)
 	}
@@ -92,8 +93,7 @@ func TestDistributedSearchMatchesSingleNode(t *testing.T) {
 // be declared dead, and the solve must still certify the exact optimum.
 func TestDistributedSearchLossyWithDeadPeer(t *testing.T) {
 	g, gspec, k := testInstance()
-	wantSet, want := exact.MinEdgeExpansionParallelContaining(g, k, 0, 0)
-	_ = wantSet
+	want := exact.SolveEdgeExpansion(context.Background(), g, k, exact.SolveOptions{Containing: true, Root: 0}).Value
 
 	sim := NewSimNet(42, 0.15)
 	// Generous retry budget: with seeded 15% loss a *live* peer can lose
@@ -135,19 +135,40 @@ func TestDistributedSearchLossyWithDeadPeer(t *testing.T) {
 // property end-to-end through a lossy transport: stale, duplicated,
 // reordered and worse offers — some arriving, some dropped, some retried
 // after a dropped reply already applied them — can never loosen a node's
-// incumbent. The incumbent is monotone non-increasing, period.
+// incumbent, and offers whose witness does not achieve the claimed value
+// never move it at all. The incumbent is monotone non-increasing, period.
 func TestNodeOfferMonotonicityUnderLossyReplay(t *testing.T) {
 	sim := NewSimNet(7, 0.3)
 	node := NewNode("peer0:7000", nil, sim, 0)
 	sim.Register("peer0:7000", node.Handle)
 
-	// Seed the search state with one real (tiny) batch.
+	// One genuine witness for every boundary a 4-set containing the root
+	// can have on W8: the node adopts only offers their witness achieves.
+	g := topology.NewWrappedButterfly(8).Graph
+	witness := make(map[int][]int)
+	for a := 1; a < g.N(); a++ {
+		for b := a + 1; b < g.N(); b++ {
+			for c := b + 1; c < g.N(); c++ {
+				set := []int{0, a, b, c}
+				if v := cut.EdgeBoundary(g, set); witness[v] == nil {
+					witness[v] = set
+				}
+			}
+		}
+	}
+	loosest, tightest := 0, 1<<30
+	for v := range witness {
+		loosest, tightest = max(loosest, v), min(tightest, v)
+	}
+
+	// Register the search with an empty batch seeded by the loosest
+	// witness, so every better one has room to tighten it.
 	spec := exact.ExpansionShardSpec{K: 4, Edge: true, Root: 0}
 	const searchID = 99
 	seed := shardsMsg{
 		SearchID: searchID, Graph: GraphSpec(true, 8),
-		K: spec.K, Root: spec.Root, Edge: spec.Edge, Best: -1,
-		IDs: []int{0},
+		K: spec.K, Root: spec.Root, Edge: spec.Edge,
+		Best: int64(loosest), Witness: witness[loosest],
 	}
 	ctx := context.Background()
 	if _, _, err := callRetry(ctx, sim, "peer0:7000", msgShards, seed.encode(), 50, time.Second); err != nil {
@@ -171,30 +192,41 @@ func TestNodeOfferMonotonicityUnderLossyReplay(t *testing.T) {
 		return int(ok.Best)
 	}
 
-	floor := readBest()
-	// A witness whose boundary we can claim arbitrary values for: the
-	// node trusts offers (they are validated at the coordinator before
-	// certification), so any 4-set works to exercise ordering.
-	wit := []int{0, 1, 2, 3}
-	offers := []int{floor + 10, floor - 1, floor + 3, floor - 1, floor - 2, floor + 100, floor - 2, floor - 3, floor - 3, floor + 1}
-	low := floor
-	for i, v := range offers {
-		msg := offerMsg{SearchID: searchID, Best: int64(v), Witness: wit}.encode()
+	low := readBest()
+	if low != loosest || tightest >= loosest {
+		t.Fatalf("seeded incumbent %d, want %d below which witnesses down to %d exist", low, loosest, tightest)
+	}
+	type offer struct {
+		val int
+		set []int
+	}
+	var offers []offer
+	for _, v := range []int{loosest - 2, loosest, tightest + 4, loosest - 2, tightest + 2, loosest, tightest + 2, tightest, tightest + 4, tightest} {
+		offers = append(offers, offer{v, witness[v]}, offer{v - 2, witness[v]}) // the second lies
+	}
+	for i, o := range offers {
+		if o.set == nil {
+			t.Fatalf("no witness of boundary %d", o.val)
+		}
+		msg := offerMsg{SearchID: searchID, Best: int64(o.val), Witness: o.set}.encode()
 		// Fire each offer several times through the lossy net — replay on
-		// purpose; a dropped reply means the offer applied invisibly.
+		// purpose; a dropped reply means the offer applied invisibly —
+		// then once more with retries, so it lands at least once.
 		for rep := 0; rep < 3; rep++ {
 			_, _, _ = sim.Call(ctx, "peer0:7000", msgOffer, msg)
 		}
-		if v < low {
-			low = v
+		if _, _, err := callRetry(ctx, sim, "peer0:7000", msgOffer, msg, 50, time.Second); err != nil {
+			t.Fatal(err)
 		}
-		got := readBest()
-		if got > low {
-			t.Fatalf("after offer #%d (%d): incumbent %d rose above running minimum %d", i, v, got, low)
+		if i%2 == 0 {
+			low = min(low, o.val)
+		}
+		if got := readBest(); got != low {
+			t.Fatalf("after offer #%d (%d, %v): incumbent %d, want the best genuine offer %d", i, o.val, o.set, got, low)
 		}
 	}
-	if got := readBest(); got != low {
-		t.Fatalf("final incumbent %d, want the minimum ever offered %d", got, low)
+	if got := readBest(); got != tightest {
+		t.Fatalf("final incumbent %d, want the minimum ever offered %d", got, tightest)
 	}
 }
 

@@ -244,16 +244,15 @@ func (c *Coordinator) SearchExpansion(ctx context.Context, g *graph.Graph, graph
 				}
 				best, wit := run.si.Best()
 				msg := shardsMsg{
-					SearchID:    run.id,
-					Graph:       graphSpec,
-					K:           spec.K,
-					Root:        spec.Root,
-					PrefixDepth: spec.PrefixDepth,
-					Edge:        spec.Edge,
-					Origin:      c.cfg.Self,
-					Best:        int64(best),
-					Witness:     wit,
-					IDs:         b.ids,
+					SearchID: run.id,
+					Graph:    graphSpec,
+					K:        spec.K,
+					Root:     spec.Root,
+					Edge:     spec.Edge,
+					Origin:   c.cfg.Self,
+					Best:     int64(best),
+					Witness:  wit,
+					IDs:      b.ids,
 				}
 				_, rb, err := callRetry(sctx, c.cfg.Transport, addr, msgShards, msg.encode(), 2, c.cfg.CallTimeout)
 				var reply shardsOK

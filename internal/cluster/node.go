@@ -146,7 +146,7 @@ func (n *Node) handleShards(ctx context.Context, body []byte) (MsgType, []byte, 
 	if err != nil {
 		return "", nil, err
 	}
-	spec := exact.ExpansionShardSpec{K: m.K, Edge: m.Edge, Root: m.Root, PrefixDepth: m.PrefixDepth}
+	spec := exact.ExpansionShardSpec{K: m.K, Edge: m.Edge, Root: m.Root}
 	if err := spec.Validate(g); err != nil {
 		return "", nil, err
 	}

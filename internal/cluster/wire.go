@@ -306,16 +306,15 @@ func decodeQueryOK(b []byte) (queryOK, error) {
 // improvements to; Best/Witness seed the peer's bound with the
 // coordinator's incumbent at dispatch time.
 type shardsMsg struct {
-	SearchID    uint64
-	Graph       string
-	K           int
-	Root        int
-	PrefixDepth int
-	Edge        bool
-	Origin      string
-	Best        int64
-	Witness     []int
-	IDs         []int
+	SearchID uint64
+	Graph    string
+	K        int
+	Root     int
+	Edge     bool
+	Origin   string
+	Best     int64
+	Witness  []int
+	IDs      []int
 }
 
 func (m shardsMsg) encode() []byte {
@@ -324,7 +323,6 @@ func (m shardsMsg) encode() []byte {
 	w.str(m.Graph)
 	w.i64(int64(m.K))
 	w.i64(int64(m.Root))
-	w.i64(int64(m.PrefixDepth))
 	w.boolean(m.Edge)
 	w.str(m.Origin)
 	w.i64(m.Best)
@@ -336,16 +334,15 @@ func (m shardsMsg) encode() []byte {
 func decodeShardsMsg(b []byte) (shardsMsg, error) {
 	r := rbuf{b: b}
 	m := shardsMsg{
-		SearchID:    r.u64(),
-		Graph:       r.str(),
-		K:           int(r.i64()),
-		Root:        int(r.i64()),
-		PrefixDepth: int(r.i64()),
-		Edge:        r.boolean(),
-		Origin:      r.str(),
-		Best:        r.i64(),
-		Witness:     r.ints(),
-		IDs:         r.ints(),
+		SearchID: r.u64(),
+		Graph:    r.str(),
+		K:        int(r.i64()),
+		Root:     int(r.i64()),
+		Edge:     r.boolean(),
+		Origin:   r.str(),
+		Best:     r.i64(),
+		Witness:  r.ints(),
+		IDs:      r.ints(),
 	}
 	return m, r.done()
 }

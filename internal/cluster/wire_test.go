@@ -10,16 +10,15 @@ import (
 
 func sampleShardsMsg() shardsMsg {
 	return shardsMsg{
-		SearchID:    0xdeadbeefcafe,
-		Graph:       "wn:16",
-		K:           12,
-		Root:        3,
-		PrefixDepth: 8,
-		Edge:        true,
-		Origin:      "127.0.0.1:7001",
-		Best:        17,
-		Witness:     []int{0, 4, 9, 12},
-		IDs:         []int{0, 1, 2, 5, 8, 13, 21, 34},
+		SearchID: 0xdeadbeefcafe,
+		Graph:    "wn:16",
+		K:        12,
+		Root:     3,
+		Edge:     true,
+		Origin:   "127.0.0.1:7001",
+		Best:     17,
+		Witness:  []int{0, 4, 9, 12},
+		IDs:      []int{0, 1, 2, 5, 8, 13, 21, 34},
 	}
 }
 

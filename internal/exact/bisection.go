@@ -9,14 +9,20 @@
 // networks are handled by package heuristic (upper bounds) and by the
 // paper's constructions and certified lower bounds.
 //
-// The bisection and expansion solvers both have parallel variants that fan
-// the assignments of a BFS prefix out over a worker pool sharing an atomic
-// incumbent, and the expansion solvers additionally accept achievable
-// upper-bound seeds (witness or greedy sets) and batch whole k-sweeps
-// (ExpansionSurvey) over one pool.
+// Bisection and expansion each have one engine: a job runner that splits
+// the search at a BFS prefix into independent subproblems and drains them
+// over a worker pool, every worker reusing one search state and pruning
+// against one shared incumbent. A serial solve is one worker running one
+// empty-prefix job. The expansion engine also takes achievable upper-bound
+// seeds (witness or greedy sets), batches whole k-sweeps
+// (ExpansionSurvey) over one pool, and runs any subset of its prefix
+// shards for a distributed search (SearchExpansionShards).
 package exact
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/solve"
@@ -39,7 +45,6 @@ const (
 type bbState struct {
 	g       *graph.Graph
 	order   []int32 // assignment order (BFS order keeps edges local)
-	pos     []int32 // position of node in order
 	assign  []int8
 	cntS    []int32 // per node: assigned neighbors in S
 	cntSbar []int32 // per node: assigned neighbors in S̄
@@ -47,9 +52,6 @@ type bbState struct {
 	minSum  int // Σ over unassigned of min(cntS, cntSbar)
 	sizeS   int
 	sizeT   int
-
-	best     int
-	bestSide []bool
 
 	// Cooperative cancellation + telemetry: explored/pruned counts are
 	// batched locally and flushed to mon every solve.TickStride nodes.
@@ -92,22 +94,18 @@ func (st *bbState) flushTicks() {
 	}
 }
 
-func newBBState(g *graph.Graph) *bbState {
+func newBBState(g *graph.Graph, order []int32) *bbState {
 	st := &bbState{
 		g:       g,
+		order:   order,
 		assign:  make([]int8, g.N()),
 		cntS:    make([]int32, g.N()),
 		cntSbar: make([]int32, g.N()),
-		pos:     make([]int32, g.N()),
 
 		tickBudget: solve.TickStride,
 	}
 	for i := range st.assign {
 		st.assign[i] = unassigned
-	}
-	st.order = bfsOrder(g)
-	for i, v := range st.order {
-		st.pos[v] = int32(i)
 	}
 	return st
 }
@@ -208,21 +206,68 @@ func (st *bbState) unplace(v int, s int8) {
 	st.minSum += int(minInt32(st.cntS[v], st.cntSbar[v]))
 }
 
-func (st *bbState) record() {
-	side := make([]bool, st.g.N())
-	for v, a := range st.assign {
-		side[v] = a == sideS
-	}
-	st.best = st.curCut
-	st.bestSide = side
-	st.mon.SetIncumbent(int64(st.curCut))
+// sharedBound is the incumbent of one bisection search, shared by every
+// worker: best is read lock-free on every prune check; improvements take
+// the mutex to update both the bound and the witness side consistently.
+type sharedBound struct {
+	best atomic.Int64
+	mu   sync.Mutex
+	side []bool
+	mon  *solve.Monitor
 }
 
-// MinBisection returns a minimum bisection of g and its capacity BW(g). The
-// initial incumbent is the balanced prefix/suffix split in BFS order, which
-// is already a decent cut on layered networks.
+func (sb *sharedBound) record(cur int, assign []int8) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if int64(cur) >= sb.best.Load() {
+		return // someone else got there first
+	}
+	sb.best.Store(int64(cur))
+	side := make([]bool, len(assign))
+	for v, a := range assign {
+		side[v] = a == sideS
+	}
+	sb.side = side
+	sb.mon.SetIncumbent(int64(cur))
+}
+
+// dfs decides order[idx:] given the placements before idx, recording every
+// bisection that beats sb. Neither side may exceed half nodes, and the
+// first node is fixed in S (the two sides are symmetric).
+func (st *bbState) dfs(idx, half int, sb *sharedBound) {
+	if st.tickNode() {
+		return
+	}
+	if st.curCut+st.minSum >= int(sb.best.Load()) {
+		st.prunedTick++
+		return
+	}
+	if idx == st.g.N() {
+		sb.record(st.curCut, st.assign)
+		return
+	}
+	v := int(st.order[idx])
+	// Try the side with fewer cut edges first for faster incumbents.
+	first, second := sideS, sideSbar
+	if st.cntSbar[v] < st.cntS[v] {
+		first, second = sideSbar, sideS
+	}
+	for _, s := range []int8{first, second} {
+		if s == sideS && st.sizeS >= half || s == sideSbar && (st.sizeT >= half || idx == 0) {
+			continue
+		}
+		st.place(v, s)
+		st.dfs(idx+1, half, sb)
+		st.unplace(v, s)
+	}
+}
+
+// MinBisection returns a minimum bisection of g and its capacity BW(g),
+// searched on one worker. The initial incumbent is the balanced
+// prefix/suffix split in BFS order, which is already a decent cut on
+// layered networks.
 func MinBisection(g *graph.Graph) (*cut.Cut, int) {
-	return MinBisectionWithBound(g, initialBisectionBound(g))
+	return MinBisectionWithBound(g, 0)
 }
 
 // MinBisectionWithBound is MinBisection seeded with a known achievable upper
@@ -230,94 +275,107 @@ func MinBisection(g *graph.Graph) (*cut.Cut, int) {
 // tighter seed prunes more. If bound is not achievable the function falls
 // back to an unseeded search, so the result is the true optimum either way.
 func MinBisectionWithBound(g *graph.Graph, bound int) (*cut.Cut, int) {
-	c, w, _ := minBisectionSearch(g, bound, nil)
+	c, w, _ := searchBisection(g, bound, 1, nil)
 	return c, w
 }
 
-// minBisectionSearch is the serial engine behind MinBisection and
-// SolveBisection: one bbState, one DFS, incumbent seeded from bound. The
-// returned flag reports whether the search ran to completion; when the
-// monitor stops it early the result is the best incumbent so far (or the
-// BFS-prefix seed if none was found), which is a valid bisection but not
-// a certified optimum.
-func minBisectionSearch(g *graph.Graph, bound int, mon *solve.Monitor) (*cut.Cut, int, bool) {
+// searchBisection is the bisection engine behind MinBisection* and
+// SolveBisection: the prefix jobs of bisectionPrefixes drained by
+// workers goroutines (≤ 0: GOMAXPROCS), each reusing one bbState, all
+// pruning against one incumbent seeded with the BFS-prefix cut or with
+// bound > 0, whichever is smaller. The flag reports whether the search
+// ran to completion; a stopped search returns its best incumbent (or the
+// BFS-prefix cut), a valid bisection but not a certified optimum.
+func searchBisection(g *graph.Graph, bound, workers int, mon *solve.Monitor) (*cut.Cut, int, bool) {
 	n := g.N()
 	if n == 0 {
 		return cut.FromSet(g, nil), 0, true
 	}
-	st := newBBState(g)
-	st.mon = mon
-	st.stopped = mon.Stopped()
-	st.best = bound + 1
+	order := bfsOrder(g)
+	seedCut := initialBisection(g, order)
+	start := seedCut.Capacity()
+	seeded := bound > 0 && bound < start
+	if seeded {
+		start = bound
+	}
+	sb := sharedBound{mon: mon}
+	sb.best.Store(int64(start + 1))
 	half := (n + 1) / 2
+	prefixes := bisectionPrefixes(n, fanoutDepth(n, workers), half)
+	var incomplete atomic.Bool
+	runPool(len(prefixes), workers, func() func(int) {
+		st := newBBState(g, order)
+		st.mon = mon
+		return func(job int) {
+			if mon.Stopped() {
+				incomplete.Store(true)
+				return
+			}
+			prefix := prefixes[job]
+			for i, s := range prefix {
+				st.place(int(order[i]), s)
+			}
+			st.dfs(len(prefix), half, &sb)
+			for i := len(prefix) - 1; i >= 0; i-- {
+				st.unplace(int(order[i]), prefix[i])
+			}
+			st.flushTicks()
+			if st.stopped {
+				incomplete.Store(true)
+			}
+		}
+	})
 
-	var dfs func(idx int)
-	dfs = func(idx int) {
-		if st.tickNode() {
-			return
-		}
-		if st.curCut+st.minSum >= st.best {
-			st.prunedTick++
-			return
-		}
-		if idx == n {
-			st.record()
-			return
-		}
-		v := int(st.order[idx])
-		// Try the side with fewer cut edges first for faster incumbents.
-		first, second := sideS, sideSbar
-		if st.cntSbar[v] < st.cntS[v] {
-			first, second = sideSbar, sideS
-		}
-		for _, s := range []int8{first, second} {
-			if s == sideS && st.sizeS >= half {
-				continue
-			}
-			if s == sideSbar && st.sizeT >= half {
-				continue
-			}
-			// Symmetry: the first node is fixed in S.
-			if idx == 0 && s != sideS {
-				continue
-			}
-			st.place(v, s)
-			dfs(idx + 1)
-			st.unplace(v, s)
-		}
+	switch {
+	case sb.side != nil:
+		return cut.New(g, sb.side), int(sb.best.Load()), !incomplete.Load()
+	case incomplete.Load():
+		// Cancelled before anything beat the seed: the BFS-prefix cut is
+		// feasible but not certified.
+		return seedCut, seedCut.Capacity(), false
+	case seeded:
+		// bound undercut BW(g), so nothing was found: rerun unseeded.
+		return searchBisection(g, 0, workers, mon)
+	default:
+		// Nothing beat the BFS-prefix cut: it is optimal.
+		return seedCut, seedCut.Capacity(), true
 	}
-	if !st.stopped {
-		dfs(0)
-	}
-	st.flushTicks()
-
-	if st.bestSide == nil {
-		if st.stopped {
-			// Cancelled before any bisection beat the seed: return the
-			// always-feasible BFS-prefix cut, flagged non-exact.
-			c := initialBisection(g)
-			return c, c.Capacity(), false
-		}
-		// bound was below BW(g), so nothing was found: rerun with the
-		// always-achievable internal seed.
-		return minBisectionSearch(g, initialBisectionBound(g), mon)
-	}
-	return cut.New(g, st.bestSide), st.best, !st.stopped
 }
 
-// initialBisection returns the balanced BFS prefix cut used to seed the
+// bisectionPrefixes enumerates the side assignments of the first depth
+// nodes of the order under the search's own constraints (at most half
+// nodes per side, the first node in S); depth 0 yields the one empty
+// prefix.
+func bisectionPrefixes(n, depth, half int) [][]int8 {
+	var out [][]int8
+	prefix := make([]int8, depth)
+	var gen func(idx, sizeS, sizeT int)
+	gen = func(idx, sizeS, sizeT int) {
+		if idx == depth {
+			out = append(out, append([]int8(nil), prefix...))
+			return
+		}
+		if sizeS < half {
+			prefix[idx] = sideS
+			gen(idx+1, sizeS+1, sizeT)
+		}
+		if idx > 0 && sizeT < half {
+			prefix[idx] = sideSbar
+			gen(idx+1, sizeS, sizeT+1)
+		}
+	}
+	gen(0, 0, 0)
+	return out
+}
+
+// initialBisection returns the balanced BFS-prefix cut used to seed the
 // search.
-func initialBisection(g *graph.Graph) *cut.Cut {
-	order := bfsOrder(g)
+func initialBisection(g *graph.Graph, order []int32) *cut.Cut {
 	side := make([]bool, g.N())
 	for i := 0; i < g.N()/2; i++ {
 		side[order[i]] = true
 	}
 	return cut.New(g, side)
-}
-
-func initialBisectionBound(g *graph.Graph) int {
-	return initialBisection(g).Capacity()
 }
 
 // MinSubsetBisection returns a cut of minimum capacity among those that
@@ -329,16 +387,17 @@ func MinSubsetBisection(g *graph.Graph, u []int) (*cut.Cut, int) {
 }
 
 // minSubsetBisectionSearch is MinSubsetBisection with cooperative
-// cancellation; the flag reports completion (see minBisectionSearch).
+// cancellation; the flag reports completion (see searchBisection). It
+// stays a serial DFS of its own: the U-balance constraint has no
+// prefix fan-out and no caller needs one.
 func minSubsetBisectionSearch(g *graph.Graph, u []int, mon *solve.Monitor) (*cut.Cut, int, bool) {
 	n := g.N()
 	inU := make([]bool, n)
 	for _, v := range u {
 		inU[v] = true
 	}
-	st := newBBState(g)
+	st := newBBState(g, bfsOrder(g))
 	st.mon = mon
-	st.stopped = mon.Stopped()
 
 	// Seed: alternate u between sides in BFS order, everything else in S̄.
 	seedSide := make([]bool, n)
@@ -350,7 +409,8 @@ func minSubsetBisectionSearch(g *graph.Graph, u []int, mon *solve.Monitor) (*cut
 		}
 	}
 	seed := cut.New(g, seedSide)
-	st.best = seed.Capacity() + 1
+	sb := sharedBound{mon: mon}
+	sb.best.Store(int64(seed.Capacity() + 1))
 
 	uHalf := (len(u) + 1) / 2
 	uInS, uInSbar := 0, 0
@@ -367,12 +427,12 @@ func minSubsetBisectionSearch(g *graph.Graph, u []int, mon *solve.Monitor) (*cut
 		if st.tickNode() {
 			return
 		}
-		if st.curCut+st.minSum >= st.best {
+		if st.curCut+st.minSum >= int(sb.best.Load()) {
 			st.prunedTick++
 			return
 		}
 		if idx == n {
-			st.record()
+			sb.record(st.curCut, st.assign)
 			return
 		}
 		v := int(st.order[idx])
@@ -412,16 +472,16 @@ func minSubsetBisectionSearch(g *graph.Graph, u []int, mon *solve.Monitor) (*cut
 			}
 		}
 	}
-	if !st.stopped {
+	if !mon.Stopped() {
 		dfs(0)
 	}
-	st.flushTicks()
+	st.flushTicks() // latches st.stopped if the monitor stopped at any point
 
-	if st.bestSide == nil {
+	if sb.side == nil {
 		// Either the alternating seed is optimal (complete search) or the
 		// search was cancelled before beating it; the seed is feasible
 		// either way.
 		return seed, seed.Capacity(), !st.stopped
 	}
-	return cut.New(g, st.bestSide), st.best, !st.stopped
+	return cut.New(g, sb.side), int(sb.best.Load()), !st.stopped
 }

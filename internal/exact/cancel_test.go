@@ -113,7 +113,7 @@ func TestSolveExpansionSeededCancelledFallsBack(t *testing.T) {
 func TestSolveExpansionUncancelledMatchesMin(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
 	for _, k := range []int{3, 4, 6} {
-		_, wantEE := MinEdgeExpansion(g, k)
+		wantEE := minEE(g, k, serial)
 		res := SolveEdgeExpansion(context.Background(), g, k, SolveOptions{})
 		if !res.Exact {
 			t.Fatalf("uncancelled solve k=%d not Exact", k)
@@ -126,7 +126,7 @@ func TestSolveExpansionUncancelledMatchesMin(t *testing.T) {
 			t.Fatalf("EE k=%d: explored=%d, want > 0", k, res.Explored)
 		}
 
-		_, wantNE := MinNodeExpansion(g, k)
+		wantNE := minNE(g, k, fanned)
 		nres := SolveNodeExpansion(context.Background(), g, k, SolveOptions{Workers: 1})
 		if !nres.Exact || nres.Value != wantNE {
 			t.Fatalf("NE k=%d: solve=(%d,%v) min=%d", k, nres.Value, nres.Exact, wantNE)
@@ -136,7 +136,7 @@ func TestSolveExpansionUncancelledMatchesMin(t *testing.T) {
 
 func TestSolveExpansionContainingAndBound(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
-	_, want := MinEdgeExpansionContaining(g, 5, 0)
+	want := minEE(g, 5, rootedAt(0, serial))
 	res := SolveEdgeExpansion(context.Background(), g, 5, SolveOptions{
 		Containing: true, Root: 0, Bound: want,
 	})
@@ -294,7 +294,7 @@ func TestSurveyUncancelledStaysExact(t *testing.T) {
 		}
 	}
 	// Cross-check against the one-shot solver.
-	_, want := MinEdgeExpansionContaining(g, 4, 0)
+	want := minEE(g, 4, rootedAt(0, serial))
 	if results[2].EE != want {
 		t.Fatalf("survey EE(8,4)=%d, want %d", results[2].EE, want)
 	}

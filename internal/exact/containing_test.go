@@ -1,10 +1,17 @@
 package exact
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/topology"
 )
+
+// rootedAt is opts with root forced into every candidate set.
+func rootedAt(root int, opts SolveOptions) SolveOptions {
+	opts.Containing, opts.Root = true, root
+	return opts
+}
 
 func TestContainingMatchesGlobalOnVertexTransitive(t *testing.T) {
 	// Wn, CCCn and the hypercube are vertex-transitive: forcing a root
@@ -13,13 +20,11 @@ func TestContainingMatchesGlobalOnVertexTransitive(t *testing.T) {
 		"W8": topology.NewWrappedButterfly(8),
 	} {
 		for k := 1; k <= 6; k++ {
-			_, global := MinEdgeExpansion(g.Graph, k)
-			_, rooted := MinEdgeExpansionContaining(g.Graph, k, 0)
+			global, rooted := minEE(g.Graph, k, serial), minEE(g.Graph, k, rootedAt(0, serial))
 			if rooted != global {
 				t.Errorf("%s EE k=%d: rooted %d, global %d", name, k, rooted, global)
 			}
-			_, globalN := MinNodeExpansion(g.Graph, k)
-			_, rootedN := MinNodeExpansionContaining(g.Graph, k, 0)
+			globalN, rootedN := minNE(g.Graph, k, serial), minNE(g.Graph, k, rootedAt(0, serial))
 			if rootedN != globalN {
 				t.Errorf("%s NE k=%d: rooted %d, global %d", name, k, rootedN, globalN)
 			}
@@ -28,8 +33,7 @@ func TestContainingMatchesGlobalOnVertexTransitive(t *testing.T) {
 
 	q := topology.NewHypercube(4)
 	for k := 2; k <= 5; k++ {
-		_, global := MinEdgeExpansion(q.Graph, k)
-		_, rooted := MinEdgeExpansionContaining(q.Graph, k, 3)
+		global, rooted := minEE(q.Graph, k, serial), minEE(q.Graph, k, rootedAt(3, serial))
 		if rooted != global {
 			t.Errorf("Q4 EE k=%d: rooted %d, global %d", k, rooted, global)
 		}
@@ -42,12 +46,12 @@ func TestContainingIsUpperBoundOnBn(t *testing.T) {
 	b := topology.NewButterfly(4)
 	interior := b.Node(0, 1)
 	for k := 1; k <= 4; k++ {
-		_, global := MinEdgeExpansion(b.Graph, k)
-		set, rooted := MinEdgeExpansionContaining(b.Graph, k, interior)
-		if rooted < global {
-			t.Errorf("k=%d: rooted %d below global %d — impossible", k, rooted, global)
+		global := minEE(b.Graph, k, serial)
+		res := SolveEdgeExpansion(context.Background(), b.Graph, k, rootedAt(interior, serial))
+		if res.Value < global {
+			t.Errorf("k=%d: rooted %d below global %d — impossible", k, res.Value, global)
 		}
-		if !contains(set, interior) {
+		if !contains(res.Set, interior) {
 			t.Errorf("k=%d: root not in the returned set", k)
 		}
 	}
@@ -56,11 +60,11 @@ func TestContainingIsUpperBoundOnBn(t *testing.T) {
 func TestContainingRootInSet(t *testing.T) {
 	w := topology.NewWrappedButterfly(8)
 	for _, root := range []int{0, 5, 17} {
-		set, _ := MinEdgeExpansionContaining(w.Graph, 4, root)
+		set := SolveEdgeExpansion(context.Background(), w.Graph, 4, rootedAt(root, serial)).Set
 		if !contains(set, root) {
 			t.Errorf("root %d missing from set %v", root, set)
 		}
-		setN, _ := MinNodeExpansionContaining(w.Graph, 4, root)
+		setN := SolveNodeExpansion(context.Background(), w.Graph, 4, rootedAt(root, fanned)).Set
 		if !contains(setN, root) {
 			t.Errorf("root %d missing from NE set %v", root, setN)
 		}
@@ -74,7 +78,7 @@ func TestContainingValidation(t *testing.T) {
 			t.Errorf("bad root did not panic")
 		}
 	}()
-	MinEdgeExpansionContaining(w.Graph, 2, -1)
+	minEE(w.Graph, 2, rootedAt(-1, serial))
 }
 
 func contains(s []int, v int) bool {

@@ -1,64 +1,20 @@
 package exact
 
 import (
+	"sync/atomic"
+
 	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/solve"
 )
 
-// MinEdgeExpansion computes EE(g,k) = min_{|S|=k} C(S,S̄) (§1.3), returning
-// a minimizing set and its edge boundary. It is a branch-and-bound over the
-// nodes in BFS order with incrementally maintained boundary counters (see
-// expState), so completed sets are evaluated in O(1).
-func MinEdgeExpansion(g *graph.Graph, k int) ([]int, int) {
-	set, val, _ := minExpansion(g, k, -1, edgeExpansion, noBound, nil)
-	return set, val
-}
-
-// MinEdgeExpansionWithBound is MinEdgeExpansion seeded with a known
-// achievable upper bound on EE(g,k) — the measured boundary of some k-set,
-// e.g. a §4 witness or a greedy set from package heuristic. A tight seed
-// prunes from the first branch instead of discovering an incumbent the slow
-// way. If bound is below the true optimum the search falls back to an
-// unseeded run, so the result is exact either way.
-func MinEdgeExpansionWithBound(g *graph.Graph, k, bound int) ([]int, int) {
-	set, val, _ := minExpansion(g, k, -1, edgeExpansion, bound, nil)
-	return set, val
-}
-
-// MinEdgeExpansionContaining computes min C(S,S̄) over sets of size k that
-// contain the node root. On a vertex-transitive network (Wn, CCCn, the
-// hypercube — every node looks alike under the Lemma 2.2/3.2 automorphisms)
-// this equals EE(g,k) while shrinking the search by a factor of N; on other
-// networks it is an upper bound on EE(g,k).
-func MinEdgeExpansionContaining(g *graph.Graph, k, root int) ([]int, int) {
-	checkRoot(g, root)
-	set, val, _ := minExpansion(g, k, root, edgeExpansion, noBound, nil)
-	return set, val
-}
-
-// MinNodeExpansion computes NE(g,k) = min_{|S|=k} |N(S)| (§1.3), returning a
-// minimizing set and its neighbor count.
-func MinNodeExpansion(g *graph.Graph, k int) ([]int, int) {
-	set, val, _ := minExpansion(g, k, -1, nodeExpansion, noBound, nil)
-	return set, val
-}
-
-// MinNodeExpansionWithBound is the NE analogue of
-// MinEdgeExpansionWithBound.
-func MinNodeExpansionWithBound(g *graph.Graph, k, bound int) ([]int, int) {
-	set, val, _ := minExpansion(g, k, -1, nodeExpansion, bound, nil)
-	return set, val
-}
-
-// MinNodeExpansionContaining is the root-forced analogue of
-// MinEdgeExpansionContaining for NE(g,k): exact on vertex-transitive
-// networks, an upper bound elsewhere.
-func MinNodeExpansionContaining(g *graph.Graph, k, root int) ([]int, int) {
-	checkRoot(g, root)
-	set, val, _ := minExpansion(g, k, root, nodeExpansion, noBound, nil)
-	return set, val
-}
+// The expansion engine: every EE/NE search (SolveEdge/NodeExpansion, the
+// k-sweeps of ExpansionSurvey, the cluster's SearchExpansionShards) is a
+// list of (search, prefix) jobs drained by runExpansionJobs. A prefix fixes
+// the decisions on the first nodes of the BFS order; each worker owns one
+// expState, reused across every job of every search — a prefix is placed,
+// searched, and unplaced, so no per-job allocation or re-initialisation
+// happens on the hot path.
 
 const (
 	edgeExpansion = true
@@ -69,16 +25,141 @@ const (
 	noBound = -1
 )
 
-func checkRoot(g *graph.Graph, root int) {
-	if root < 0 || root >= g.N() {
-		panic("exact: root out of range")
-	}
+// expSearch is one (quantity, k) search of a run: the incumbent every job
+// of the search prunes against and records into, and whether any of its
+// jobs was cut short by cancellation (the result is then not a certified
+// optimum).
+type expSearch struct {
+	k          int
+	edge       bool
+	sb         *sharedExpBound
+	incomplete atomic.Bool
 }
 
-func checkSetSize(g *graph.Graph, k int) {
-	if k < 0 || k > g.N() {
-		panic("exact: expansion set size out of range")
+// newExpSearch starts a search whose incumbent is seeded from bound
+// (noBound: one past the trivial maximum of the quantity).
+func newExpSearch(g *graph.Graph, k int, edge bool, bound int, mon *solve.Monitor) *expSearch {
+	s := &expSearch{k: k, edge: edge, sb: &sharedExpBound{mon: mon}}
+	s.sb.best.Store(initialExpBest(g, edge, bound))
+	return s
+}
+
+// expJob is one prefix subproblem of one search.
+type expJob struct {
+	s      *expSearch
+	prefix []int8
+}
+
+// runExpansionJobs drains jobs through a pool of workers (≤ 0:
+// GOMAXPROCS). Searches are independent (each has its own incumbent), so
+// jobs of several searches share the pool and it load-balances across
+// them. On cancellation, jobs not run to completion mark their search
+// incomplete; the pool always drains, so the call returns promptly with
+// whatever incumbents were found.
+func runExpansionJobs(g *graph.Graph, order []int32, jobs []expJob, rootForced bool, workers int, mon *solve.Monitor) {
+	runPool(len(jobs), workers, func() func(int) {
+		st := newExpState(g, order)
+		st.mon = mon
+		return func(i int) {
+			j := jobs[i]
+			if mon.Stopped() {
+				j.s.incomplete.Store(true)
+				return
+			}
+			st.sb = j.s.sb
+			for d, side := range j.prefix {
+				st.place(int(order[d]), side, j.s.edge)
+			}
+			// dfsExpansion re-checks the bound first thing, so prefixes that
+			// are already prunable cost only the placements.
+			dfsExpansion(st, len(j.prefix), j.s.k, j.s.edge, rootForced, j.s.sb)
+			for d := len(j.prefix) - 1; d >= 0; d-- {
+				st.unplace(int(order[d]), j.s.edge)
+			}
+			st.flushTicks()
+			if st.stopped {
+				j.s.incomplete.Store(true)
+			}
+		}
+	})
+}
+
+// searchExpansion runs searches (all with 0 < k < n) to completion on one
+// pool, each split at fanoutDepth, and returns the decision order. A
+// search whose seed undercut its optimum finishes without a witness and is
+// rerun unseeded, so a completed search is exact either way.
+func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers int, mon *solve.Monitor) []int32 {
+	order := expansionOrder(g, root)
+	depth := fanoutDepth(g.N(), workers)
+	for len(searches) > 0 {
+		var jobs []expJob
+		for _, s := range searches {
+			for _, p := range expansionPrefixes(g.N(), depth, s.k, root >= 0) {
+				jobs = append(jobs, expJob{s: s, prefix: p})
+			}
+		}
+		runExpansionJobs(g, order, jobs, root >= 0, workers, mon)
+		var redo []*expSearch
+		for _, s := range searches {
+			if s.sb.set == nil && !s.incomplete.Load() {
+				s.sb.best.Store(initialExpBest(g, s.edge, noBound))
+				redo = append(redo, s)
+			}
+		}
+		searches = redo
 	}
+	return order
+}
+
+// result returns the search's witness, its value and whether it is
+// certified. A search cancelled before recording any set returns the
+// first k nodes of the decision order (a BFS-connected prefix, so already
+// a reasonable set) with its measured boundary.
+func (s *expSearch) result(g *graph.Graph, order []int32) ([]int, int, bool) {
+	if s.sb.set != nil {
+		return s.sb.set, int(s.sb.best.Load()), !s.incomplete.Load()
+	}
+	set := make([]int, s.k)
+	for i := range set {
+		set[i] = int(order[i])
+	}
+	return set, boundary(g, set, s.edge), false
+}
+
+// expansionPrefixes enumerates the decisions for the first depth nodes of
+// the order that can still complete to a k-set: at most k inclusions, and
+// enough nodes left after each exclusion. rootForced pins the first node
+// into S. Depth 0 yields the one empty prefix.
+func expansionPrefixes(n, depth, k int, rootForced bool) [][]int8 {
+	var out [][]int8
+	prefix := make([]int8, depth)
+	var gen func(idx, inS int)
+	gen = func(idx, inS int) {
+		if idx == depth {
+			out = append(out, append([]int8(nil), prefix...))
+			return
+		}
+		if inS < k {
+			prefix[idx] = sideS
+			gen(idx+1, inS+1)
+		}
+		if !(rootForced && idx == 0) && inS+(n-idx-1) >= k {
+			prefix[idx] = sideSbar
+			gen(idx+1, inS)
+		}
+	}
+	gen(0, 0)
+	return out
+}
+
+// expansionOrder is the decision order of every expansion search: BFS from
+// the forced root when there is one (so the exclude-branch cut at depth 0
+// applies to it), plain BFS otherwise.
+func expansionOrder(g *graph.Graph, root int) []int32 {
+	if root >= 0 {
+		return bfsOrderFrom(g, root)
+	}
+	return bfsOrder(g)
 }
 
 // initialExpBest is the starting incumbent: one past the seed bound when
@@ -93,64 +174,25 @@ func initialExpBest(g *graph.Graph, edge bool, bound int) int64 {
 	return int64(g.N()) + 1
 }
 
-// expansionOrder is the decision order shared by the serial and parallel
-// searches: BFS from the forced root when there is one (so the exclude
-// branch cut at depth 0 applies to it), plain BFS otherwise.
-func expansionOrder(g *graph.Graph, root int) []int32 {
-	if root >= 0 {
-		return bfsOrderFrom(g, root)
-	}
-	return bfsOrder(g)
-}
-
-// minExpansion is the serial engine behind the exported Min*Expansion
-// functions: one expState, one DFS, incumbent seeded from bound. The flag
-// reports whether the search ran to completion; a stopped search returns
-// its best incumbent (or the BFS-prefix fallback), which is a feasible
-// k-set but not a certified optimum.
-func minExpansion(g *graph.Graph, k, root int, edge bool, bound int, mon *solve.Monitor) ([]int, int, bool) {
-	checkSetSize(g, k)
-	if k == 0 || k == g.N() {
-		return prefixSet(k), 0, true
-	}
-	order := expansionOrder(g, root)
-	st := newExpState(g, order)
-	st.mon = mon
-	st.stopped = mon.Stopped()
-	sb := &sharedExpBound{mon: mon}
-	st.sb = sb
-	sb.best.Store(initialExpBest(g, edge, bound))
-	if !st.stopped {
-		dfsExpansion(st, 0, k, edge, root >= 0, sb)
-	}
-	st.flushTicks()
-	if sb.set == nil {
-		if st.stopped {
-			set, val := fallbackExpansionSet(g, order, k, edge)
-			return set, val, false
-		}
-		// bound was below the optimum, so nothing was found: rerun without
-		// the seed. The result is the true optimum either way.
-		return minExpansion(g, k, root, edge, noBound, mon)
-	}
-	out := make([]int, len(sb.set))
-	copy(out, sb.set)
-	return out, int(sb.best.Load()), !st.stopped
-}
-
-// fallbackExpansionSet is the feasible incumbent returned when a search is
-// cancelled before recording any set: the first k nodes of the decision
-// order (a BFS-connected prefix, so already a reasonable set) with its
-// measured boundary.
-func fallbackExpansionSet(g *graph.Graph, order []int32, k int, edge bool) ([]int, int) {
-	set := make([]int, k)
-	for i := range set {
-		set[i] = int(order[i])
-	}
+// boundary measures set directly: its edge boundary C(S,S̄) or its
+// neighbor count |N(S)|.
+func boundary(g *graph.Graph, set []int, edge bool) int {
 	if edge {
-		return set, cut.EdgeBoundary(g, set)
+		return cut.EdgeBoundary(g, set)
 	}
-	return set, len(cut.NodeBoundary(g, set))
+	return len(cut.NodeBoundary(g, set))
+}
+
+func checkRoot(g *graph.Graph, root int) {
+	if root < 0 || root >= g.N() {
+		panic("exact: root out of range")
+	}
+}
+
+func checkSetSize(g *graph.Graph, k int) {
+	if k < 0 || k > g.N() {
+		panic("exact: expansion set size out of range")
+	}
 }
 
 // prefixSet returns the first k node ids, used for the trivial k ∈ {0, N}

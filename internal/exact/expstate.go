@@ -8,8 +8,8 @@ import (
 	"repro/internal/solve"
 )
 
-// expState is the incremental machinery shared by the serial and parallel
-// expansion branch-and-bound searches (EE and NE, §1.3). Nodes are decided
+// expState is the incremental machinery of the expansion branch-and-bound
+// (EE and NE, §1.3), one per worker of the engine. Nodes are decided
 // in a fixed order — into S or out of it — and boundary counters are kept
 // current under place/unplace:
 //
@@ -41,8 +41,8 @@ type expState struct {
 	// Cooperative cancellation + telemetry (see bbState.tickNode): local
 	// counters flushed every solve.TickStride explored nodes into mon
 	// (the solve-wide totals) and sb (the per-search totals a survey
-	// reports per row). sb is repointed per job when one state serves
-	// several searches back to back. tickBudget counts DOWN from
+	// reports per row). sb is repointed per job, as one state serves
+	// every search of a run. tickBudget counts DOWN from
 	// solve.TickStride so the per-node fast path is one decrement and one
 	// branch; after a stop it stays pinned at zero, steering every later
 	// tick into the latched slow path.
@@ -83,13 +83,6 @@ func (st *expState) flushTicks() {
 		st.stopped = true
 		st.tickBudget = 0
 	}
-}
-
-// restartTicks re-arms a state for the next search after a stop (the batch
-// engines reuse one state across jobs).
-func (st *expState) restartTicks() {
-	st.stopped = false
-	st.tickBudget, st.prunedTick = solve.TickStride, 0
 }
 
 func newExpState(g *graph.Graph, order []int32) *expState {
@@ -254,14 +247,11 @@ func (st *expState) nodeLB(k int) int {
 	return lb
 }
 
-// sharedExpBound is the incumbent of one expansion search. best is read
-// lock-free on every prune check; improvements take the mutex so the bound
-// and the witness set stay consistent. The same structure serves the serial
-// searches (where the atomics are uncontended) and the parallel workers.
+// sharedExpBound is the incumbent of one expansion search, shared by every
+// worker. best is read lock-free on every prune check; improvements take
+// the mutex so the bound and the witness set stay consistent.
 // explored/pruned accumulate this search's telemetry (a survey reports
-// them per row); incomplete is raised when any of the search's subtrees
-// was abandoned on cancellation, i.e. the result is not a certified
-// optimum.
+// them per row).
 type sharedExpBound struct {
 	best atomic.Int64
 	mu   sync.Mutex
@@ -273,10 +263,9 @@ type sharedExpBound struct {
 	// injected from outside via offer do not echo through it.
 	onRecord func(val int, set []int)
 
-	mon        *solve.Monitor
-	explored   atomic.Int64
-	pruned     atomic.Int64
-	incomplete atomic.Bool
+	mon      *solve.Monitor
+	explored atomic.Int64
+	pruned   atomic.Int64
 }
 
 func (sb *sharedExpBound) record(val int, assign []int8) {
@@ -301,10 +290,11 @@ func (sb *sharedExpBound) record(val int, assign []int8) {
 	}
 }
 
-// offer injects an incumbent achieved elsewhere (a remote peer's witness):
-// the bound tightens if it improves on the current best, and the witness
-// replaces the local set so the search always holds a set achieving its
-// bound. Unlike record it never fires onRecord — gossip must not echo.
+// offer injects an incumbent achieved elsewhere (a remote peer's witness,
+// already checked by ShardIncumbent.Offer): the bound tightens if it
+// improves on the current best, and the witness replaces the local set so
+// the search always holds a set achieving its bound. Unlike record it
+// never fires onRecord — gossip must not echo.
 func (sb *sharedExpBound) offer(val int, set []int) bool {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -319,7 +309,7 @@ func (sb *sharedExpBound) offer(val int, set []int) bool {
 
 // dfsEdgeExpansion explores all decisions for order[idx:] given the prefix
 // already placed in st, recording edge-boundary improvements over sb.best.
-// rootForced skips the exclude branch at idx 0 (the Containing variants).
+// rootForced skips the exclude branch at idx 0 (root-forced searches).
 func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *sharedExpBound) {
 	if st.tickNode() {
 		return

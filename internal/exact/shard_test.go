@@ -1,11 +1,13 @@
 package exact
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/cut"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/solve"
 	"repro/internal/topology"
 )
@@ -36,8 +38,8 @@ func runAllShards(t *testing.T, g *graph.Graph, spec ExpansionShardSpec, batch i
 	return si.Best()
 }
 
-// The union of all shards must certify exactly what the single-process
-// parallel engine certifies — same value, and a witness achieving it.
+// The union of all shards must certify exactly what one local solve
+// certifies — same value, and a witness achieving it.
 func TestShardUnionMatchesParallelEngine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -55,15 +57,10 @@ func TestShardUnionMatchesParallelEngine(t *testing.T) {
 			spec := ExpansionShardSpec{K: tc.k, Edge: tc.edge, Root: tc.root}
 			val, set := runAllShards(t, g, spec, 3)
 
-			var wantSet []int
-			var want int
-			switch {
-			case tc.root >= 0 && tc.edge:
-				wantSet, want = MinEdgeExpansionParallelContaining(g, tc.k, tc.root, 2)
-			case tc.edge:
-				wantSet, want = MinEdgeExpansionParallel(g, tc.k, 2)
-			default:
-				wantSet, want = MinNodeExpansionParallel(g, tc.k, 2)
+			opts := SolveOptions{Workers: 2, Containing: tc.root >= 0, Root: tc.root}
+			want := minNE(g, tc.k, opts)
+			if tc.edge {
+				want = minEE(g, tc.k, opts)
 			}
 			if val != want {
 				t.Fatalf("shard union found %d, engine found %d", val, want)
@@ -91,7 +88,6 @@ func TestShardUnionMatchesParallelEngine(t *testing.T) {
 			if got != val {
 				t.Fatalf("witness %v achieves %d, incumbent claims %d", set, got, val)
 			}
-			_ = wantSet
 		})
 	}
 }
@@ -102,7 +98,8 @@ func TestShardSearchWithOfferedBound(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
 	spec := ExpansionShardSpec{K: 6, Edge: true, Root: -1}
 
-	wantSet, want := MinEdgeExpansionParallel(g, 6, 2)
+	ref := SolveEdgeExpansion(context.Background(), g, 6, SolveOptions{Workers: 2})
+	wantSet, want := ref.Set, ref.Value
 
 	si := NewShardIncumbent(g, spec, nil)
 	// Seed the exact optimum with its witness, as a remote peer would.
@@ -130,11 +127,46 @@ func TestShardSearchWithOfferedBound(t *testing.T) {
 	}
 }
 
+// witnessesByValue enumerates the k-sets of g (those containing root when
+// root ≥ 0) and returns one witness for every achievable boundary value.
+func witnessesByValue(g *graph.Graph, k int, edge bool, root int) map[int][]int {
+	out := make(map[int][]int)
+	set := make([]int, 0, k)
+	var gen func(next int)
+	gen = func(next int) {
+		if len(set) == k {
+			if root < 0 || contains(set, root) {
+				if v := boundary(g, set, edge); out[v] == nil {
+					out[v] = append([]int(nil), set...)
+				}
+			}
+			return
+		}
+		for v := next; v < g.N(); v++ {
+			set = append(set, v)
+			gen(v + 1)
+			set = set[:len(set)-1]
+		}
+	}
+	gen(0)
+	return out
+}
+
 // Offer must be monotone: stale and duplicate values never loosen the
 // incumbent, improvements always tighten it, concurrently.
 func TestShardIncumbentOfferMonotone(t *testing.T) {
 	g := topology.NewButterfly(4).Graph
 	si := NewShardIncumbent(g, ExpansionShardSpec{K: 3, Edge: true, Root: -1}, nil)
+	witnesses := witnessesByValue(g, 3, true, -1)
+	var values []int
+	low := 1 << 30
+	for v := range witnesses {
+		values = append(values, v)
+		low = min(low, v)
+	}
+	if len(values) < 3 {
+		t.Fatalf("only %d distinct 3-set boundaries on B4", len(values))
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -142,21 +174,89 @@ func TestShardIncumbentOfferMonotone(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				v := 3 + (seed+i*7)%10 // values 3..12, replayed out of order
-				si.Offer(v, []int{0, 1, v})
+				v := values[(seed+i*7)%len(values)] // replayed out of order
+				si.Offer(v, witnesses[v])
 			}
 		}(w)
 	}
 	wg.Wait()
 	val, set := si.Best()
-	if val != 3 {
-		t.Fatalf("incumbent = %d after replayed offers, want 3", val)
+	if val != low {
+		t.Fatalf("incumbent = %d after replayed offers, want %d", val, low)
 	}
-	if len(set) != 3 || set[2] != 3 {
-		t.Fatalf("witness %v does not match best offer", set)
+	if got := cut.EdgeBoundary(g, set); got != low {
+		t.Fatalf("witness %v achieves %d, not the best offer %d", set, got, low)
 	}
-	if si.Offer(3, []int{9, 9, 9}) {
+	if si.Offer(low, witnesses[low]) {
 		t.Fatal("Offer accepted a non-improving duplicate")
+	}
+}
+
+// A peer's offer is adopted only with a witness achieving it: repeated
+// nodes, out-of-range ids, a missing root or an understated value are
+// rejected and counted, and never move the bound, so a lying offer cannot
+// make a complete search certify a value below the optimum.
+func TestShardIncumbentRejectsBogusOffers(t *testing.T) {
+	rejected := obs.Default.Counter("exact.offers_rejected")
+	w16 := topology.NewWrappedButterfly(16).Graph
+	genuine := make([]int, 12)
+	for i := range genuine {
+		genuine[i] = i
+	}
+	for _, edge := range []bool{false, true} {
+		si := NewShardIncumbent(w16, ExpansionShardSpec{K: 12, Edge: edge, Root: 0}, nil)
+		start, _ := si.Best()
+		val := boundary(w16, genuine, edge)
+		outOfRange := append(append([]int(nil), genuine[:11]...), w16.N())
+		negative := append([]int(nil), genuine...)
+		negative[1] = -1
+		noRoot := make([]int, 12)
+		for i := range noRoot {
+			noRoot[i] = i + 1
+		}
+		before := rejected.Value()
+		for _, bogus := range []struct {
+			val int
+			set []int
+		}{
+			{4, make([]int, 12)},                  // node 0 twelve times
+			{4, outOfRange},                       // id ≥ N
+			{4, negative},                         // id < 0
+			{val, genuine[:11]},                   // eleven nodes
+			{boundary(w16, noRoot, edge), noRoot}, // root missing
+			{val - 1, genuine},                    // understated value
+		} {
+			if si.Offer(bogus.val, bogus.set) {
+				t.Fatalf("edge=%v: Offer(%d, %v) accepted", edge, bogus.val, bogus.set)
+			}
+		}
+		if got := rejected.Value() - before; got != 6 {
+			t.Fatalf("edge=%v: %d rejections counted, want 6", edge, got)
+		}
+		if best, set := si.Best(); best != start || set != nil {
+			t.Fatalf("edge=%v: bogus offers moved the incumbent to (%d, %v)", edge, best, set)
+		}
+		if !si.Offer(val, genuine) {
+			t.Fatalf("edge=%v: genuine witness of value %d rejected", edge, val)
+		}
+	}
+
+	// End to end: a lying offer before the shards run must not become the
+	// certified value.
+	w8 := topology.NewWrappedButterfly(8).Graph
+	spec := ExpansionShardSpec{K: 6, Edge: false, Root: 0}
+	si := NewShardIncumbent(w8, spec, nil)
+	si.Offer(1, make([]int, 6))
+	want := minNE(w8, 6, rootedAt(0, serial))
+	ids := make([]int, ExpansionShardCount(w8, spec))
+	for i := range ids {
+		ids[i] = i
+	}
+	if out := SearchExpansionShards(w8, spec, ids, 2, si, nil); !out.Complete {
+		t.Fatal("search incomplete without cancellation")
+	}
+	if val, set := si.Best(); val != want || len(cut.NodeBoundary(w8, set)) != want {
+		t.Fatalf("certified NE = %d with witness %v, want %d", val, set, want)
 	}
 }
 
@@ -208,6 +308,19 @@ func TestShardIncumbentOnImprove(t *testing.T) {
 		defer mu.Unlock()
 		gossip = append(gossip, append([]int{val}, set...))
 	})
+	// An offered witness tightens the bound without echoing.
+	witnesses := witnessesByValue(g, 4, true, -1)
+	loose := 0
+	for v := range witnesses {
+		loose = max(loose, v)
+	}
+	if !si.Offer(loose, witnesses[loose]) {
+		t.Fatalf("fresh incumbent rejected a genuine witness of value %d", loose)
+	}
+	if len(gossip) != 0 {
+		t.Fatal("Offer echoed through the onImprove hook")
+	}
+
 	count := ExpansionShardCount(g, spec)
 	ids := make([]int, count)
 	for i := range ids {
@@ -218,15 +331,11 @@ func TestShardIncumbentOnImprove(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(gossip) == 0 {
-		t.Fatal("no improvements gossiped from a fresh search")
+		t.Fatal("no improvements gossiped from the search")
 	}
 	last := gossip[len(gossip)-1]
 	val, _ := si.Best()
 	if last[0] != val {
 		t.Fatalf("last gossiped value %d != final incumbent %d", last[0], val)
-	}
-	n := len(gossip)
-	if si.Offer(0, []int{0, 1, 2, 3}) && len(gossip) != n {
-		t.Fatal("Offer echoed through the onImprove hook")
 	}
 }

@@ -2,6 +2,9 @@ package exact
 
 import (
 	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cut"
@@ -10,17 +13,20 @@ import (
 	"repro/internal/solve"
 )
 
-// This file is the context-aware entry point to the exact engines. The
-// legacy Min* functions remain as uncancellable conveniences; Solve*
-// accept a context.Context (deadline or cancellation), report telemetry,
-// and — the key contract — mark results from an interrupted search
-// Exact=false instead of silently presenting incumbents as optima.
+// This file is the context-aware entry point to the exact engines, and
+// the worker pool both engines run on. The Min*Bisection functions remain
+// as uncancellable serial conveniences; Solve* accept a context.Context
+// (deadline or cancellation), report telemetry, and — the key contract —
+// mark results from an interrupted search Exact=false instead of silently
+// presenting incumbents as optima.
 
 // SolveOptions tune the context-aware solvers. The zero value runs an
-// unseeded parallel search on GOMAXPROCS workers.
+// unseeded search on GOMAXPROCS workers.
 type SolveOptions struct {
-	// Workers: 1 forces the serial engine, 0 (or <0) means GOMAXPROCS,
-	// anything else sets the pool size.
+	// Workers is the pool size, ≤ 0 meaning GOMAXPROCS. One worker runs
+	// the whole search as one depth-first job; more split it at a BFS
+	// prefix into up to 256 jobs (see fanoutDepth). The optimum is the
+	// same either way; the witness may differ when several are optimal.
 	Workers int
 	// Bound > 0 seeds the incumbent with a known achievable value (a
 	// witness or heuristic boundary); ≤ 0 searches unseeded. A bound
@@ -86,20 +92,7 @@ type BisectionResult struct {
 func SolveBisection(ctx context.Context, g *graph.Graph, opts SolveOptions) BisectionResult {
 	mon := opts.monitor(ctx)
 	defer mon.Close()
-	var (
-		c     *cut.Cut
-		w     int
-		exact bool
-	)
-	if opts.Workers == 1 {
-		bound := opts.Bound
-		if bound <= 0 {
-			bound = initialBisectionBound(g)
-		}
-		c, w, exact = minBisectionSearch(g, bound, mon)
-	} else {
-		c, w, exact = minBisectionParallelSearch(g, opts.Workers, opts.Bound, mon)
-	}
+	c, w, exact := searchBisection(g, opts.Bound, opts.Workers, mon)
 	return BisectionResult{
 		Cut: c, Width: w, Exact: exact,
 		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),
@@ -133,6 +126,7 @@ func SolveNodeExpansion(ctx context.Context, g *graph.Graph, k int, opts SolveOp
 func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts SolveOptions) Result {
 	mon := opts.monitor(ctx)
 	defer mon.Close()
+	checkSetSize(g, k)
 	root := -1
 	if opts.Containing {
 		checkRoot(g, opts.Root)
@@ -142,18 +136,66 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	if opts.Bound > 0 {
 		bound = opts.Bound
 	}
-	var (
-		set   []int
-		val   int
-		exact bool
-	)
-	if opts.Workers == 1 {
-		set, val, exact = minExpansion(g, k, root, edge, bound, mon)
-	} else {
-		set, val, exact = minExpansionParallel(g, k, root, opts.Workers, edge, bound, mon)
+	set, val, exact := prefixSet(k), 0, true
+	if k > 0 && k < g.N() {
+		s := newExpSearch(g, k, edge, bound, mon)
+		order := searchExpansion(g, root, []*expSearch{s}, opts.Workers, mon)
+		set, val, exact = s.result(g, order)
 	}
 	return Result{
 		Set: set, Value: val, Exact: exact,
 		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),
 	}
+}
+
+// shardDepth is the BFS-prefix depth at which a search splits into jobs:
+// up to 2^8 = 256 per search — plenty of slack for load balancing without
+// flooding memory with prefixes. Shard ids index this enumeration, so
+// every party of a distributed search derives the same depth from n.
+func shardDepth(n int) int {
+	return min(8, n/2)
+}
+
+// fanoutDepth is the split depth of a local run: none (one empty-prefix
+// job, the plain depth-first search) on one worker or below 16 nodes,
+// where the fan-out costs more than it balances, shardDepth otherwise.
+func fanoutDepth(n, workers int) int {
+	if n < 16 || poolSize(workers) == 1 {
+		return 0
+	}
+	return shardDepth(n)
+}
+
+func poolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// runPool runs jobs 0..jobs-1 on min(poolSize(workers), jobs) workers,
+// handing job indices out in order; the calling goroutine is one of the
+// workers, so a one-worker pool starts no goroutine. Each worker calls
+// newWorker once to build its private state and gets back the function
+// that runs one job on it.
+func runPool(jobs, workers int, newWorker func() func(job int)) {
+	var next atomic.Int64
+	work := func() {
+		run := newWorker()
+		for job := int(next.Add(1) - 1); job < jobs; job = int(next.Add(1) - 1) {
+			run(job)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(poolSize(workers), jobs); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	if jobs > 0 {
+		work()
+	}
+	wg.Wait()
 }

@@ -62,11 +62,11 @@ type SurveyOptions struct {
 }
 
 // ExpansionSurvey computes EE(g,k) and NE(g,k) exactly for every k in ks,
-// batched: the BFS order is computed once, and one worker pool with
-// per-worker scratch state drains the subproblems of all k jointly. root ≥ 0
-// forces that node into every set (exact on vertex-transitive networks, an
-// upper bound elsewhere); root < 0 searches unrestricted. workers ≤ 0 means
-// GOMAXPROCS.
+// batched: the BFS order is computed once, and one run of the expansion
+// engine drains the jobs of all k jointly. root ≥ 0 forces that node into
+// every set (exact on vertex-transitive networks, an upper bound
+// elsewhere); root < 0 searches unrestricted. workers is the pool size as
+// in SolveOptions.Workers.
 func ExpansionSurvey(g *graph.Graph, ks []int, root, workers int) []SurveyResult {
 	return ExpansionSurveyWithOptions(g, ks, root, workers, SurveyOptions{})
 }
@@ -103,7 +103,6 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 	}
 
 	results := make([]SurveyResult, len(ks))
-	order := expansionOrder(g, root)
 	var searches []*expSearch
 	// target[i] points each search back at its result slot.
 	var target []*SurveyResult
@@ -121,55 +120,17 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 			continue
 		}
 		if doEdge {
-			s := &expSearch{k: k, edge: edgeExpansion}
-			s.sb.mon = mon
-			s.sb.best.Store(initialExpBest(g, edgeExpansion, seedFor(opts.EdgeSeed, k)))
-			searches = append(searches, s)
+			searches = append(searches, newExpSearch(g, k, edgeExpansion, seedFor(opts.EdgeSeed, k), mon))
 			target = append(target, r)
 		}
 		if doNode {
-			s := &expSearch{k: k, edge: nodeExpansion}
-			s.sb.mon = mon
-			s.sb.best.Store(initialExpBest(g, nodeExpansion, seedFor(opts.NodeSeed, k)))
-			searches = append(searches, s)
+			searches = append(searches, newExpSearch(g, k, nodeExpansion, seedFor(opts.NodeSeed, k), mon))
 			target = append(target, r)
 		}
 	}
-	if len(searches) > 0 {
-		if g.N() < 16 {
-			// Tiny instances: the fan-out costs more than the search.
-			st := newExpState(g, order)
-			st.mon = mon
-			for _, s := range searches {
-				if mon.Stopped() {
-					s.sb.incomplete.Store(true)
-					continue
-				}
-				st.sb = &s.sb
-				st.restartTicks()
-				dfsExpansion(st, 0, s.k, s.edge, root >= 0, &s.sb)
-				st.flushTicks()
-				if st.stopped {
-					s.sb.incomplete.Store(true)
-				}
-			}
-		} else {
-			runExpansionSearches(g, order, searches, root >= 0, workers, mon)
-		}
-	}
+	order := searchExpansion(g, root, searches, workers, mon)
 	for i, s := range searches {
-		set, val, exact := s.sb.set, int(s.sb.best.Load()), !s.sb.incomplete.Load()
-		if set == nil {
-			if exact {
-				// The seed undercut the optimum (caller error, but stay
-				// exact): redo this one search unseeded.
-				set, val, exact = minExpansionParallel(g, s.k, root, workers, s.edge, noBound, mon)
-			} else {
-				// Cancelled before any set was recorded: feasible
-				// BFS-prefix fallback.
-				set, val = fallbackExpansionSet(g, order, s.k, s.edge)
-			}
-		}
+		set, val, exact := s.result(g, order)
 		explored, pruned := s.sb.explored.Load(), s.sb.pruned.Load()
 		if s.edge {
 			target[i].EE, target[i].EESet = val, set

@@ -1,6 +1,7 @@
 package expansion
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestWitnessesAreExactMinimizersOnSmallNetworks(t *testing.T) {
 	// (a sub-butterfly) is the exact minimizer shape the lemmas predict.
 	w := topology.NewWrappedButterfly(16)
 	k := WitnessSize(1)
-	_, ee := exact.MinEdgeExpansion(w.Graph, k)
+	ee := exact.SolveEdgeExpansion(context.Background(), w.Graph, k, exact.SolveOptions{Workers: 1}).Value
 	witness := cut.EdgeBoundary(w.Graph, WnEdgeWitness(w, 1))
 	if ee > witness {
 		t.Errorf("exact EE %d exceeds witness %d", ee, witness)
@@ -228,12 +229,14 @@ func TestCreditBoundsAgainstExactOptimum(t *testing.T) {
 	// exact solver is fast), for the witness-like minimizing sets.
 	w := topology.NewWrappedButterfly(8)
 	for k := 2; k <= 8; k++ {
-		set, ee := exact.MinEdgeExpansion(w.Graph, k)
+		res := exact.SolveEdgeExpansion(context.Background(), w.Graph, k, exact.SolveOptions{Workers: 1})
+		set, ee := res.Set, res.Value
 		r := WnEdgeCreditBound(w, set)
 		if r.LowerBound > ee {
 			t.Errorf("k=%d: certified %d exceeds exact EE %d", k, r.LowerBound, ee)
 		}
-		setN, ne := exact.MinNodeExpansion(w.Graph, k)
+		res = exact.SolveNodeExpansion(context.Background(), w.Graph, k, exact.SolveOptions{Workers: 1})
+		setN, ne := res.Set, res.Value
 		rn := WnNodeCreditBound(w, setN)
 		if rn.LowerBound > ne {
 			t.Errorf("k=%d: certified %d exceeds exact NE %d", k, rn.LowerBound, ne)

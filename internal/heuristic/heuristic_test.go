@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -138,12 +139,12 @@ func TestGreedyNodeExpansion(t *testing.T) {
 func TestGreedyExpansionNeverBelowExact(t *testing.T) {
 	b := topology.NewButterfly(4)
 	for k := 1; k <= 5; k++ {
-		_, opt := exact.MinEdgeExpansion(b.Graph, k)
+		opt := exact.SolveEdgeExpansion(context.Background(), b.Graph, k, exact.SolveOptions{Workers: 1}).Value
 		_, greedy := GreedyEdgeExpansion(b.Graph, k, ExpansionOptions{Starts: 8, Seed: 9})
 		if greedy < opt {
 			t.Fatalf("greedy EE %d beat exact %d at k=%d", greedy, opt, k)
 		}
-		_, optN := exact.MinNodeExpansion(b.Graph, k)
+		optN := exact.SolveNodeExpansion(context.Background(), b.Graph, k, exact.SolveOptions{Workers: 1}).Value
 		_, greedyN := GreedyNodeExpansion(b.Graph, k, ExpansionOptions{Starts: 8, Seed: 9})
 		if greedyN < optN {
 			t.Fatalf("greedy NE %d beat exact %d at k=%d", greedyN, optN, k)

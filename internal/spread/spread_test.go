@@ -1,6 +1,7 @@
 package spread
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exact"
@@ -78,7 +79,7 @@ func TestVerifyGrowthAgainstExactNE(t *testing.T) {
 		if v, ok := neCache[k]; ok {
 			return v
 		}
-		_, v := exact.MinNodeExpansion(w.Graph, k)
+		v := exact.SolveNodeExpansion(context.Background(), w.Graph, k, exact.SolveOptions{Workers: 1}).Value
 		neCache[k] = v
 		return v
 	}
