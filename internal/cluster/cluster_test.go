@@ -16,13 +16,9 @@ import (
 	"repro/internal/topology"
 )
 
-// testInstance picks the distributed-search instance: the full acceptance
-// case EE(W16, 12) root-forced normally, a small cousin under the race
-// detector (same machinery, an order of magnitude less search tree).
+// testInstance is the distributed-search acceptance case: EE(W16, 12),
+// root-forced.
 func testInstance() (*graph.Graph, string, int) {
-	if raceEnabled {
-		return topology.NewWrappedButterfly(8).Graph, GraphSpec(true, 8), 6
-	}
 	return topology.NewWrappedButterfly(16).Graph, GraphSpec(true, 16), 12
 }
 

@@ -21,16 +21,26 @@ import (
 // At a completed leaf (|S| = k) every undecided node is implicitly out, so
 // the edge boundary is permCut + inUnd and the node boundary is
 // permNbrs + undWithIn — O(1) per leaf, where the previous engine rescanned
-// all n nodes and their edges. The two quantities have disjoint hot paths:
-// an edge search uses placeEdge/unplaceEdge and never touches inNbrs, a
-// node search uses placeNode/unplaceNode and never touches the edge
-// counters, so one state serves jobs of either kind back to back.
+// all n nodes and their edges.
+//
+// Both quantities count each node's edges into S in inNbrs. An edge search
+// (placeEdge/unplaceEdge) also counts each node's edges to decided-out
+// nodes in outNbrs and files the undecided nodes by in − out in gainHist,
+// which is what edgeLB reads; a node search (placeNode/unplaceNode) never
+// touches the edge counters, outNbrs or gainHist. Every job unplaces its
+// whole prefix, returning inNbrs to zero, so one state serves jobs of
+// either kind back to back.
 type expState struct {
 	g      *graph.Graph
 	order  []int32
 	assign []int8
 	inNbrs []int32 // per node: number of incident edges whose other end is in S
-	maxDeg int
+	// Edge searches only: outNbrs counts, per node, the incident edges whose
+	// other end is decided out, and gainHist[maxDeg+in−out] the undecided
+	// nodes by inNbrs − outNbrs (parallel edges count with multiplicity).
+	outNbrs  []int32
+	gainHist []int32
+	maxDeg   int
 
 	chosen    int
 	permCut   int
@@ -86,18 +96,22 @@ func (st *expState) flushTicks() {
 }
 
 func newExpState(g *graph.Graph, order []int32) *expState {
+	maxDeg := g.MaxDegree()
 	st := &expState{
-		g:      g,
-		order:  order,
-		assign: make([]int8, g.N()),
-		inNbrs: make([]int32, g.N()),
-		maxDeg: g.MaxDegree(),
+		g:        g,
+		order:    order,
+		assign:   make([]int8, g.N()),
+		inNbrs:   make([]int32, g.N()),
+		outNbrs:  make([]int32, g.N()),
+		gainHist: make([]int32, 2*maxDeg+1),
+		maxDeg:   maxDeg,
 
 		tickBudget: solve.TickStride,
 	}
 	for i := range st.assign {
 		st.assign[i] = unassigned
 	}
+	st.gainHist[maxDeg] = int32(g.N()) // every node undecided, in = out = 0
 	return st
 }
 
@@ -122,11 +136,14 @@ func (st *expState) unplace(v int, edge bool) {
 // counter updates assume the rest of the decided set is exactly as it was
 // at place time.
 func (st *expState) placeEdge(v int, s int8) {
+	st.gainHist[st.gain(int32(v))]--
 	if s == sideS {
 		for _, u := range st.g.Neighbors(v) {
+			st.inNbrs[u]++
 			switch st.assign[u] {
 			case unassigned:
 				st.inUnd++
+				st.moveGain(u, +1)
 			case sideS:
 				st.inUnd-- // the edge was S(u)–undecided(v); now internal
 			default:
@@ -136,7 +153,11 @@ func (st *expState) placeEdge(v int, s int8) {
 		st.chosen++
 	} else {
 		for _, u := range st.g.Neighbors(v) {
-			if st.assign[u] == sideS {
+			st.outNbrs[u]++
+			switch st.assign[u] {
+			case unassigned:
+				st.moveGain(u, -1)
+			case sideS:
 				st.inUnd--
 				st.permCut++
 			}
@@ -152,9 +173,11 @@ func (st *expState) unplaceEdge(v int) {
 	if s == sideS {
 		st.chosen--
 		for _, u := range st.g.Neighbors(v) {
+			st.inNbrs[u]--
 			switch st.assign[u] {
 			case unassigned:
 				st.inUnd--
+				st.moveGain(u, -1)
 			case sideS:
 				st.inUnd++
 			default:
@@ -163,12 +186,31 @@ func (st *expState) unplaceEdge(v int) {
 		}
 	} else {
 		for _, u := range st.g.Neighbors(v) {
-			if st.assign[u] == sideS {
+			st.outNbrs[u]--
+			switch st.assign[u] {
+			case unassigned:
+				st.moveGain(u, +1)
+			case sideS:
 				st.inUnd++
 				st.permCut--
 			}
 		}
 	}
+	st.gainHist[st.gain(int32(v))]++
+}
+
+// gain is u's gainHist bucket: maxDeg + in(u) − out(u), where in/out count
+// u's edges to S and to decided-out nodes.
+func (st *expState) gain(u int32) int {
+	return st.maxDeg + int(st.inNbrs[u]-st.outNbrs[u])
+}
+
+// moveGain re-files the undecided node u after its in − out changed by
+// delta.
+func (st *expState) moveGain(u int32, delta int) {
+	b := st.gain(u)
+	st.gainHist[b-delta]--
+	st.gainHist[b]++
 }
 
 // placeNode decides the currently undecided node v for a neighbor-set
@@ -224,14 +266,21 @@ func (st *expState) unplaceNode(v int) {
 	}
 }
 
-// edgeLB is an admissible lower bound on the final edge boundary: permCut
-// never decreases, and each of the k−chosen future S-placements removes at
-// most maxDeg edges from permCut+inUnd (out-placements only move edges
-// from inUnd to permCut).
+// edgeLB is an admissible lower bound on the final edge boundary, exact at
+// a leaf. Completing S with a set F of m = k−chosen undecided nodes ends
+// at permCut + inUnd + Σ_F (out u − in u + e(u, U∖F)), U the undecided
+// nodes: each u in F turns its in u edges to S internal, adds its out u
+// edges to decided-out nodes, and its edges to the undecided nodes left
+// out become boundary. Dropping the non-negative e(u, U∖F) and taking the
+// m largest in − out over U, read off gainHist from the top in O(maxDeg),
+// bounds every completion from below.
 func (st *expState) edgeLB(k int) int {
-	lb := st.permCut + st.inUnd - (k-st.chosen)*st.maxDeg
-	if lb < st.permCut {
-		lb = st.permCut
+	lb := st.permCut + st.inUnd
+	m := k - st.chosen
+	for b := len(st.gainHist) - 1; m > 0 && b >= 0; b-- {
+		c := min(int(st.gainHist[b]), m)
+		lb -= c * (b - st.maxDeg)
+		m -= c
 	}
 	return lb
 }
