@@ -208,23 +208,24 @@ func (o ExpansionTableOptions) withDefaults() ExpansionTableOptions {
 // ExpansionTable evaluates one §4.3 row family on an n-input network for
 // each witness dimension in dims. Exact optima are computed when the
 // enumeration is affordable (small n and k): all affordable rows are
-// batched into one exact.ExpansionSurvey call, root-forced on the
-// vertex-transitive Wn and seeded with the witness boundaries so the
-// branch-and-bound prunes against a tight incumbent from the start.
+// batched into one exact.ExpansionSurvey call, root-forced on a network
+// declared vertex-transitive (Wn) and seeded with the witness boundaries
+// so the branch-and-bound prunes against a tight incumbent from the start.
 func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOptions) []ExpansionRow {
 	opts = opts.withDefaults()
 	rows := make([]ExpansionRow, 0, len(dims))
 	var g *topology.Butterfly
-	var root, costNodes int
 	switch kind {
 	case WnEdge, WnNode:
 		g = topology.NewWrappedButterfly(n)
-		// Wn is vertex-transitive, so the root-forced solver is exact and a
-		// factor-N cheaper (the halved cost proxy reflects that).
-		root, costNodes = 0, g.N()/2
 	case BnEdge, BnNode:
 		g = topology.NewButterfly(n)
-		root, costNodes = -1, g.N()
+	}
+	// On a vertex-transitive network the root-forced solver is exact and a
+	// factor-N cheaper (the halved cost proxy reflects that).
+	root, costNodes := -1, g.N()
+	if g.VertexTransitive() {
+		root, costNodes = 0, g.N()/2
 	}
 	for _, d := range dims {
 		rows = append(rows, expansionRow(kind, g, d))

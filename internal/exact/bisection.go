@@ -16,7 +16,9 @@
 // empty-prefix job. The expansion engine also takes achievable upper-bound
 // seeds (witness or greedy sets), batches whole k-sweeps
 // (ExpansionSurvey) over one pool, and runs any subset of its prefix
-// shards for a distributed search (SearchExpansionShards).
+// shards for a distributed search (SearchExpansionShards). A local edge
+// search of size k first certifies EE(g, m) for every m < k and prunes
+// with that table (Russian-doll search); shard searches get no table.
 package exact
 
 import (

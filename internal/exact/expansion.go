@@ -1,10 +1,12 @@
 package exact
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cut"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/solve"
 )
 
@@ -14,7 +16,9 @@ import (
 // the decisions on the first nodes of the BFS order; each worker owns one
 // expState, reused across every job of every search — a prefix is placed,
 // searched, and unplaced, so no per-job allocation or re-initialisation
-// happens on the hot path.
+// happens on the hot path. Before the edge searches of a local run start,
+// sweepEdgeTable certifies EE(g, m) for every smaller m on the same job
+// runner, so their bound can prune with it.
 
 const (
 	edgeExpansion = true
@@ -26,13 +30,15 @@ const (
 )
 
 // expSearch is one (quantity, k) search of a run: the incumbent every job
-// of the search prunes against and records into, and whether any of its
-// jobs was cut short by cancellation (the result is then not a certified
-// optimum).
+// of the search prunes against and records into, the EE(g, m) table its
+// edge bound reads (nil for node searches and shard searches), and whether
+// any of its jobs was cut short by cancellation (the result is then not a
+// certified optimum).
 type expSearch struct {
 	k          int
 	edge       bool
 	sb         *sharedExpBound
+	table      []int
 	incomplete atomic.Bool
 }
 
@@ -66,7 +72,7 @@ func runExpansionJobs(g *graph.Graph, order []int32, jobs []expJob, rootForced b
 				j.s.incomplete.Store(true)
 				return
 			}
-			st.sb = j.s.sb
+			st.sb, st.table = j.s.sb, j.s.table
 			for d, side := range j.prefix {
 				st.place(int(order[d]), side, j.s.edge)
 			}
@@ -84,21 +90,29 @@ func runExpansionJobs(g *graph.Graph, order []int32, jobs []expJob, rootForced b
 	})
 }
 
-// searchExpansion runs searches (all with 0 < k < n) to completion on one
-// pool, each split at fanoutDepth, and returns the decision order. A
-// search whose seed undercut its optimum finishes without a witness and is
-// rerun unseeded, so a completed search is exact either way.
+// searchExpansion runs searches (all with 0 < k < n) to completion and
+// returns their decision order. The edge table sweep runs first and may
+// run some of the searches as its steps; the rest then share one pool.
 func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers int, mon *solve.Monitor) []int32 {
 	order := expansionOrder(g, root)
+	rest := sweepEdgeTable(g, root, order, searches, workers, mon)
+	runSearches(g, order, root >= 0, rest, workers, mon)
+	return order
+}
+
+// runSearches runs searches to completion on one pool, each split at
+// fanoutDepth. A search whose seed undercut its optimum finishes without a
+// witness and is rerun unseeded, so a completed search is exact either way.
+func runSearches(g *graph.Graph, order []int32, rootForced bool, searches []*expSearch, workers int, mon *solve.Monitor) {
 	depth := fanoutDepth(g.N(), workers)
 	for len(searches) > 0 {
 		var jobs []expJob
 		for _, s := range searches {
-			for _, p := range expansionPrefixes(g.N(), depth, s.k, root >= 0) {
+			for _, p := range expansionPrefixes(g.N(), depth, s.k, rootForced) {
 				jobs = append(jobs, expJob{s: s, prefix: p})
 			}
 		}
-		runExpansionJobs(g, order, jobs, root >= 0, workers, mon)
+		runExpansionJobs(g, order, jobs, rootForced, workers, mon)
 		var redo []*expSearch
 		for _, s := range searches {
 			if s.sb.set == nil && !s.incomplete.Load() {
@@ -108,7 +122,79 @@ func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers in
 		}
 		searches = redo
 	}
-	return order
+}
+
+// sweepEdgeTable is the Russian-doll sweep behind edgeLB's table term.
+// For K the largest k of the edge searches, it certifies table[m] =
+// EE(g, m) for m = 1 .. K−1 in increasing m, one step at a time, each step
+// pruning with the entries before it, and points every edge search at the
+// table. A cancelled step leaves its entry 0.
+//
+// An entry must be the unrooted minimum, so the steps are rooted — at
+// root, or at node 0 when root < 0 — only on a graph declared
+// vertex-transitive, and unrooted on any other. When the steps have the
+// run's root, an edge search of size m is step m itself, with its seed
+// and its telemetry. Every other step is a table step: unseeded,
+// publishing no incumbent, and counted in the explored/pruned totals of
+// the smallest edge search above it. Each step emits one trace event. The
+// searches the sweep did not run are returned.
+func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSearch, workers int, mon *solve.Monitor) []*expSearch {
+	var edges, rest []*expSearch
+	for _, s := range searches {
+		if s.edge {
+			edges = append(edges, s)
+		}
+	}
+	if len(edges) == 0 {
+		return searches
+	}
+	slices.SortStableFunc(edges, func(a, b *expSearch) int { return a.k - b.k })
+	kmax := edges[len(edges)-1].k
+	table := make([]int, kmax)
+	for _, s := range edges {
+		s.table = table
+	}
+	stepRoot, stepOrder := -1, order
+	if g.VertexTransitive() {
+		stepRoot = max(root, 0)
+	}
+	if stepRoot != root {
+		stepOrder = expansionOrder(g, stepRoot)
+	}
+	swept := make(map[*expSearch]bool)
+	next := 0 // edges[next] is the smallest edge search with k > m
+	for m := 1; m < kmax; m++ {
+		var step *expSearch
+		for ; edges[next].k <= m; next++ {
+			if edges[next].k == m && stepRoot == root && step == nil {
+				step = edges[next]
+				swept[step] = true
+			}
+		}
+		tableStep := step == nil
+		if tableStep {
+			step = newExpSearch(g, m, edgeExpansion, noBound, nil)
+			step.table = table
+		}
+		runSearches(g, stepOrder, stepRoot >= 0, []*expSearch{step}, workers, mon)
+		if !step.incomplete.Load() {
+			table[m] = int(step.sb.best.Load())
+		}
+		explored := step.sb.explored.Load()
+		if tableStep {
+			edges[next].sb.explored.Add(explored)
+			edges[next].sb.pruned.Add(step.sb.pruned.Load())
+		}
+		if mon.Tracing() {
+			mon.TraceEvent("edge_table", obs.Attrs{"m": m, "value": table[m], "explored": explored})
+		}
+	}
+	for _, s := range searches {
+		if !swept[s] {
+			rest = append(rest, s)
+		}
+	}
+	return rest
 }
 
 // result returns the search's witness, its value and whether it is

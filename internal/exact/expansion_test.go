@@ -90,8 +90,10 @@ func TestExpansionTrivialSizes(t *testing.T) {
 // TestExpansionAgainstBruteForce checks every route into the expansion
 // engine — Solve* on one and on three workers, the survey, and the union
 // of all shards — against plain enumeration, unrooted and rooted, for
-// every k on B4, Q4 and random graphs of up to 18 nodes (so both the
-// single-job and the fanned-out schedules run).
+// every k on B4, Q4, W4 and random graphs of up to 18 nodes (so both the
+// single-job and the fanned-out schedules run). Q4 and W4 are declared
+// vertex-transitive, so their edge table sweeps run rooted; W4 has
+// parallel edges.
 func TestExpansionAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
@@ -99,6 +101,7 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 	for _, n := range []int{8, 11, 14, 16, 17, 18} {
 		graphs = append(graphs, randomGraph(rng, n, 2*n))
 	}
+	graphs = append(graphs, topology.NewWrappedButterfly(4).Graph)
 	for _, g := range graphs {
 		n := g.N()
 		root := rng.Intn(n)

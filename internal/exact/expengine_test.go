@@ -1,13 +1,18 @@
 package exact
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cut"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
@@ -211,6 +216,59 @@ func TestExpansionSurveyRootedSeeded(t *testing.T) {
 		if !contains(res[i].EESet, 0) || !contains(res[i].NESet, 0) {
 			t.Errorf("k=%d: root missing from survey witness", k)
 		}
+	}
+}
+
+// TestSurveyEdgeTableTelemetry pins how the edge table sweep reports: one
+// trace event per step m = 1..K−1 in order, incumbents only from the
+// requested searches (here seeded with their optima, so each publishes
+// its optimum once), and row explored counts that add up to the whole
+// survey's, so every table step is counted exactly once.
+func TestSurveyEdgeTableTelemetry(t *testing.T) {
+	g := topology.NewWrappedButterfly(16).Graph
+	var trace bytes.Buffer
+	seeds := map[int]int{4: 8, 12: 16}
+	res := ExpansionSurveyWithOptions(g, []int{4, 12}, 0, 1, SurveyOptions{
+		EdgeOnly: true,
+		EdgeSeed: func(k int) int { return seeds[k] },
+		Trace:    obs.NewTracer(&trace),
+	})
+	var steps []int
+	var total int64
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var ev struct {
+			Type, Name string
+			Attrs      map[string]any
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		attr := func(key string) int {
+			f, _ := ev.Attrs[key].(float64)
+			return int(f)
+		}
+		switch {
+		case ev.Name == "edge_table":
+			steps = append(steps, attr("m"))
+			if m, v := attr("m"), attr("value"); seeds[m] != 0 && v != seeds[m] {
+				t.Errorf("table step m=%d certified %d, want %d", m, v, seeds[m])
+			}
+		case ev.Name == "incumbent":
+			if v := attr("value"); v != 8 && v != 16 {
+				t.Errorf("incumbent %d published; only the requested searches' optima 8 and 16 may be", v)
+			}
+		case ev.Type == "span_end":
+			total = int64(attr("explored"))
+		}
+	}
+	if want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}; !slices.Equal(steps, want) {
+		t.Errorf("edge_table events for m = %v, want %v", steps, want)
+	}
+	if res[0].EE != 8 || res[1].EE != 16 || !res[0].EEExact || !res[1].EEExact {
+		t.Fatalf("survey EE(W16,4/12) = %d/%d, want certified 8/16", res[0].EE, res[1].EE)
+	}
+	if sum := res[0].EEExplored + res[1].EEExplored; sum != total || total == 0 {
+		t.Errorf("rows explored %d + %d = %d, survey total %d", res[0].EEExplored, res[1].EEExplored, sum, total)
 	}
 }
 

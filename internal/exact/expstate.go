@@ -25,22 +25,28 @@ import (
 //
 // Both quantities count each node's edges into S in inNbrs. An edge search
 // (placeEdge/unplaceEdge) also counts each node's edges to decided-out
-// nodes in outNbrs and files the undecided nodes by in − out in gainHist,
-// which is what edgeLB reads; a node search (placeNode/unplaceNode) never
-// touches the edge counters, outNbrs or gainHist. Every job unplaces its
-// whole prefix, returning inNbrs to zero, so one state serves jobs of
-// either kind back to back.
+// nodes in outNbrs and files the undecided nodes by in − out in gainHist
+// and by in in inHist, which is what edgeLB reads; a node search
+// (placeNode/unplaceNode) never touches the edge counters, outNbrs or the
+// histograms. Every job unplaces its whole prefix, returning inNbrs to
+// zero, so one state serves jobs of either kind back to back.
 type expState struct {
 	g      *graph.Graph
 	order  []int32
 	assign []int8
 	inNbrs []int32 // per node: number of incident edges whose other end is in S
 	// Edge searches only: outNbrs counts, per node, the incident edges whose
-	// other end is decided out, and gainHist[maxDeg+in−out] the undecided
-	// nodes by inNbrs − outNbrs (parallel edges count with multiplicity).
+	// other end is decided out, gainHist[maxDeg+in−out] the undecided nodes
+	// by inNbrs − outNbrs and inHist[in] the undecided nodes by inNbrs
+	// (parallel edges count with multiplicity).
 	outNbrs  []int32
 	gainHist []int32
+	inHist   []int32
 	maxDeg   int
+	// table[m] is EE(g, m) for the set sizes the current search's sweep
+	// has certified, 0 where nothing is known (see edgeLB). It is shared
+	// read-only by every worker and repointed per job, like sb.
+	table []int
 
 	chosen    int
 	permCut   int
@@ -104,6 +110,7 @@ func newExpState(g *graph.Graph, order []int32) *expState {
 		inNbrs:   make([]int32, g.N()),
 		outNbrs:  make([]int32, g.N()),
 		gainHist: make([]int32, 2*maxDeg+1),
+		inHist:   make([]int32, maxDeg+1),
 		maxDeg:   maxDeg,
 
 		tickBudget: solve.TickStride,
@@ -111,7 +118,9 @@ func newExpState(g *graph.Graph, order []int32) *expState {
 	for i := range st.assign {
 		st.assign[i] = unassigned
 	}
-	st.gainHist[maxDeg] = int32(g.N()) // every node undecided, in = out = 0
+	// Every node undecided, in = out = 0.
+	st.gainHist[maxDeg] = int32(g.N())
+	st.inHist[0] = int32(g.N())
 	return st
 }
 
@@ -137,6 +146,7 @@ func (st *expState) unplace(v int, edge bool) {
 // at place time.
 func (st *expState) placeEdge(v int, s int8) {
 	st.gainHist[st.gain(int32(v))]--
+	st.inHist[st.inNbrs[v]]--
 	if s == sideS {
 		for _, u := range st.g.Neighbors(v) {
 			st.inNbrs[u]++
@@ -144,6 +154,7 @@ func (st *expState) placeEdge(v int, s int8) {
 			case unassigned:
 				st.inUnd++
 				st.moveGain(u, +1)
+				st.moveIn(u, +1)
 			case sideS:
 				st.inUnd-- // the edge was S(u)–undecided(v); now internal
 			default:
@@ -178,6 +189,7 @@ func (st *expState) unplaceEdge(v int) {
 			case unassigned:
 				st.inUnd--
 				st.moveGain(u, -1)
+				st.moveIn(u, -1)
 			case sideS:
 				st.inUnd++
 			default:
@@ -197,6 +209,7 @@ func (st *expState) unplaceEdge(v int) {
 		}
 	}
 	st.gainHist[st.gain(int32(v))]++
+	st.inHist[st.inNbrs[v]]++
 }
 
 // gain is u's gainHist bucket: maxDeg + in(u) − out(u), where in/out count
@@ -211,6 +224,14 @@ func (st *expState) moveGain(u int32, delta int) {
 	b := st.gain(u)
 	st.gainHist[b-delta]--
 	st.gainHist[b]++
+}
+
+// moveIn re-files the undecided node u in inHist after its in changed by
+// delta.
+func (st *expState) moveIn(u int32, delta int32) {
+	in := st.inNbrs[u]
+	st.inHist[in-delta]--
+	st.inHist[in]++
 }
 
 // placeNode decides the currently undecided node v for a neighbor-set
@@ -267,20 +288,40 @@ func (st *expState) unplaceNode(v int) {
 }
 
 // edgeLB is an admissible lower bound on the final edge boundary, exact at
-// a leaf. Completing S with a set F of m = k−chosen undecided nodes ends
-// at permCut + inUnd + Σ_F (out u − in u + e(u, U∖F)), U the undecided
-// nodes: each u in F turns its in u edges to S internal, adds its out u
-// edges to decided-out nodes, and its edges to the undecided nodes left
-// out become boundary. Dropping the non-negative e(u, U∖F) and taking the
-// m largest in − out over U, read off gainHist from the top in O(maxDeg),
-// bounds every completion from below.
+// a leaf: the larger of two bounds on every completion of S by a set F of
+// m = k−chosen undecided nodes, each read off a histogram from the top in
+// O(maxDeg).
+//
+// The gain bound: the completion ends at permCut + inUnd + Σ_F (out u −
+// in u + e(u, U∖F)), U the undecided nodes — each u in F turns its in u
+// edges to S internal, adds its out u edges to decided-out nodes, and its
+// edges to the undecided nodes left out become boundary. Dropping the
+// non-negative e(u, U∖F) and taking the m largest in − out over U
+// (gainHist) bounds it from below.
+//
+// The Russian-doll bound (Verfaillie, Lemaître and Schiex, 1996): the same
+// completion ends at permCut + inUnd − 2·Σ_F in u + ∂_G(F), and ∂_G(F) is
+// at least EE(g, m), which the sweep before this search certified into
+// table[m]. Taking the m largest in over U (inHist) bounds it from below.
+// It is skipped while table[m] is unknown (0), where it never beats the
+// gain bound.
 func (st *expState) edgeLB(k int) int {
-	lb := st.permCut + st.inUnd
+	base := st.permCut + st.inUnd
 	m := k - st.chosen
-	for b := len(st.gainHist) - 1; m > 0 && b >= 0; b-- {
-		c := min(int(st.gainHist[b]), m)
+	lb := base
+	for b, r := len(st.gainHist)-1, m; r > 0 && b >= 0; b-- {
+		c := min(int(st.gainHist[b]), r)
 		lb -= c * (b - st.maxDeg)
-		m -= c
+		r -= c
+	}
+	if m < len(st.table) && st.table[m] > 0 {
+		doll := base + st.table[m]
+		for in, r := len(st.inHist)-1, m; r > 0 && in > 0; in-- {
+			c := min(int(st.inHist[in]), r)
+			doll -= 2 * c * in
+			r -= c
+		}
+		lb = max(lb, doll)
 	}
 	return lb
 }

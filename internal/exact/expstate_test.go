@@ -12,12 +12,15 @@ import (
 )
 
 // TestEdgeStateCountersAndBound drives random place/unplace walks through
-// one expState and checks after every step that the edge-search counters
-// equal a recount from assign, and that edgeLB(k) is admissible — never
-// above the smallest boundary any completion of the partial assignment to
-// k nodes reaches — exact at a leaf and never weaker than the flat
-// (k−chosen)·maxDeg allowance. The random graphs carry parallel edges,
-// which every counter must count with multiplicity.
+// one expState, holding the exact EE(g, m) table, and checks after every
+// step that the edge-search counters and both histograms equal a recount
+// from assign, and that edgeLB(k) is admissible — never above the
+// smallest boundary any completion of the partial assignment to k nodes
+// reaches — exact at a leaf, never weaker than the flat (k−chosen)·maxDeg
+// allowance, and equal to the larger of the gain and Russian-doll bounds
+// recomputed from the recount. The table term must raise the bound above
+// the gain bound somewhere. The random graphs carry parallel edges, which
+// every counter must count with multiplicity.
 func TestEdgeStateCountersAndBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	type named struct {
@@ -31,14 +34,18 @@ func TestEdgeStateCountersAndBound(t *testing.T) {
 	for _, n := range []int{5, 7, 9, 10, 12, 12} {
 		graphs = append(graphs, named{"random", randomGraph(rng, n, 3*n)})
 	}
-	sawParallel := false
+	sawParallel, raised := false, 0
 	for _, c := range graphs {
 		sawParallel = sawParallel || hasParallelEdge(c.g)
-		walkEdgeState(t, c.name, c.g, rng, 400)
+		raised += walkEdgeState(t, c.name, c.g, rng, 400)
 	}
 	if !sawParallel {
 		t.Fatal("no test graph has a parallel edge")
 	}
+	if raised == 0 {
+		t.Fatal("the table term never raised edgeLB above the gain bound")
+	}
+	t.Logf("the table term raised edgeLB %d times", raised)
 }
 
 func hasParallelEdge(g *graph.Graph) bool {
@@ -52,13 +59,15 @@ func hasParallelEdge(g *graph.Graph) bool {
 
 // walkEdgeState places a random undecided node on a random side or undoes
 // the latest placement, steps times, then unwinds; checkEdgeState runs
-// after every step.
-func walkEdgeState(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, steps int) {
+// after every step. It returns how often the table term raised the bound.
+func walkEdgeState(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, steps int) int {
 	t.Helper()
 	n := g.N()
 	bnd := subsetBoundaries(g)
 	st := newExpState(g, bfsOrder(g))
+	st.table = edgeTable(g, bnd)
 	var placed []int
+	raised := 0
 	for step := 0; step < steps; step++ {
 		if len(placed) == n || (len(placed) > 0 && rng.Intn(2) == 0) {
 			st.unplaceEdge(placed[len(placed)-1])
@@ -75,13 +84,14 @@ func walkEdgeState(t *testing.T, name string, g *graph.Graph, rng *rand.Rand, st
 			st.placeEdge(v, side)
 			placed = append(placed, v)
 		}
-		checkEdgeState(t, name, g, st, bnd)
+		raised += checkEdgeState(t, name, g, st, bnd)
 	}
 	for len(placed) > 0 {
 		st.unplaceEdge(placed[len(placed)-1])
 		placed = placed[:len(placed)-1]
-		checkEdgeState(t, name, g, st, bnd)
+		raised += checkEdgeState(t, name, g, st, bnd)
 	}
+	return raised
 }
 
 // subsetBoundaries returns the edge boundary of every node subset of g
@@ -101,11 +111,29 @@ func subsetBoundaries(g *graph.Graph) []int {
 	return bnd
 }
 
-func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd []int) {
+// edgeTable returns EE(g, m) for every m = 0..n, the minimum of bnd over
+// the subsets of each size: the exact table a sweep certifies.
+func edgeTable(g *graph.Graph, bnd []int) []int {
+	table := make([]int, g.N()+1)
+	for m := 1; m < len(table); m++ {
+		table[m] = 1 << 30
+	}
+	for mask, b := range bnd {
+		m := bits.OnesCount(uint(mask))
+		table[m] = min(table[m], b)
+	}
+	return table
+}
+
+// checkEdgeState checks st against a recount from its assignment and
+// returns how many of the bounds it checked the table term raised.
+func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd []int) int {
 	t.Helper()
 	var inS, und int
 	chosen, permCut, inUnd := 0, 0, 0
 	hist := make([]int32, len(st.gainHist))
+	inHist := make([]int32, len(st.inHist))
+	var gains, ins []int // per undecided node: in − out and in
 	for v := 0; v < g.N(); v++ {
 		in, out := 0, 0
 		for _, u := range g.Neighbors(v) {
@@ -135,6 +163,8 @@ func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd
 		case unassigned:
 			und |= 1 << v
 			hist[st.maxDeg+in-out]++
+			inHist[in]++
+			gains, ins = append(gains, in-out), append(ins, in)
 		}
 	}
 	if st.chosen != chosen || st.permCut != permCut || st.inUnd != inUnd {
@@ -144,6 +174,13 @@ func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd
 	if !slices.Equal(st.gainHist, hist) {
 		t.Fatalf("%s: gainHist %v, recount %v", name, st.gainHist, hist)
 	}
+	if !slices.Equal(st.inHist, inHist) {
+		t.Fatalf("%s: inHist %v, recount %v", name, st.inHist, inHist)
+	}
+	slices.Sort(gains)
+	slices.Sort(ins)
+	slices.Reverse(gains)
+	slices.Reverse(ins)
 
 	// best[m]: the smallest final boundary over all completions adding m
 	// undecided nodes to S.
@@ -161,6 +198,7 @@ func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd
 	if lb := st.edgeLB(chosen); lb != bnd[inS] {
 		t.Fatalf("%s: edgeLB at a leaf is %d, boundary %d", name, lb, bnd[inS])
 	}
+	raised := 0
 	for m, b := range best {
 		lb := st.edgeLB(chosen + m)
 		if lb > b {
@@ -169,14 +207,29 @@ func checkEdgeState(t *testing.T, name string, g *graph.Graph, st *expState, bnd
 		if flat := max(permCut, permCut+inUnd-m*st.maxDeg); lb < flat {
 			t.Fatalf("%s: edgeLB(chosen+%d) = %d is weaker than the flat allowance %d", name, m, lb, flat)
 		}
+		gain, doll := permCut+inUnd, permCut+inUnd+st.table[m]
+		for i := 0; i < m; i++ {
+			gain -= gains[i]
+			doll -= 2 * ins[i]
+		}
+		if want := max(gain, doll); lb != want {
+			t.Fatalf("%s: edgeLB(chosen+%d) = %d, recounted gain/table bounds %d/%d", name, m, lb, gain, doll)
+		}
+		if doll > gain {
+			raised++
+		}
 	}
+	return raised
 }
 
 // TestEdgeBoundExploredGuard pins how much search the edge bound leaves
 // when certifying the §4.3 headline values from their witnesses on one
-// worker. A bound that lets every future node reclaim maxDeg boundary
-// edges needs about 96.4M and 12.5M nodes for these two.
+// worker, the table steps of the Russian-doll sweep included. With the
+// gain bound alone these take about 2.0M, 1.12B and 0.67M nodes; a bound
+// that lets every future node reclaim maxDeg boundary edges needs about
+// 96.4M for EE(W16,12) and 12.5M for EE(B16,12).
 func TestEdgeBoundExploredGuard(t *testing.T) {
+	rooted := SolveOptions{Workers: 1, Bound: 16, Containing: true, Root: 0}
 	for _, c := range []struct {
 		name        string
 		g           *graph.Graph
@@ -184,8 +237,8 @@ func TestEdgeBoundExploredGuard(t *testing.T) {
 		opts        SolveOptions
 		maxExplored int64
 	}{
-		{"rooted EE(W16,12)", topology.NewWrappedButterfly(16).Graph, 12, 16,
-			SolveOptions{Workers: 1, Bound: 16, Containing: true, Root: 0}, 4_000_000},
+		{"rooted EE(W16,12)", topology.NewWrappedButterfly(16).Graph, 12, 16, rooted, 500_000},
+		{"rooted EE(W64,12)", topology.NewWrappedButterfly(64).Graph, 12, 16, rooted, 1_000_000},
 		{"EE(B16,12)", topology.NewButterfly(16).Graph, 12, 8,
 			SolveOptions{Workers: 1, Bound: 8}, 1_500_000},
 	} {

@@ -111,7 +111,9 @@ func SolveSubsetBisection(ctx context.Context, g *graph.Graph, u []int, opts Sol
 	}
 }
 
-// SolveEdgeExpansion computes EE(g,k) under ctx. On cancellation it
+// SolveEdgeExpansion computes EE(g,k) under ctx. For k ≥ 2 it first
+// certifies EE(g, m) for m = 1..k−1, one search each, and prunes with
+// those values; Explored and Pruned include them. On cancellation it
 // returns a feasible k-set (best incumbent, or the BFS-prefix fallback if
 // none was found) with Exact=false.
 func SolveEdgeExpansion(ctx context.Context, g *graph.Graph, k int, opts SolveOptions) Result {

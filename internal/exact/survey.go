@@ -29,6 +29,8 @@ type SurveyResult struct {
 	// EEExplored/NEExplored and EEPruned/NEPruned count the
 	// branch-and-bound nodes the corresponding search explored and the
 	// subtrees its bound cut off (telemetry for tables and manifests).
+	// EEExplored/EEPruned include the sweep's EE(g, m) table searches:
+	// each counts toward the smallest requested k above its m.
 	EEExplored int64
 	NEExplored int64
 	EEPruned   int64
@@ -62,11 +64,13 @@ type SurveyOptions struct {
 }
 
 // ExpansionSurvey computes EE(g,k) and NE(g,k) exactly for every k in ks,
-// batched: the BFS order is computed once, and one run of the expansion
-// engine drains the jobs of all k jointly. root ≥ 0 forces that node into
-// every set (exact on vertex-transitive networks, an upper bound
-// elsewhere); root < 0 searches unrestricted. workers is the pool size as
-// in SolveOptions.Workers.
+// batched: the BFS order is computed once, one sweep over m = 1, 2, …
+// certifies EE(g, m) for the edge bound (a requested k is that sweep's
+// step whenever the sweep shares root, and is never searched twice), and
+// one run of the expansion engine then drains the remaining jobs jointly.
+// root ≥ 0 forces that node into every set (exact on vertex-transitive
+// networks, an upper bound elsewhere); root < 0 searches unrestricted.
+// workers is the pool size as in SolveOptions.Workers.
 func ExpansionSurvey(g *graph.Graph, ks []int, root, workers int) []SurveyResult {
 	return ExpansionSurveyWithOptions(g, ks, root, workers, SurveyOptions{})
 }

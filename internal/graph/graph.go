@@ -87,6 +87,24 @@ type Graph struct {
 	adjStart []int32 // length n+1; adjacency of node v is indices adjStart[v]..adjStart[v+1]
 	adjNode  []int32 // neighbor endpoint per adjacency slot
 	adjEdge  []int32 // edge index per adjacency slot
+
+	vertexTransitive bool // see VertexTransitive
+}
+
+// VertexTransitive reports whether the graph's constructor declared it
+// vertex-transitive: for any two nodes some automorphism carries one onto
+// the other, so a minimum over the node sets containing one fixed node is
+// the minimum over all node sets. Only constructors that know such
+// automorphisms declare it (Wn, CCCn and Q_d in package topology); every
+// other graph, including subgraphs of declared ones, reports false.
+func (g *Graph) VertexTransitive() bool { return g.vertexTransitive }
+
+// DeclareVertexTransitive marks g vertex-transitive and returns it. A
+// constructor calls it on the graph it has just built, before sharing it;
+// a false declaration makes rooted exact searches miss optima.
+func (g *Graph) DeclareVertexTransitive() *Graph {
+	g.vertexTransitive = true
+	return g
 }
 
 // N returns the number of nodes.

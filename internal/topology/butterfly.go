@@ -71,6 +71,9 @@ func NewWrappedButterfly(n int) *Butterfly {
 			}
 		}
 	})
+	// ColumnXorAutomorphism and LevelRotationAutomorphism together carry
+	// any node to any other.
+	b.Graph.DeclareVertexTransitive()
 	return b
 }
 

@@ -39,6 +39,9 @@ func NewCCC(n int) *CCC {
 			}
 		}
 	})
+	// Xor-ing every cycle label with a mask, and rotating positions
+	// together with the label bits, carry any node to any other.
+	c.Graph.DeclareVertexTransitive()
 	return c
 }
 

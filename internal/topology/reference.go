@@ -68,7 +68,8 @@ func NewHypercube(d int) *Hypercube {
 			}
 		}
 	}
-	h.Graph = b.Build()
+	// Xor-ing every label with a mask carries any node to any other.
+	h.Graph = b.Build().DeclareVertexTransitive()
 	return h
 }
 
