@@ -55,13 +55,11 @@
 // network:loglo-loghi[:exact-nodes] ranges over log2(n), e.g.
 // "bn:3-12,wn:2-8,ccc:3-8".
 //
-// Cluster mode shards the daemon across peers. -cluster-listen ADDR
-// serves the cluster RPC protocol (CRC-framed codec records over TCP) on
-// ADDR: forwarded queries, distributed branch-and-bound shard batches,
-// and incumbent gossip. -peers lists every node's cluster address
-// (identical on all nodes); with -coordinator this node additionally
-// consistent-hashes each canonical request key over the peer ring and
-// forwards queries it does not own — the answer is relayed verbatim with
+// Cluster mode shards the daemon across peers. -peers lists every
+// daemon's HTTP address, -addr among them, identically on all nodes. Each
+// node consistent-hashes the canonical request key over that ring and
+// forwards a query it does not own to the owner's own /v1/* endpoint,
+// carrying the request ID; the answer is relayed verbatim with
 // X-Cluster-Peer naming the owner. A peer that stops answering is
 // benched (its keys reassign to the survivors) and queries fall back to
 // local solving, so the cluster degrades instead of failing.
@@ -72,8 +70,7 @@
 //	           [-queue-wait 2s] [-default-timeout 10s] [-max-timeout 60s]
 //	           [-cache 256] [-cache-bytes 67108864] [-drain 30s]
 //	           [-store dir] [-precompute grid] [-precompute-workers 0]
-//	           [-cluster-listen addr] [-peers a,b,c] [-coordinator]
-//	           [-trace path] [-access-log path] [-pprof addr]
+//	           [-peers a,b,c] [-trace path] [-access-log path] [-pprof addr]
 package main
 
 import (
@@ -86,6 +83,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -127,28 +125,23 @@ func main() {
 	tracePath := flag.String("trace", "", "write request and solver trace events (JSONL) to this path")
 	accessLogPath := flag.String("access-log", "", "append one JSON line per query request to this path (\"-\" = stderr)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof + /debug/metrics on this extra address")
-	clusterListen := flag.String("cluster-listen", "", "serve the cluster RPC protocol on this address (peer mode)")
-	peers := flag.String("peers", "", "comma-separated cluster addresses of every peer, this node included")
-	coordinator := flag.Bool("coordinator", false, "consistent-hash request keys over -peers and forward queries to their owners")
+	peers := flag.String("peers", "", "comma-separated HTTP addresses of every peer, -addr included; forward queries to their owners")
 	flag.Parse()
 
+	peerList := splitPeers(*peers)
+	var peersErr error
+	if len(peerList) > 0 && !slices.Contains(peerList, *addr) {
+		peersErr = fmt.Errorf("-peers must list this node's -addr %q", *addr)
+	}
 	cli.Validate(
 		cli.NonNegative("inflight", *inflight),
 		cli.NonNegative("queue", *queue),
 		cli.Positive("cache", *cacheEntries),
 		cli.NonNegative("precompute-workers", *precomputeWorkers),
+		peersErr,
 	)
 	if *precompute != "" && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "butterflyd: -precompute requires -store")
-		os.Exit(2)
-	}
-	peerList := splitPeers(*peers)
-	if *coordinator && len(peerList) == 0 {
-		fmt.Fprintln(os.Stderr, "butterflyd: -coordinator requires -peers")
-		os.Exit(2)
-	}
-	if len(peerList) > 0 && *clusterListen == "" {
-		fmt.Fprintln(os.Stderr, "butterflyd: -peers requires -cluster-listen (this node's own cluster address)")
 		os.Exit(2)
 	}
 
@@ -204,14 +197,12 @@ func main() {
 		}
 	}
 
-	// Cluster wiring: the router (built first — the server config needs
-	// it) forwards keys this node does not own; the node handler (built
-	// after — it dispatches into the server's mux) answers forwarded
-	// queries, shard batches and gossip on -cluster-listen.
-	clusterTr := &cluster.TCPTransport{}
+	// Cluster wiring: the router forwards keys this node does not own to
+	// their owners' HTTP endpoints; forwarded-in queries arrive on -addr
+	// like any other request.
 	var peerRouter serve.PeerRouter
-	if *coordinator {
-		peerRouter = cluster.NewRouter(*clusterListen, peerList, clusterTr, *maxTimeout, 2)
+	if len(peerList) > 0 {
+		peerRouter = cluster.NewRouter(*addr, peerList, nil, *maxTimeout)
 	}
 
 	srv := serve.New(serve.Config{
@@ -227,23 +218,6 @@ func main() {
 		AccessLog:       accessLog,
 		Peers:           peerRouter,
 	})
-
-	var clusterLn net.Listener
-	if *clusterListen != "" {
-		node := cluster.NewNode(*clusterListen, srv.Handler(), clusterTr, 0)
-		var cerr error
-		clusterLn, cerr = net.Listen("tcp", *clusterListen)
-		if cerr != nil {
-			fmt.Fprintf(os.Stderr, "butterflyd: -cluster-listen: %v\n", cerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "butterflyd: cluster RPC on %s (%d peers)\n", clusterLn.Addr(), len(peerList))
-		go func() {
-			if serr := cluster.ServeTransport(clusterLn, node.Handle); serr != nil {
-				fmt.Fprintf(os.Stderr, "butterflyd: cluster: %v\n", serr)
-			}
-		}()
-	}
 
 	if *precompute != "" {
 		runPrecompute(srv, st, *precompute, *precomputeWorkers, traceFile, tracer)
@@ -274,9 +248,6 @@ func main() {
 	stop() // a second signal now kills the process the default way
 
 	fmt.Fprintf(os.Stderr, "butterflyd: draining (up to %s)\n", *drain)
-	if clusterLn != nil {
-		_ = clusterLn.Close() // stop accepting peer RPCs before the drain
-	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -1,257 +1,209 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cut"
-	"repro/internal/exact"
-	"repro/internal/graph"
 	"repro/internal/serve"
-	"repro/internal/topology"
 )
 
-// testInstance is the distributed-search acceptance case: EE(W16, 12),
-// root-forced.
-func testInstance() (*graph.Graph, string, int) {
-	return topology.NewWrappedButterfly(16).Graph, GraphSpec(true, 16), 12
+// simNet is the deterministic in-process network of the cluster tests: an
+// http.RoundTripper that dispatches each request into the addressed
+// peer's handler. Message loss comes from one seeded splitmix64 stream,
+// two draws per exchange (request, then reply), serialized under the
+// lock, so a fixed seed and a serial caller replay the same losses. A
+// lost request never reaches the handler; a lost reply does, and its side
+// effects stand (the owner cached the answer) — the asymmetry a retried
+// forward has to tolerate. A peer that is down refuses the connection.
+type simNet struct {
+	mu       sync.Mutex
+	handlers map[string]http.Handler
+	down     map[string]bool
+	drop     float64
+	rng      uint64
 }
 
-// simCluster wires nPeers worker nodes and one coordinator onto a fresh
-// SimNet and returns both.
-func simCluster(t *testing.T, sim *SimNet, nPeers int, cfg CoordinatorConfig) *Coordinator {
+// newSimNet builds a network dropping each message direction
+// independently with probability drop, from the stream seeded by seed.
+func newSimNet(seed uint64, drop float64) *simNet {
+	return &simNet{
+		handlers: make(map[string]http.Handler),
+		down:     make(map[string]bool),
+		drop:     drop,
+		rng:      seed,
+	}
+}
+
+// register attaches addr's handler (a peer joining the network).
+func (s *simNet) register(addr string, h http.Handler) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.handlers[addr] = h
+}
+
+// setDown kills or revives a peer.
+func (s *simNet) setDown(addr string, down bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.down[addr] = down
+}
+
+// coin advances the seeded stream one step; the caller holds the lock.
+func (s *simNet) coin() bool {
+	s.rng = mix64(s.rng + 0x9e3779b97f4a7c15)
+	return s.drop > 0 && float64(s.rng>>11)/float64(1<<53) < s.drop
+}
+
+func (s *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	addr := req.URL.Host
+	s.mu.Lock()
+	h, ok := s.handlers[addr]
+	down := s.down[addr]
+	dropReq, dropReply := s.coin(), s.coin()
+	s.mu.Unlock()
+	if !ok || down {
+		return nil, fmt.Errorf("sim: %s refused the connection", addr)
+	}
+	if dropReq {
+		return nil, fmt.Errorf("sim: request to %s dropped", addr)
+	}
+	in := httptest.NewRequest(req.Method, req.URL.RequestURI(), nil).WithContext(req.Context())
+	in.Header = req.Header.Clone()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, in)
+	if dropReply {
+		return nil, fmt.Errorf("sim: reply from %s dropped", addr)
+	}
+	return rec.Result(), nil
+}
+
+// simPeer is one daemon of a simulated cluster: a full serve server whose
+// router forwards over the simNet, plus its access log.
+type simPeer struct {
+	srv *serve.Server
+	rt  *Router
+	log *bytes.Buffer
+}
+
+// simCluster starts one server per address, each registered on sim under
+// its address, and shuts them down when the test ends.
+func simCluster(t *testing.T, sim *simNet, addrs ...string) map[string]*simPeer {
 	t.Helper()
-	for i := 0; i < nPeers; i++ {
-		addr := fmt.Sprintf("peer%d:7000", i)
-		cfg.Peers = append(cfg.Peers, addr)
-		sim.Register(addr, NewNode(addr, nil, sim, 0).Handle)
+	peers := make(map[string]*simPeer, len(addrs))
+	for _, addr := range addrs {
+		p := &simPeer{rt: NewRouter(addr, addrs, sim, 2*time.Second), log: new(bytes.Buffer)}
+		p.srv = serve.New(serve.Config{Peers: p.rt, AccessLog: p.log})
+		sim.register(addr, p.srv.Handler())
+		peers[addr] = p
 	}
-	cfg.Self = "coord:7000"
-	cfg.Transport = sim
-	c := NewCoordinator(cfg)
-	sim.Register(cfg.Self, c.Handle)
-	return c
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		for _, p := range peers {
+			_ = p.srv.Shutdown(ctx)
+		}
+	})
+	return peers
 }
 
-// TestDistributedSearchMatchesSingleNode is the acceptance case: the same
-// exact expansion search, run once in-process and once sharded over three
-// simulated peers, must certify the identical optimum — equal value, and
-// a witness the graph itself validates.
-func TestDistributedSearchMatchesSingleNode(t *testing.T) {
-	g, gspec, k := testInstance()
-	ref := exact.SolveEdgeExpansion(context.Background(), g, k, exact.SolveOptions{Containing: true, Root: 0})
-	wantSet, want := ref.Set, ref.Value
-	if len(wantSet) != k {
-		t.Fatalf("single-node reference returned a %d-set, want %d", len(wantSet), k)
+// ask sends one GET straight into h, synchronously: by the time it
+// returns, every access-log line of the exchange is written.
+func ask(h http.Handler, query string, hdr map[string]string) (int, http.Header, []byte) {
+	req := httptest.NewRequest(http.MethodGet, query, nil)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
 	}
-
-	c := simCluster(t, NewSimNet(1, 0), 3, CoordinatorConfig{})
-	spec := exact.ExpansionShardSpec{K: k, Edge: true, Root: 0}
-	res, err := c.SearchExpansion(context.Background(), g, gspec, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != want {
-		t.Fatalf("distributed EE = %d, single-node = %d", res.Value, want)
-	}
-	if len(res.Witness) != k {
-		t.Fatalf("witness has %d nodes, want %d", len(res.Witness), k)
-	}
-	if got := cut.EdgeBoundary(g, res.Witness); got != want {
-		t.Fatalf("witness achieves boundary %d, claimed optimum %d", got, want)
-	}
-	if res.Stats.Shards <= 1 || res.Stats.Batches <= 1 {
-		t.Fatalf("search did not actually shard: %+v", res.Stats)
-	}
-	doneBatches := 0
-	for _, n := range res.Stats.PerPeer {
-		doneBatches += n
-	}
-	if doneBatches != res.Stats.Batches {
-		t.Fatalf("per-peer batch counts sum to %d, want %d", doneBatches, res.Stats.Batches)
-	}
-	if len(res.Stats.Dead) != 0 || res.Stats.Stolen != 0 {
-		t.Fatalf("clean network reported failures: %+v", res.Stats)
-	}
-	if res.Stats.Explored == 0 {
-		t.Fatal("no nodes explored")
-	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code, rec.Header(), rec.Body.Bytes()
 }
 
-// TestDistributedSearchLossyWithDeadPeer is the degraded acceptance case:
-// 15% message loss in both directions plus one peer dead the whole run.
-// The dead peer's batches must be stolen by the survivors, the peer must
-// be declared dead, and the solve must still certify the exact optimum.
-func TestDistributedSearchLossyWithDeadPeer(t *testing.T) {
-	g, gspec, k := testInstance()
-	want := exact.SolveEdgeExpansion(context.Background(), g, k, exact.SolveOptions{Containing: true, Root: 0}).Value
+// cand is one query with its canonical serve key (endpoint + "?" +
+// request key), the string the ring hashes.
+type cand struct{ query, key string }
 
-	sim := NewSimNet(42, 0.15)
-	// Generous retry budget: with seeded 15% loss a *live* peer can lose
-	// several consecutive coin flips; only the truly dead peer should
-	// plausibly exhaust it (every call refused instantly).
-	c := simCluster(t, sim, 3, CoordinatorConfig{Retries: 25, CallTimeout: 2 * time.Minute})
-	dead := c.cfg.Peers[1]
-	sim.SetDown(dead, true)
-
-	spec := exact.ExpansionShardSpec{K: k, Edge: true, Root: 0}
-	res, err := c.SearchExpansion(context.Background(), g, gspec, spec)
-	if err != nil {
-		t.Fatal(err)
+// bisectionCands returns one bisection query per network size, in order.
+func bisectionCands(network string, ns ...int) []cand {
+	var out []cand
+	for _, n := range ns {
+		out = append(out, cand{
+			query: fmt.Sprintf("/v1/bisection?network=%s&n=%d", network, n),
+			key:   fmt.Sprintf("bisection?network=%s&n=%d&exact-nodes=32", network, n),
+		})
 	}
-	if res.Value != want {
-		t.Fatalf("lossy distributed EE = %d, single-node = %d", res.Value, want)
-	}
-	if got := cut.EdgeBoundary(g, res.Witness); got != want {
-		t.Fatalf("witness achieves boundary %d, claimed optimum %d", got, want)
-	}
-	if res.Stats.Stolen == 0 {
-		t.Fatalf("dead peer's batches were never stolen: %+v", res.Stats)
-	}
-	foundDead := false
-	for _, d := range res.Stats.Dead {
-		if d == dead {
-			foundDead = true
-		}
-	}
-	if !foundDead {
-		t.Fatalf("peer %s was down throughout but not declared dead: %+v", dead, res.Stats)
-	}
-	if n := res.Stats.PerPeer[dead]; n != 0 {
-		t.Fatalf("dead peer credited with %d completed batches", n)
-	}
+	return out
 }
 
-// TestNodeOfferMonotonicityUnderLossyReplay pins the gossip safety
-// property end-to-end through a lossy transport: stale, duplicated,
-// reordered and worse offers — some arriving, some dropped, some retried
-// after a dropped reply already applied them — can never loosen a node's
-// incumbent, and offers whose witness does not achieve the claimed value
-// never move it at all. The incumbent is monotone non-increasing, period.
-func TestNodeOfferMonotonicityUnderLossyReplay(t *testing.T) {
-	sim := NewSimNet(7, 0.3)
-	node := NewNode("peer0:7000", nil, sim, 0)
-	sim.Register("peer0:7000", node.Handle)
+// ownedBy keeps the candidates rt's ring assigns to owner.
+func ownedBy(t *testing.T, rt *Router, owner string, cands []cand) []cand {
+	t.Helper()
+	var out []cand
+	for _, c := range cands {
+		got, ok := rt.Owner(c.key)
+		if !ok {
+			t.Fatalf("no owner for %s", c.key)
+		}
+		if got == owner {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
-	// One genuine witness for every boundary a 4-set containing the root
-	// can have on W8: the node adopts only offers their witness achieves.
-	g := topology.NewWrappedButterfly(8).Graph
-	witness := make(map[int][]int)
-	for a := 1; a < g.N(); a++ {
-		for b := a + 1; b < g.N(); b++ {
-			for c := b + 1; c < g.N(); c++ {
-				set := []int{0, a, b, c}
-				if v := cut.EdgeBoundary(g, set); witness[v] == nil {
-					witness[v] = set
-				}
-			}
+// answerRows decodes a response body's tables, dropping the per-run
+// telemetry that differs between two solves of the same key.
+func answerRows(t *testing.T, body []byte) map[string][]map[string]any {
+	t.Helper()
+	var doc struct {
+		Tables []struct {
+			Name string           `json:"name"`
+			Rows []map[string]any `json:"rows"`
+		} `json:"tables"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("decoding answer: %v\n%s", err, body)
+	}
+	out := make(map[string][]map[string]any)
+	for _, tb := range doc.Tables {
+		for _, row := range tb.Rows {
+			delete(row, "elapsed_ms")
+			delete(row, "explored")
+			delete(row, "pruned")
 		}
+		out[tb.Name] = tb.Rows
 	}
-	loosest, tightest := 0, 1<<30
-	for v := range witness {
-		loosest, tightest = max(loosest, v), min(tightest, v)
-	}
-
-	// Register the search with an empty batch seeded by the loosest
-	// witness, so every better one has room to tighten it.
-	spec := exact.ExpansionShardSpec{K: 4, Edge: true, Root: 0}
-	const searchID = 99
-	seed := shardsMsg{
-		SearchID: searchID, Graph: GraphSpec(true, 8),
-		K: spec.K, Root: spec.Root, Edge: spec.Edge,
-		Best: int64(loosest), Witness: witness[loosest],
-	}
-	ctx := context.Background()
-	if _, _, err := callRetry(ctx, sim, "peer0:7000", msgShards, seed.encode(), 50, time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	readBest := func() int {
-		// An offer with no witness is a pure read: it cannot move the bound.
-		probe := offerMsg{SearchID: searchID, Best: 0, Witness: nil}.encode()
-		_, rb, err := callRetry(ctx, sim, "peer0:7000", msgOffer, probe, 50, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, err := decodeOfferOK(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok.Known {
-			t.Fatal("node forgot the search")
-		}
-		return int(ok.Best)
-	}
-
-	low := readBest()
-	if low != loosest || tightest >= loosest {
-		t.Fatalf("seeded incumbent %d, want %d below which witnesses down to %d exist", low, loosest, tightest)
-	}
-	type offer struct {
-		val int
-		set []int
-	}
-	var offers []offer
-	for _, v := range []int{loosest - 2, loosest, tightest + 4, loosest - 2, tightest + 2, loosest, tightest + 2, tightest, tightest + 4, tightest} {
-		offers = append(offers, offer{v, witness[v]}, offer{v - 2, witness[v]}) // the second lies
-	}
-	for i, o := range offers {
-		if o.set == nil {
-			t.Fatalf("no witness of boundary %d", o.val)
-		}
-		msg := offerMsg{SearchID: searchID, Best: int64(o.val), Witness: o.set}.encode()
-		// Fire each offer several times through the lossy net — replay on
-		// purpose; a dropped reply means the offer applied invisibly —
-		// then once more with retries, so it lands at least once.
-		for rep := 0; rep < 3; rep++ {
-			_, _, _ = sim.Call(ctx, "peer0:7000", msgOffer, msg)
-		}
-		if _, _, err := callRetry(ctx, sim, "peer0:7000", msgOffer, msg, 50, time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			low = min(low, o.val)
-		}
-		if got := readBest(); got != low {
-			t.Fatalf("after offer #%d (%d, %v): incumbent %d, want the best genuine offer %d", i, o.val, o.set, got, low)
-		}
-	}
-	if got := readBest(); got != tightest {
-		t.Fatalf("final incumbent %d, want the minimum ever offered %d", got, tightest)
-	}
+	return out
 }
 
 // TestRouterForwardingIntegration runs two full serve servers joined by a
-// SimNet cluster and checks the routing contract end to end: a key owned
+// simNet cluster and checks the routing contract end to end: a key owned
 // by the other peer is forwarded and answered byte-identically to asking
 // the owner directly, a forwarded-in request is never bounced back out,
-// and a dead owner degrades to a local solve instead of an error.
+// a draining owner's 503 reaches the client with its Retry-After, and a
+// dead owner degrades to a local solve instead of an error.
 func TestRouterForwardingIntegration(t *testing.T) {
-	sim := NewSimNet(3, 0)
-	peers := []string{"a:7000", "b:7000"}
-
-	mkServer := func(self string) (*serve.Server, *Router) {
-		rt := NewRouter(self, peers, sim, 2*time.Second, 2)
-		srv := serve.New(serve.Config{Peers: rt})
-		sim.Register(self, NewNode(self, srv.Handler(), sim, 0).Handle)
-		return srv, rt
-	}
-	srvA, rtA := mkServer("a:7000")
-	srvB, _ := mkServer("b:7000")
-	htA := httptest.NewServer(srvA.Handler())
+	sim := newSimNet(3, 0)
+	peers := simCluster(t, sim, "a:7000", "b:7000")
+	srvB, rtA := peers["b:7000"].srv, peers["a:7000"].rt
+	htA := httptest.NewServer(peers["a:7000"].srv.Handler())
 	htB := httptest.NewServer(srvB.Handler())
 	t.Cleanup(func() {
 		htA.Close()
 		htB.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srvA.Shutdown(ctx)
-		_ = srvB.Shutdown(ctx)
 	})
 
 	fetch := func(base, query string, hdr map[string]string) (int, http.Header, []byte) {
@@ -277,21 +229,8 @@ func TestRouterForwardingIntegration(t *testing.T) {
 
 	// Split the candidate queries by ring ownership, computed exactly the
 	// way the server does (canonical key = endpoint + "?" + request key).
-	type cand struct{ query, key string }
-	var ownedByA, ownedByB []cand
-	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		c := cand{
-			query: fmt.Sprintf("/v1/bisection?network=bn&n=%d", n),
-			key:   fmt.Sprintf("bisection?network=bn&n=%d&exact-nodes=32", n),
-		}
-		if owner, ok := rtA.Owner(c.key); !ok {
-			t.Fatalf("no owner for %s", c.key)
-		} else if owner == "a:7000" {
-			ownedByA = append(ownedByA, c)
-		} else {
-			ownedByB = append(ownedByB, c)
-		}
-	}
+	cands := bisectionCands("bn", 2, 4, 8, 16, 32, 64)
+	ownedByA, ownedByB := ownedBy(t, rtA, "a:7000", cands), ownedBy(t, rtA, "b:7000", cands)
 	if len(ownedByA) == 0 || len(ownedByB) == 0 {
 		t.Fatalf("ring put all keys on one peer: A=%v B=%v", ownedByA, ownedByB)
 	}
@@ -341,12 +280,33 @@ func TestRouterForwardingIntegration(t *testing.T) {
 		t.Fatalf("internal-marked query was bounced to %q", got)
 	}
 
+	if len(ownedByB) < 2 {
+		t.Skip("need a second B-owned key for the drained- and dead-owner cases")
+	}
+
+	// Draining owner: it answers an unsolved key 503 with a Retry-After,
+	// and the relay carries both, so the client backs off exactly as if it
+	// had asked the owner.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srvB.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	status, hdr, body := fetch(htA.URL, ownedByB[1].query, nil)
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("query with draining owner: status %d, want 503: %s", status, body)
+	}
+	if got := hdr.Get("X-Cluster-Peer"); got != "b:7000" {
+		t.Fatalf("draining owner's 503 attributed to %q", got)
+	}
+	_, directHdr, _ := fetch(htB.URL, ownedByB[1].query, nil)
+	if got, want := hdr.Get("Retry-After"), directHdr.Get("Retry-After"); got == "" || got != want {
+		t.Fatalf("relayed Retry-After = %q, owner's own = %q", got, want)
+	}
+
 	// Dead owner: forwarding fails, the request falls back to a local
 	// solve, and the benched peer's keys reassign for the cooldown.
-	if len(ownedByB) < 2 {
-		t.Skip("need a second B-owned key for the dead-owner case")
-	}
-	sim.SetDown("b:7000", true)
+	sim.setDown("b:7000", true)
 	status, hdr, _ = fetch(htA.URL, ownedByB[1].query, nil)
 	if status != http.StatusOK {
 		t.Fatalf("query with dead owner: status %d", status)
@@ -356,5 +316,168 @@ func TestRouterForwardingIntegration(t *testing.T) {
 	}
 	if owner, ok := rtA.Owner(ownedByB[1].key); ok && owner == "b:7000" {
 		t.Fatalf("benched peer still owns its keys")
+	}
+}
+
+// TestRouterForwardingUnderLoss asks one peer, over a network that drops
+// 15% of messages each way, for every key the other peer owns. Every
+// answer is a 200: a forwarded one names the owner and carries its exact
+// bytes; a fallback (both attempts lost, owner benched) names the asked
+// node and carries the owner's rows. The seed is one where the run takes
+// both paths, and the test checks that it did.
+func TestRouterForwardingUnderLoss(t *testing.T) {
+	sim := newSimNet(4, 0.15)
+	peers := simCluster(t, sim, "a:7000", "b:7000")
+	a, b := peers["a:7000"], peers["b:7000"]
+
+	// Small networks under several exact budgets: every answer is exact,
+	// so a fallback's rows must equal the owner's.
+	var cands []cand
+	for _, net := range []struct {
+		name string
+		ns   []int
+	}{{"bn", []int{2, 4, 8}}, {"wn", []int{4, 8}}, {"ccc", []int{8}}} {
+		for _, n := range net.ns {
+			for _, x := range []int{24, 32, 40, 48} {
+				req := fmt.Sprintf("network=%s&n=%d&exact-nodes=%d", net.name, n, x)
+				cands = append(cands, cand{query: "/v1/bisection?" + req, key: "bisection?" + req})
+			}
+		}
+	}
+	owned := ownedBy(t, a.rt, "b:7000", cands)
+
+	forwarded, fellBack := 0, 0
+	for _, c := range owned {
+		status, hdr, body := ask(a.srv.Handler(), c.query, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.query, status, body)
+		}
+		_, _, direct := ask(b.srv.Handler(), c.query, nil)
+		switch peer := hdr.Get("X-Cluster-Peer"); peer {
+		case "b:7000":
+			forwarded++
+			if !bytes.Equal(body, direct) {
+				t.Fatalf("%s: forwarded body differs from owner's:\n via A: %s\ndirect: %s", c.query, body, direct)
+			}
+		case "a:7000":
+			fellBack++
+			if got, want := answerRows(t, body), answerRows(t, direct); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: local fallback rows differ from owner's:\n via A: %v\ndirect: %v", c.query, got, want)
+			}
+		default:
+			t.Fatalf("%s: X-Cluster-Peer = %q", c.query, peer)
+		}
+	}
+	if forwarded == 0 || fellBack == 0 {
+		t.Fatalf("over %d keys: %d forwarded, %d fell back; the seed must exercise both paths", len(owned), forwarded, fellBack)
+	}
+}
+
+// TestRequestIDCrossesPeerHop: a forwarded request keeps its ID, so the
+// owner's access-log line joins the forwarder's — for a client-supplied
+// ID and for one the forwarder generated.
+func TestRequestIDCrossesPeerHop(t *testing.T) {
+	sim := newSimNet(1, 0)
+	peers := simCluster(t, sim, "a:7000", "b:7000")
+	a, b := peers["a:7000"], peers["b:7000"]
+	owned := ownedBy(t, a.rt, "b:7000", bisectionCands("bn", 2, 4, 8, 16, 32, 64))
+	if len(owned) < 2 {
+		t.Fatalf("need two B-owned keys, have %v", owned)
+	}
+
+	// logged returns the one access-log line of log carrying id.
+	logged := func(log *bytes.Buffer, id string) map[string]any {
+		t.Helper()
+		var found map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("access-log line %q: %v", line, err)
+			}
+			if rec["id"] == id {
+				if found != nil {
+					t.Fatalf("id %q logged twice", id)
+				}
+				found = rec
+			}
+		}
+		if found == nil {
+			t.Fatalf("id %q missing from access log:\n%s", id, log)
+		}
+		return found
+	}
+
+	for i, hdr := range []map[string]string{{"X-Request-ID": "client-id-1"}, nil} {
+		status, rh, body := ask(a.srv.Handler(), owned[i].query, hdr)
+		if status != http.StatusOK || rh.Get("X-Cluster-Peer") != "b:7000" {
+			t.Fatalf("%s: status %d, X-Cluster-Peer %q: %s", owned[i].query, status, rh.Get("X-Cluster-Peer"), body)
+		}
+		id := rh.Get("X-Request-ID")
+		if hdr != nil && id != hdr["X-Request-ID"] {
+			t.Fatalf("client ID %q answered as %q", hdr["X-Request-ID"], id)
+		}
+		if got := logged(a.log, id)["outcome"]; got != "peer" {
+			t.Fatalf("forwarder logged %q with outcome %v, want peer", id, got)
+		}
+		if got := logged(b.log, id)["outcome"]; got != "ok" {
+			t.Fatalf("owner logged %q with outcome %v, want ok", id, got)
+		}
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestRouteBenchesUnreachableOwner: an owner that never answers is
+// benched and the request falls back, well inside a 10 s client budget,
+// whether its host is down or cut off (the default transport's dial
+// hangs, and gives up after dialTimeout) or it accepted the connection
+// and stalls (the client hangs up first).
+func TestRouteBenchesUnreachableOwner(t *testing.T) {
+	peers := []string{"a:7000", "b:7000"}
+	owned := ownedBy(t, NewRouter("a:7000", peers, newSimNet(1, 0), 0), "b:7000", bisectionCands("bn", 2, 4, 8, 16, 32, 64))
+	if len(owned) == 0 {
+		t.Fatal("no B-owned key")
+	}
+	hangingDial := peerTransport(func(ctx context.Context, _, _ string) (net.Conn, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	stalledOwner := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	})
+	for _, tc := range []struct {
+		name       string
+		tr         http.RoundTripper
+		clientWait time.Duration // 0: the client waits for the answer
+		within     time.Duration
+	}{
+		{"hanging dial", hangingDial, 0, 3 * dialTimeout},
+		{"stalled owner", stalledOwner, 50 * time.Millisecond, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			rt := NewRouter("a:7000", peers, tc.tr, 10*time.Second)
+			ctx := context.Background()
+			if tc.clientWait > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.clientWait)
+				defer cancel()
+			}
+			req := httptest.NewRequest(http.MethodGet, owned[0].query, nil).WithContext(ctx)
+			start := time.Now()
+			if _, ok := rt.Route(req, owned[0].key, "down-1"); ok {
+				t.Fatal("unreachable owner answered")
+			}
+			if took := time.Since(start); took > tc.within {
+				t.Fatalf("fell back after %v, want within %v", took, tc.within)
+			}
+			if owner, _ := rt.Owner(owned[0].key); owner != "a:7000" {
+				t.Fatalf("owner not benched: key still owned by %q", owner)
+			}
+		})
 	}
 }

@@ -1,14 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"hash/fnv"
-	"strconv"
-	"strings"
-
-	"repro/internal/graph"
-	"repro/internal/topology"
-)
+import "hash/fnv"
 
 // NodeID derives a peer's 64-bit identity from its address — fnv64a, so
 // every party computes the same ID table from the same -peers list with
@@ -20,7 +12,7 @@ func NodeID(addr string) uint64 {
 }
 
 // mix64 is the splitmix64 finalizer: the per-(node, key) score function
-// of the rendezvous hash and the simnet's drop stream generator.
+// of the rendezvous hash.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -75,38 +67,4 @@ func (r *Ring) Owner(key string, alive func(addr string) bool) (string, bool) {
 		}
 	}
 	return best, ok
-}
-
-// GraphSpec names the instance of a distributed search so every peer
-// reconstructs the identical graph: "wn:N" (wrapped butterfly WN) or
-// "bn:N" (ordinary butterfly BN).
-func GraphSpec(wrapped bool, n int) string {
-	if wrapped {
-		return "wn:" + strconv.Itoa(n)
-	}
-	return "bn:" + strconv.Itoa(n)
-}
-
-// ParseGraphSpec rebuilds the graph a spec names. Sizes are strictly
-// validated before construction — a corrupted or hostile spec must cost
-// an error, not an arbitrary allocation.
-func ParseGraphSpec(spec string) (*graph.Graph, error) {
-	fam, num, ok := strings.Cut(spec, ":")
-	if !ok {
-		return nil, fmt.Errorf("cluster: graph spec %q: want family:n", spec)
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 2 || n > 1<<14 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("cluster: graph spec %q: n must be a power of two in [2, %d]", spec, 1<<14)
-	}
-	switch fam {
-	case "wn":
-		if n < 4 {
-			return nil, fmt.Errorf("cluster: graph spec %q: wrapped butterfly needs n ≥ 4", spec)
-		}
-		return topology.NewWrappedButterfly(n).Graph, nil
-	case "bn":
-		return topology.NewButterfly(n).Graph, nil
-	}
-	return nil, fmt.Errorf("cluster: graph spec %q: unknown family %q", spec, fam)
 }

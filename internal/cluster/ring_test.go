@@ -79,38 +79,3 @@ func TestRingOwnershipStability(t *testing.T) {
 		t.Fatalf("duplicate peers not collapsed: %d addrs", got)
 	}
 }
-
-// TestGraphSpecRoundTrip pins the wire graph naming: every party must
-// reconstruct the identical topology from the spec string, and anything
-// unparseable or out of range is an error, not a guess.
-func TestGraphSpecRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		wrapped bool
-		n       int
-		want    string
-	}{
-		{false, 8, "bn:8"},
-		{true, 16, "wn:16"},
-	} {
-		spec := GraphSpec(tc.wrapped, tc.n)
-		if spec != tc.want {
-			t.Fatalf("GraphSpec(%v, %d) = %q, want %q", tc.wrapped, tc.n, spec, tc.want)
-		}
-		g, err := ParseGraphSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseGraphSpec(%q): %v", spec, err)
-		}
-		if g == nil || g.N() == 0 {
-			t.Fatalf("ParseGraphSpec(%q) returned an empty graph", spec)
-		}
-	}
-
-	for _, bad := range []string{
-		"", "wn", "wn:", "wn:3", "wn:0", "wn:-8", "wn:2", "bn:1", "bn:3",
-		"xx:8", "wn:32768", "bn:abc", "wn:8:extra", "WN:8",
-	} {
-		if _, err := ParseGraphSpec(bad); err == nil {
-			t.Fatalf("ParseGraphSpec(%q) accepted", bad)
-		}
-	}
-}

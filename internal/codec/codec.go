@@ -53,21 +53,16 @@ const MaxRecordBytes = 1 << 28
 // business, so new kinds are backward-compatible.
 type Kind uint8
 
+// Kinds 2 (witness certificates, never written) and 4 (the retired
+// cluster wire protocol) are reserved: a new kind takes a fresh number,
+// so an old stream can never decode as the wrong payload.
 const (
 	// KindManifest is a rendered run-manifest document — the byte-exact
 	// body a butterflyd response serves (internal/store records).
 	KindManifest Kind = 1
-	// KindWitness is a witness certificate: the set behind an expansion or
-	// bisection bound, serialized for re-verification.
-	KindWitness Kind = 2
 	// KindRouteIndex is a compiled directed-edge CSR routing index
 	// (internal/route snapshot records).
 	KindRouteIndex Kind = 3
-	// KindClusterMsg is one internal/cluster wire message: the key names
-	// the message type, the payload is its binary body. Cluster peers
-	// exchange exactly one such record per connection direction, so every
-	// cross-node byte rides the same CRC-framed format as the store.
-	KindClusterMsg Kind = 4
 )
 
 // Decoder error classes. Wrapping errors carry position context; test

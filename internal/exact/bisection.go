@@ -14,11 +14,10 @@
 // over a worker pool, every worker reusing one search state and pruning
 // against one shared incumbent. A serial solve is one worker running one
 // empty-prefix job. The expansion engine also takes achievable upper-bound
-// seeds (witness or greedy sets), batches whole k-sweeps
-// (ExpansionSurvey) over one pool, and runs any subset of its prefix
-// shards for a distributed search (SearchExpansionShards). A local edge
-// search of size k first certifies EE(g, m) for every m < k and prunes
-// with that table (Russian-doll search); shard searches get no table.
+// seeds (witness or greedy sets) and batches whole k-sweeps
+// (ExpansionSurvey) over one pool. An edge search of size k first
+// certifies EE(g, m) for every m < k and prunes with that table
+// (Russian-doll search).
 package exact
 
 import (

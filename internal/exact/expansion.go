@@ -10,15 +10,15 @@ import (
 	"repro/internal/solve"
 )
 
-// The expansion engine: every EE/NE search (SolveEdge/NodeExpansion, the
-// k-sweeps of ExpansionSurvey, the cluster's SearchExpansionShards) is a
-// list of (search, prefix) jobs drained by runExpansionJobs. A prefix fixes
-// the decisions on the first nodes of the BFS order; each worker owns one
-// expState, reused across every job of every search — a prefix is placed,
-// searched, and unplaced, so no per-job allocation or re-initialisation
-// happens on the hot path. Before the edge searches of a local run start,
-// sweepEdgeTable certifies EE(g, m) for every smaller m on the same job
-// runner, so their bound can prune with it.
+// The expansion engine: every EE/NE search (SolveEdge/NodeExpansion and
+// the k-sweeps of ExpansionSurvey) is a list of (search, prefix) jobs
+// drained by runExpansionJobs. A prefix fixes the decisions on the first
+// nodes of the BFS order; each worker owns one expState, reused across
+// every job of every search — a prefix is placed, searched, and unplaced,
+// so no per-job allocation or re-initialisation happens on the hot path.
+// Before the edge searches of a run start, sweepEdgeTable certifies
+// EE(g, m) for every smaller m on the same job runner, so their bound can
+// prune with it.
 
 const (
 	edgeExpansion = true
@@ -31,9 +31,9 @@ const (
 
 // expSearch is one (quantity, k) search of a run: the incumbent every job
 // of the search prunes against and records into, the EE(g, m) table its
-// edge bound reads (nil for node searches and shard searches), and whether
-// any of its jobs was cut short by cancellation (the result is then not a
-// certified optimum).
+// edge bound reads (nil for node searches), and whether any of its jobs
+// was cut short by cancellation (the result is then not a certified
+// optimum).
 type expSearch struct {
 	k          int
 	edge       bool

@@ -347,12 +347,6 @@ type sharedExpBound struct {
 	mu   sync.Mutex
 	set  []int
 
-	// onRecord, when non-nil, receives every locally recorded improvement
-	// (value plus a private copy of the witness) under mu — the shard-level
-	// cluster search hooks it to gossip incumbents to remote peers. Bounds
-	// injected from outside via offer do not echo through it.
-	onRecord func(val int, set []int)
-
 	mon      *solve.Monitor
 	explored atomic.Int64
 	pruned   atomic.Int64
@@ -373,28 +367,6 @@ func (sb *sharedExpBound) record(val int, assign []int8) {
 	}
 	sb.set = set
 	sb.mon.SetIncumbent(int64(val))
-	if sb.onRecord != nil {
-		cp := make([]int, len(set))
-		copy(cp, set)
-		sb.onRecord(val, cp)
-	}
-}
-
-// offer injects an incumbent achieved elsewhere (a remote peer's witness,
-// already checked by ShardIncumbent.Offer): the bound tightens if it
-// improves on the current best, and the witness replaces the local set so
-// the search always holds a set achieving its bound. Unlike record it
-// never fires onRecord — gossip must not echo.
-func (sb *sharedExpBound) offer(val int, set []int) bool {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if int64(val) >= sb.best.Load() {
-		return false
-	}
-	sb.best.Store(int64(val))
-	sb.set = append(sb.set[:0], set...)
-	sb.mon.SetIncumbent(int64(val))
-	return true
 }
 
 // dfsEdgeExpansion explores all decisions for order[idx:] given the prefix

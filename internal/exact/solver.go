@@ -150,22 +150,16 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	}
 }
 
-// shardDepth is the BFS-prefix depth at which a search splits into jobs:
-// up to 2^8 = 256 per search — plenty of slack for load balancing without
-// flooding memory with prefixes. Shard ids index this enumeration, so
-// every party of a distributed search derives the same depth from n.
-func shardDepth(n int) int {
-	return min(8, n/2)
-}
-
-// fanoutDepth is the split depth of a local run: none (one empty-prefix
-// job, the plain depth-first search) on one worker or below 16 nodes,
-// where the fan-out costs more than it balances, shardDepth otherwise.
+// fanoutDepth is the BFS-prefix depth at which a run splits into jobs:
+// none (one empty-prefix job, the plain depth-first search) on one worker
+// or below 16 nodes, where the fan-out costs more than it balances;
+// otherwise min(8, n/2), up to 2^8 = 256 jobs per search — plenty of
+// slack for load balancing without flooding memory with prefixes.
 func fanoutDepth(n, workers int) int {
 	if n < 16 || poolSize(workers) == 1 {
 		return 0
 	}
-	return shardDepth(n)
+	return min(8, n/2)
 }
 
 func poolSize(workers int) int {

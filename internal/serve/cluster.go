@@ -4,18 +4,19 @@ import "net/http"
 
 // PeerRouter shards canonical request keys across a cluster of
 // butterflyd peers. The serve layer stays transport-agnostic: it hands
-// the router the request and the canonical key, and either relays the
-// owning peer's response or answers locally. internal/cluster provides
-// the implementation; the indirection keeps the import pointing from
-// cluster to serve, never back.
+// the router the request, the canonical key and the request ID, and
+// either relays the owning peer's response or answers locally.
+// internal/cluster provides the implementation; the indirection keeps the
+// import pointing from cluster to serve, never back.
 type PeerRouter interface {
 	// Route resolves key's owner and, when it is a remote peer, returns
-	// that peer's response. ok is false when this node should answer
-	// locally: it owns the key, the request already arrived from a peer,
-	// or the owner is unreachable and local solving is the fallback.
-	Route(r *http.Request, key string) (resp *PeerResponse, ok bool, err error)
-	// Self is this node's cluster address — the X-Cluster-Peer value of
-	// locally answered responses.
+	// that peer's response to the same request, asked under id. ok is
+	// false when this node should answer locally: it owns the key, the
+	// request already arrived from a peer, or the owner is unreachable
+	// and local solving is the fallback.
+	Route(r *http.Request, key, id string) (resp *PeerResponse, ok bool)
+	// Self is this node's address — the X-Cluster-Peer value of locally
+	// answered responses.
 	Self() string
 }
 
@@ -25,8 +26,9 @@ type PeerResponse struct {
 	// a forwarded answer is byte-identical to asking the owner directly.
 	Status int
 	Body   []byte
-	// Source is the peer's X-Cache disposition (hit, store-hit, miss...).
-	Source string
+	// RetryAfter is the peer's Retry-After header on a 429/503, relayed
+	// so a client backs off exactly as if it had asked the owner.
+	RetryAfter string
 	// Peer is the address that answered — the X-Cluster-Peer provenance.
 	Peer string
 }

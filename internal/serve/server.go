@@ -445,13 +445,16 @@ func (s *Server) handleQuery(name string, parse func(q queryValues) (queryReques
 		// the router declines (local key, forwarded-in request, owner
 		// down), fall through to the local solve.
 		if s.cfg.Peers != nil {
-			if pr, fwd, rerr := s.cfg.Peers.Route(r, key); rerr == nil && fwd {
+			if pr, fwd := s.cfg.Peers.Route(r, key, id); fwd {
 				status = pr.Status
 				source = "peer"
 				written = len(pr.Body)
 				w.Header().Set("Content-Type", "application/json; charset=utf-8")
 				w.Header().Set("X-Cache", source)
 				w.Header().Set("X-Cluster-Peer", pr.Peer)
+				if pr.RetryAfter != "" {
+					w.Header().Set("Retry-After", pr.RetryAfter)
+				}
 				if pr.Status != http.StatusOK {
 					w.WriteHeader(pr.Status)
 				}

@@ -79,6 +79,7 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 		{"./cmd/bwtable", "-max-log", "49"},
 		{"./cmd/bwtable", "-exact-nodes", "-1"},
 		{"./cmd/figdata", "-max-log", "49"},
+		{"./cmd/butterflyd", "-addr", "127.0.0.1:18080", "-peers", "127.0.0.1:18081"},
 	}
 	bins := make(map[string]string)
 	for _, c := range cases {
