@@ -243,36 +243,6 @@ func BenchmarkRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutingSingleTrial{Map,Flat} measure one B7 random-destination
-// trial on the seed tree's map-based engine vs the flat directed-edge-CSR
-// engine (the acceptance target is ≥5× with ~zero steady-state allocs).
-func BenchmarkRoutingSingleTrialMap(b *testing.B) {
-	bt := topology.NewButterfly(128)
-	ref := mustPlanB(b, 128).Build(bt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := route.SimulateRandomDestinationsReference(bt, ref, int64(i))
-		if r.Steps < r.CongestionBound {
-			b.Fatalf("steps %d below bound %d", r.Steps, r.CongestionBound)
-		}
-	}
-}
-
-func BenchmarkRoutingSingleTrialFlat(b *testing.B) {
-	bt := topology.NewButterfly(128)
-	ref := mustPlanB(b, 128).Build(bt)
-	route.SimulateRandomDestinations(bt, ref, 0) // warm index cache + state pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := route.SimulateRandomDestinations(bt, ref, int64(i))
-		if r.Steps < r.CongestionBound {
-			b.Fatalf("steps %d below bound %d", r.Steps, r.CongestionBound)
-		}
-	}
-}
-
 // BenchmarkRoutingManyParallel{B7,B9} measure multi-trial Monte-Carlo
 // throughput of the worker-pool runner in routed packets per second.
 func benchRoutingMany(b *testing.B, n, trials int) {

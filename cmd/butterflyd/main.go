@@ -45,9 +45,7 @@
 // LRU evictions spill to it, cache misses fall back to it (X-Cache:
 // store-hit), and the drain flushes the surviving cache into it — so a
 // restarted daemon answers everything the previous process ever solved
-// from disk, no solver invoked. The store directory also holds the
-// routing engine's compiled-index snapshot (routeindex.bfc), written at
-// drain and reloaded at startup.
+// from disk, no solver invoked, routing queries included.
 //
 // With -precompute GRID the daemon runs as a batch filler instead of a
 // server: it solves every missing point of the declared grid into the
@@ -88,12 +86,9 @@ import (
 	"syscall"
 	"time"
 
-	"path/filepath"
-
 	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -133,17 +128,25 @@ func main() {
 	if len(peerList) > 0 && !slices.Contains(peerList, *addr) {
 		peersErr = fmt.Errorf("-peers must list this node's -addr %q", *addr)
 	}
+	// The grid is parsed before the store opens, so a rejected -precompute
+	// leaves no store directory behind.
+	var grid []serve.GridPoint
+	var storeErr, gridErr error
+	if *precompute != "" {
+		if *storeDir == "" {
+			storeErr = errors.New("-precompute requires -store")
+		}
+		grid, gridErr = serve.ParseGrid(*precompute)
+	}
 	cli.Validate(
 		cli.NonNegative("inflight", *inflight),
 		cli.NonNegative("queue", *queue),
 		cli.Positive("cache", *cacheEntries),
 		cli.NonNegative("precompute-workers", *precomputeWorkers),
 		peersErr,
+		storeErr,
+		gridErr,
 	)
-	if *precompute != "" && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "butterflyd: -precompute requires -store")
-		os.Exit(2)
-	}
 
 	var tracer *obs.Tracer
 	var traceFile *os.File
@@ -175,10 +178,7 @@ func main() {
 
 	cli.StartPprof(*pprofAddr)
 
-	// The persistent store and the routing engine's compiled-index
-	// snapshot live side by side under -store: both are warm-start state.
 	var st *store.Store
-	var routeSnapshot string
 	if *storeDir != "" {
 		var err error
 		st, err = store.Open(*storeDir, store.Options{Trace: tracer})
@@ -187,14 +187,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "butterflyd: store %s holds %d results\n", *storeDir, st.Len())
-		routeSnapshot = filepath.Join(*storeDir, "routeindex.bfc")
-		// A stale or damaged snapshot is only a lost warm start, never
-		// fatal: the engine rebuilds indices lazily.
-		if n, err := route.LoadIndexCache(routeSnapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflyd: route index snapshot ignored: %v\n", err)
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "butterflyd: loaded %d compiled route indices\n", n)
-		}
 	}
 
 	// Cluster wiring: the router forwards keys this node does not own to
@@ -220,7 +212,7 @@ func main() {
 	})
 
 	if *precompute != "" {
-		runPrecompute(srv, st, *precompute, *precomputeWorkers, traceFile, tracer)
+		runPrecompute(srv, st, grid, *precomputeWorkers, traceFile, tracer)
 		return
 	}
 
@@ -259,13 +251,7 @@ func main() {
 		os.Exit(1)
 	}
 	if st != nil {
-		// Shutdown already flushed the drained cache into the store; what
-		// remains is snapshotting the compiled route indices and closing.
-		if n, err := route.SaveIndexCache(routeSnapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflyd: route index snapshot: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "butterflyd: snapshotted %d compiled route indices\n", n)
-		}
+		// Shutdown already flushed the drained cache into the store.
 		n := st.Len()
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "butterflyd: store: %v\n", err)
@@ -296,12 +282,7 @@ func main() {
 // point into the store at the requested parallelism, report, exit. A
 // SIGINT/SIGTERM stops feeding new points and lets in-flight solves
 // finish.
-func runPrecompute(srv *serve.Server, st *store.Store, spec string, workers int, traceFile *os.File, tracer *obs.Tracer) {
-	grid, err := serve.ParseGrid(spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "butterflyd: %v\n", err)
-		os.Exit(2)
-	}
+func runPrecompute(srv *serve.Server, st *store.Store, grid []serve.GridPoint, workers int, traceFile *os.File, tracer *obs.Tracer) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -1,7 +1,6 @@
 // Package codec is the versioned binary framing under the reproduction's
-// persistence layer: the on-disk result store, the route CSR index
-// snapshots, and any future durable artifact share one record format, so
-// one strict decoder guards them all.
+// persistence layer: the on-disk result store and any future durable
+// artifact share one record format, so one strict decoder guards them all.
 //
 // A stream is a fixed header (magic + format version) followed by
 // length-prefixed records, each carrying a kind tag, a key, an opaque
@@ -53,16 +52,14 @@ const MaxRecordBytes = 1 << 28
 // business, so new kinds are backward-compatible.
 type Kind uint8
 
-// Kinds 2 (witness certificates, never written) and 4 (the retired
-// cluster wire protocol) are reserved: a new kind takes a fresh number,
-// so an old stream can never decode as the wrong payload.
+// Kinds 2 (witness certificates, never written), 3 (the retired routing
+// index snapshot) and 4 (the retired cluster wire protocol) are reserved:
+// a new kind takes a fresh number, so an old stream can never decode as
+// the wrong payload.
 const (
 	// KindManifest is a rendered run-manifest document — the byte-exact
 	// body a butterflyd response serves (internal/store records).
 	KindManifest Kind = 1
-	// KindRouteIndex is a compiled directed-edge CSR routing index
-	// (internal/route snapshot records).
-	KindRouteIndex Kind = 3
 )
 
 // Decoder error classes. Wrapping errors carry position context; test
@@ -75,8 +72,8 @@ var (
 	ErrTooLarge  = errors.New("codec: record length exceeds limit")
 )
 
-// Record is one framed entry: a kind tag, a key (the store's canonical
-// request key, a route index's shape key, ...) and an opaque payload.
+// Record is one framed entry: a kind tag, a key (such as the store's
+// canonical request key) and an opaque payload.
 type Record struct {
 	Kind    Kind
 	Key     string

@@ -36,7 +36,8 @@ func encodeStream(t *testing.T, recs ...Record) []byte {
 
 var testRecords = []Record{
 	{Kind: KindManifest, Key: "bisection?network=bn&n=8&exact-nodes=32", Payload: []byte(`{"schema":"repro/run-manifest"}`)},
-	{Kind: KindRouteIndex, Key: "n=8&wrap=false", Payload: bytes.Repeat([]byte{0xAB, 0, 0x7F}, 100)},
+	// Kind 3 is retired; its frames must still decode.
+	{Kind: Kind(3), Key: "n=8&wrap=false", Payload: bytes.Repeat([]byte{0xAB, 0, 0x7F}, 100)},
 	{Kind: KindManifest, Key: "", Payload: nil}, // empty key and payload are legal
 	{Kind: KindManifest, Key: "k", Payload: []byte{0x00}},
 }

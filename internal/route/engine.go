@@ -18,8 +18,13 @@ import (
 // edges is a bitset iterated in id order — so one state, once warmed,
 // runs any number of trials on the same butterfly without allocating.
 type simState struct {
-	b  *topology.Butterfly
-	ix *dirIndex
+	b *topology.Butterfly
+
+	// The directed-edge index and the shape it was built for. The shape
+	// (inputs, wraparound), not the *Butterfly, keys it: every request
+	// builds a fresh butterfly. A new state's zero shape matches none.
+	ix      dirIndex
+	ixShape shapeKey
 
 	// Cut accounting, set per call by setCut.
 	crossing []bool // per directed edge: endpoints on opposite sides
@@ -66,17 +71,29 @@ type simState struct {
 	dirty bool
 }
 
-// bind points the state at a butterfly, growing (never shrinking the
-// capacity of) its arrays and clearing the queue state.
+// shapeKey names a butterfly shape: equal keys mean identical graphs.
+type shapeKey struct {
+	inputs int
+	wrap   bool
+}
+
+// bind points the state at a butterfly, rebuilding the index in place
+// only when the shape changes, growing (never shrinking the capacity of)
+// the per-edge and per-packet arrays, and clearing the queue state.
 func (st *simState) bind(b *topology.Butterfly) {
-	ix := indexFor(b)
-	st.b, st.ix = b, ix
-	e := ix.numDir()
+	st.b = b
+	if shape := (shapeKey{b.Inputs(), b.Wraparound()}); shape != st.ixShape {
+		st.ix.build(b)
+		st.ixShape = shape
+	}
+	e := st.ix.numDir()
 	if cap(st.qHead) < e {
 		st.qHead = make([]int32, e)
 		st.qTail = make([]int32, e)
 		st.qLen = make([]int32, e)
 		st.crossing = make([]bool, e)
+		st.dead = make([]bool, e)
+		st.stamp = make([]int64, e)
 		st.active = make([]uint64, (e+63)/64)
 		st.moves = make([]int32, 0, e)
 	}
@@ -84,6 +101,8 @@ func (st *simState) bind(b *topology.Butterfly) {
 	st.qTail = st.qTail[:e]
 	st.qLen = st.qLen[:e]
 	st.crossing = st.crossing[:e]
+	st.dead = st.dead[:e]
+	st.stamp = st.stamp[:e]
 	st.active = st.active[:(e+63)/64]
 	for i := range st.qLen {
 		st.qLen[i] = 0
@@ -91,25 +110,14 @@ func (st *simState) bind(b *topology.Butterfly) {
 	for i := range st.active {
 		st.active[i] = 0
 	}
-	// The fault arrays grow on their own cap check: states pooled before
-	// the fault model existed (or grown for a smaller butterfly) reuse
-	// their queue arrays but may still need these.
-	if cap(st.dead) < e {
-		st.dead = make([]bool, e)
-		st.stamp = make([]int64, e)
-	}
-	st.dead = st.dead[:e]
-	st.stamp = st.stamp[:e]
 	maxP := b.N()
 	if cap(st.pos) < maxP {
 		st.pos = make([]int32, maxP)
 		st.qNext = make([]int32, maxP)
+		st.retry = make([]int32, maxP)
 	}
 	st.pos = st.pos[:maxP]
 	st.qNext = st.qNext[:maxP]
-	if cap(st.retry) < maxP {
-		st.retry = make([]int32, maxP)
-	}
 	st.retry = st.retry[:maxP]
 	if st.rng == nil {
 		st.src = rand.NewSource(1).(rand.Source64)
@@ -349,8 +357,8 @@ func (st *simState) compileKind(kind TrialKind, seed int64) {
 
 // threeLeg walks the three-leg route: up the source column to level 0,
 // across the (rotated, for Wn) monotone path, down the destination column.
-// b.Node's level wraparound makes the same walk serve Bn (threeLegPath)
-// and Wn (the Theorem 4.3 shape with start level 0).
+// b.Node's level wraparound makes the same walk serve Bn and Wn (the
+// Theorem 4.3 shape with start level 0).
 func (st *simState) threeLeg(u, v int) {
 	b, d := st.b, st.b.Dim()
 	wu, iu := b.Column(u), b.Level(u)
@@ -621,8 +629,8 @@ func putState(st *simState) {
 // routes, under synchronous store-and-forward switching (one packet per
 // directed edge per step, FIFO queues). The reference cut supplies the
 // §1.2 accounting: the routing time is at least CutCrossings / C(S,S̄).
-// It runs on the flat engine and agrees with
-// SimulateRandomDestinationsReference result for result.
+// It runs on the flat engine; the tests pin it result for result to the
+// map-based reference engine kept in this package's test files.
 func SimulateRandomDestinations(b *topology.Butterfly, ref *cut.Cut, seed int64) SimResult {
 	st := getState(b)
 	defer putState(st)

@@ -280,7 +280,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	b := topology.NewButterfly(64)
 	ref := columnCut(b)
-	SimulateRandomDestinations(b, ref, 1) // warm the pool and index cache
+	SimulateRandomDestinations(b, ref, 1) // warm the state pool
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(20, func() {
 		seed++
@@ -296,7 +296,8 @@ func TestDirIndexMatchesGraph(t *testing.T) {
 		topology.NewButterfly(8),
 		topology.NewWrappedButterfly(4), // dim 2: parallel edges must collapse
 	} {
-		ix := buildDirIndex(b)
+		var ix dirIndex
+		ix.build(b)
 		for v := 0; v < b.N(); v++ {
 			seen := make(map[int32]bool)
 			for _, w := range b.Neighbors(v) {
@@ -315,17 +316,6 @@ func TestDirIndexMatchesGraph(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestIndexCacheSharesBuilds(t *testing.T) {
-	a := indexFor(topology.NewButterfly(8))
-	b := indexFor(topology.NewButterfly(8))
-	if a != b {
-		t.Errorf("same-shape butterflies got distinct index builds")
-	}
-	if w := indexFor(topology.NewWrappedButterfly(8)); w == a {
-		t.Errorf("Bn and Wn of one size share an index")
 	}
 }
 

@@ -2,8 +2,6 @@ package route
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -35,81 +33,36 @@ func (ix *dirIndex) edgeID(u, v int32) int32 {
 	panic(fmt.Sprintf("route: %d→%d is not an edge", u, v))
 }
 
-func buildDirIndex(b *topology.Butterfly) *dirIndex {
+// build compiles b's index in place, reusing ix's arrays once they are
+// large enough, so rebuilding a warmed index allocates nothing. Each
+// node's at most 4 neighbours are insertion-sorted into place.
+func (ix *dirIndex) build(b *topology.Butterfly) {
 	g := b.Graph
 	n := g.N()
-	ix := &dirIndex{
-		nodes: n,
-		start: make([]int32, n+1),
-		to:    make([]int32, 0, 2*g.M()),
+	ix.nodes = n
+	if cap(ix.start) < n+1 {
+		ix.start = make([]int32, n+1)
 	}
-	buf := make([]int32, 0, 8)
+	if cap(ix.to) < 2*g.M() {
+		ix.to = make([]int32, 0, 2*g.M())
+	}
+	ix.start = ix.start[:n+1]
+	ix.to = ix.to[:0]
 	for v := 0; v < n; v++ {
-		ix.start[v] = int32(len(ix.to))
-		buf = append(buf[:0], g.Neighbors(v)...)
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-		for i, w := range buf {
-			if i > 0 && w == buf[i-1] {
+		first := len(ix.to)
+		ix.start[v] = int32(first)
+		for _, w := range g.Neighbors(v) {
+			i := len(ix.to)
+			for i > first && ix.to[i-1] > w {
+				i--
+			}
+			if i > first && ix.to[i-1] == w {
 				continue // parallel edge: one queue per node pair
 			}
 			ix.to = append(ix.to, w)
+			copy(ix.to[i+1:], ix.to[i:])
+			ix.to[i] = w
 		}
 	}
 	ix.start[n] = int32(len(ix.to))
-	return ix
-}
-
-// indexCache keys prebuilt indices by butterfly shape: same (n, wrap)
-// means an identical graph, so repeated trials, both experiment kinds,
-// and freshly constructed butterflies of the same size all share one
-// build. The cache is bounded with LRU eviction: hits promote their key
-// to the back of the order, so a hot shape survives a sweep over many
-// cold ones (a long-lived server process makes that the common access
-// pattern).
-var indexCache struct {
-	sync.Mutex
-	m     map[indexKey]*dirIndex
-	order []indexKey
-}
-
-type indexKey struct {
-	n    int
-	wrap bool
-}
-
-const indexCacheLimit = 8
-
-func indexFor(b *topology.Butterfly) *dirIndex {
-	key := indexKey{b.Inputs(), b.Wraparound()}
-	indexCache.Lock()
-	defer indexCache.Unlock()
-	if ix, ok := indexCache.m[key]; ok {
-		promoteLocked(key)
-		return ix
-	}
-	ix := buildDirIndex(b)
-	if indexCache.m == nil {
-		indexCache.m = make(map[indexKey]*dirIndex)
-	}
-	indexCache.m[key] = ix
-	indexCache.order = append(indexCache.order, key)
-	if len(indexCache.order) > indexCacheLimit {
-		delete(indexCache.m, indexCache.order[0])
-		indexCache.order = indexCache.order[1:]
-	}
-	return ix
-}
-
-// promoteLocked moves key to the back of the eviction order (most
-// recently used). Caller holds indexCache.Mutex; the order slice is at
-// most indexCacheLimit long, so the linear scan is trivial.
-func promoteLocked(key indexKey) {
-	order := indexCache.order
-	for i, k := range order {
-		if k == key {
-			copy(order[i:], order[i+1:])
-			order[len(order)-1] = key
-			return
-		}
-	}
 }

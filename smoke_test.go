@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,8 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke runs")
 	}
+	// No rejected run may create this store directory.
+	storeDir := filepath.Join(t.TempDir(), "store")
 	cases := [][]string{
 		{"./cmd/routesim", "-trials", "0"},
 		{"./cmd/routesim", "-trials", "-5"},
@@ -80,6 +84,8 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 		{"./cmd/bwtable", "-exact-nodes", "-1"},
 		{"./cmd/figdata", "-max-log", "49"},
 		{"./cmd/butterflyd", "-addr", "127.0.0.1:18080", "-peers", "127.0.0.1:18081"},
+		{"./cmd/butterflyd", "-precompute", "bn:3-4"},
+		{"./cmd/butterflyd", "-precompute", "bogus", "-store", storeDir},
 	}
 	bins := make(map[string]string)
 	for _, c := range cases {
@@ -100,6 +106,9 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 			}
 			if !strings.Contains(string(out), "usage") {
 				t.Fatalf("%v: rejection does not show usage:\n%s", c, out)
+			}
+			if _, err := os.Stat(storeDir); !os.IsNotExist(err) {
+				t.Fatalf("%v: rejection left a store directory behind (stat: %v)", c, err)
 			}
 		})
 	}
