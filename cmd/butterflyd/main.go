@@ -42,15 +42,16 @@
 // once every response is written or -drain expires.
 //
 // With -store DIR the daemon keeps a persistent result store under DIR:
-// LRU evictions spill to it, cache misses fall back to it (X-Cache:
-// store-hit), and the drain flushes the surviving cache into it — so a
-// restarted daemon answers everything the previous process ever solved
-// from disk, no solver invoked, routing queries included.
+// every complete solve is appended to it before its response is written,
+// and cache misses fall back to it (X-Cache: store-hit) — so a restarted
+// daemon, even one killed without draining, answers everything the
+// previous process ever solved from disk, no solver invoked, routing
+// queries included. The drain syncs the store.
 //
 // With -precompute GRID the daemon runs as a batch filler instead of a
 // server: it solves every missing point of the declared grid into the
-// store and exits. GRID is a comma-separated list of
-// network:loglo-loghi[:exact-nodes] ranges over log2(n), e.g.
+// store, -inflight points at a time, and exits. GRID is a comma-separated
+// list of network:loglo-loghi[:exact-nodes] ranges over log2(n), e.g.
 // "bn:3-12,wn:2-8,ccc:3-8".
 //
 // Cluster mode shards the daemon across peers. -peers lists every
@@ -67,8 +68,8 @@
 //	butterflyd [-addr localhost:8080] [-inflight 0] [-queue 0]
 //	           [-queue-wait 2s] [-default-timeout 10s] [-max-timeout 60s]
 //	           [-cache 256] [-cache-bytes 67108864] [-drain 30s]
-//	           [-store dir] [-precompute grid] [-precompute-workers 0]
-//	           [-peers a,b,c] [-trace path] [-access-log path] [-pprof addr]
+//	           [-store dir] [-precompute grid] [-peers a,b,c]
+//	           [-trace path] [-access-log path] [-pprof addr]
 package main
 
 import (
@@ -106,7 +107,7 @@ func splitPeers(s string) []string {
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	inflight := flag.Int("inflight", 0, "max concurrent solves (0 = GOMAXPROCS)")
+	inflight := flag.Int("inflight", 0, "max concurrent solves, -precompute points included (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max requests waiting for a solve slot before 429 (0 = 4×inflight)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a queued request waits for a slot before 503")
 	defaultTimeout := flag.Duration("default-timeout", 10*time.Second, "solve budget when the request names none")
@@ -114,9 +115,8 @@ func main() {
 	cacheEntries := flag.Int("cache", 256, "result-cache entries (LRU)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (evicts past either bound)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-	storeDir := flag.String("store", "", "persistent result store directory (spill, warm start, precompute)")
+	storeDir := flag.String("store", "", "persistent result store directory: every complete solve is written through to it (warm start, precompute)")
 	precompute := flag.String("precompute", "", "batch-fill the store for this grid (network:loglo-loghi[:exact-nodes],...) and exit")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "parallel solves during -precompute (0 = GOMAXPROCS)")
 	tracePath := flag.String("trace", "", "write request and solver trace events (JSONL) to this path")
 	accessLogPath := flag.String("access-log", "", "append one JSON line per query request to this path (\"-\" = stderr)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof + /debug/metrics on this extra address")
@@ -142,7 +142,6 @@ func main() {
 		cli.NonNegative("inflight", *inflight),
 		cli.NonNegative("queue", *queue),
 		cli.Positive("cache", *cacheEntries),
-		cli.NonNegative("precompute-workers", *precomputeWorkers),
 		peersErr,
 		storeErr,
 		gridErr,
@@ -212,7 +211,7 @@ func main() {
 	})
 
 	if *precompute != "" {
-		runPrecompute(srv, st, grid, *precomputeWorkers, traceFile, tracer)
+		runPrecompute(srv, st, grid, traceFile, tracer)
 		return
 	}
 
@@ -251,7 +250,7 @@ func main() {
 		os.Exit(1)
 	}
 	if st != nil {
-		// Shutdown already flushed the drained cache into the store.
+		// Every complete solve is already in the store; Shutdown synced it.
 		n := st.Len()
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "butterflyd: store: %v\n", err)
@@ -279,16 +278,16 @@ func main() {
 }
 
 // runPrecompute is the -precompute batch mode: solve every missing grid
-// point into the store at the requested parallelism, report, exit. A
+// point into the store, -inflight points at a time, report, exit. A
 // SIGINT/SIGTERM stops feeding new points and lets in-flight solves
 // finish.
-func runPrecompute(srv *serve.Server, st *store.Store, grid []serve.GridPoint, workers int, traceFile *os.File, tracer *obs.Tracer) {
+func runPrecompute(srv *serve.Server, st *store.Store, grid []serve.GridPoint, traceFile *os.File, tracer *obs.Tracer) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "butterflyd: precomputing %d grid points\n", len(grid))
-	res, err := srv.Precompute(ctx, grid, workers, func(format string, args ...interface{}) {
+	res, err := srv.Precompute(ctx, grid, func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "butterflyd: "+format+"\n", args...)
 	})
 	fmt.Fprintf(os.Stderr, "butterflyd: precompute done in %s: %d solved, %d skipped, %d failed; store holds %d results\n",

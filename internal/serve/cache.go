@@ -25,11 +25,8 @@ var (
 // (a handful of 2^20-row report manifests is gigabytes at 256 entries),
 // so both are enforced. Entries are immutable once stored (handlers
 // serve the cached bytes verbatim), so the cache hands out shared
-// pointers without copying.
-//
-// Evicted entries are offered to onEvict (outside the lock) — the hook
-// the persistent store uses to catch spills, so "fell out of memory"
-// degrades to "one disk read" instead of "one solve".
+// pointers without copying. An evicted entry is simply dropped: every
+// complete solve reached the persistent store when it was rendered.
 type lruCache struct {
 	mu       sync.Mutex
 	limit    int
@@ -37,7 +34,6 @@ type lruCache struct {
 	bytes    int64
 	m        map[string]*list.Element
 	order    *list.List // front = least recently used, back = most recent
-	onEvict  func(key string, resp *response)
 }
 
 type lruEntry struct {
@@ -49,13 +45,12 @@ type lruEntry struct {
 // plus the key (struct overhead is noise next to multi-KB manifests).
 func (e *lruEntry) size() int64 { return int64(len(e.key) + len(e.resp.body)) }
 
-func newLRUCache(limit int, maxBytes int64, onEvict func(key string, resp *response)) *lruCache {
+func newLRUCache(limit int, maxBytes int64) *lruCache {
 	return &lruCache{
 		limit:    limit,
 		maxBytes: maxBytes,
 		m:        make(map[string]*list.Element, limit),
 		order:    list.New(),
-		onEvict:  onEvict,
 	}
 }
 
@@ -77,23 +72,20 @@ func (c *lruCache) get(key string) (*response, bool) {
 
 // put stores resp under key, evicting least-recently-used entries while
 // either bound is exceeded. Re-putting an existing key replaces its value
-// and promotes it. Evicted entries are handed to onEvict after the lock
-// is released (the spill path writes to disk; that never belongs under a
-// cache mutex).
+// and promotes it.
 //
-// An entry larger than the whole byte budget never becomes resident: it
-// spills straight to onEvict and the current residents stay put. (The
-// naive path would admit it and then evict from the LRU front until the
-// budget held — emptying the entire cache, oversized entry included, so
-// one 2^20-row manifest would purge every hot entry and still not be
-// cached.)
+// An entry larger than the whole byte budget is not cached and the
+// current residents stay put. (The naive path would admit it and then
+// evict from the LRU front until the budget held — emptying the entire
+// cache, oversized entry included, so one 2^20-row manifest would purge
+// every hot entry and still not be cached.)
 func (c *lruCache) put(key string, resp *response) {
-	var spilled []*lruEntry
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if int64(len(key)+len(resp.body)) > c.maxBytes {
 		if el, ok := c.m[key]; ok {
 			// A stale smaller resident under the same key would shadow
-			// the spilled copy on future gets; drop it.
+			// the stored copy on future gets; drop it.
 			entry := el.Value.(*lruEntry)
 			c.order.Remove(el)
 			delete(c.m, key)
@@ -102,10 +94,6 @@ func (c *lruCache) put(key string, resp *response) {
 		metricCacheOversized.Inc()
 		metricCacheSize.Set(int64(c.order.Len()))
 		metricCacheBytes.Set(c.bytes)
-		c.mu.Unlock()
-		if c.onEvict != nil {
-			c.onEvict(key, resp)
-		}
 		return
 	}
 	if el, ok := c.m[key]; ok {
@@ -125,17 +113,9 @@ func (c *lruCache) put(key string, resp *response) {
 		delete(c.m, entry.key)
 		c.bytes -= entry.size()
 		metricCacheEvictions.Inc()
-		spilled = append(spilled, entry)
 	}
 	metricCacheSize.Set(int64(c.order.Len()))
 	metricCacheBytes.Set(c.bytes)
-	c.mu.Unlock()
-
-	if c.onEvict != nil {
-		for _, e := range spilled {
-			c.onEvict(e.key, e.resp)
-		}
-	}
 }
 
 // len reports the number of cached responses.
@@ -150,16 +130,4 @@ func (c *lruCache) totalBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// snapshot returns every cached (key, response) pair, most recently used
-// last — the drain-time flush walks it to persist what is still hot.
-func (c *lruCache) snapshot() []lruEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]lruEntry, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*lruEntry))
-	}
-	return out
 }

@@ -13,7 +13,7 @@ import (
 const unbounded = 1 << 30
 
 func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRUCache(2, unbounded, nil)
+	c := newLRUCache(2, unbounded)
 	a, b, d := &response{body: []byte("a")}, &response{body: []byte("b")}, &response{body: []byte("d")}
 	c.put("a", a)
 	c.put("b", b)
@@ -36,7 +36,7 @@ func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUCacheReplaceExisting(t *testing.T) {
-	c := newLRUCache(2, unbounded, nil)
+	c := newLRUCache(2, unbounded)
 	c.put("k", &response{body: []byte("v1")})
 	c.put("k", &response{body: []byte("v2")})
 	if c.len() != 1 {
@@ -52,10 +52,7 @@ func TestLRUCacheReplaceExisting(t *testing.T) {
 // when far under the entry-count limit — the guard against a handful of
 // huge report manifests blowing memory at "only" 256 entries.
 func TestLRUCacheByteBound(t *testing.T) {
-	var spilled []string
-	c := newLRUCache(256, 1000, func(key string, resp *response) {
-		spilled = append(spilled, key)
-	})
+	c := newLRUCache(256, 1000)
 	big := func(n int) *response { return &response{body: make([]byte, n), complete: true} }
 	c.put("a", big(400))
 	c.put("b", big(400))
@@ -72,14 +69,11 @@ func TestLRUCacheByteBound(t *testing.T) {
 	if got := c.totalBytes(); got > 1000 {
 		t.Fatalf("totalBytes = %d, want ≤ 1000", got)
 	}
-	if len(spilled) != 1 || spilled[0] != "a" {
-		t.Fatalf("spilled = %v, want [a]", spilled)
-	}
 
-	// An entry bigger than the whole budget spills straight to the store
-	// and never becomes resident — the smaller residents survive. (The
-	// old behavior admitted it and then drained the LRU front until the
-	// budget held, purging every hot entry including the oversized one.)
+	// An entry bigger than the whole budget never becomes resident — the
+	// smaller residents survive. (The old behavior admitted it and then
+	// drained the LRU front until the budget held, purging every hot
+	// entry including the oversized one.)
 	c.put("huge", big(5000))
 	if c.len() != 2 {
 		t.Fatalf("len = %d after over-budget put, want 2 (residents kept)", c.len())
@@ -93,20 +87,13 @@ func TestLRUCacheByteBound(t *testing.T) {
 	if _, ok := c.get("huge"); ok {
 		t.Fatal("oversized entry became resident")
 	}
-	if want := []string{"a", "huge"}; len(spilled) != 2 || spilled[1] != "huge" {
-		t.Fatalf("spilled = %v, want %v", spilled, want)
-	}
 }
 
 // TestLRUCacheOversizedDoesNotEmptyCache is the regression test for the
 // eviction bug: one response exceeding maxBytes must leave every smaller
-// resident in place, reach the spill hook exactly once, and keep the
-// byte accounting intact.
+// resident in place and keep the byte accounting intact.
 func TestLRUCacheOversizedDoesNotEmptyCache(t *testing.T) {
-	var spilled []string
-	c := newLRUCache(256, 1000, func(key string, resp *response) {
-		spilled = append(spilled, key)
-	})
+	c := newLRUCache(256, 1000)
 	body := func(n int) *response { return &response{body: make([]byte, n), complete: true} }
 	c.put("hot1", body(300))
 	c.put("hot2", body(300))
@@ -119,9 +106,6 @@ func TestLRUCacheOversizedDoesNotEmptyCache(t *testing.T) {
 	if got := c.totalBytes(); got != before {
 		t.Fatalf("totalBytes = %d, want %d (unchanged)", got, before)
 	}
-	if len(spilled) != 1 || spilled[0] != "manifest" {
-		t.Fatalf("spilled = %v, want [manifest]", spilled)
-	}
 	for _, k := range []string{"hot1", "hot2"} {
 		if _, ok := c.get(k); !ok {
 			t.Errorf("resident %q lost to an oversized put", k)
@@ -131,13 +115,10 @@ func TestLRUCacheOversizedDoesNotEmptyCache(t *testing.T) {
 
 // TestLRUCacheOversizedReplacesStaleResident: if a smaller response was
 // resident under the key and a re-put grows past the budget, the stale
-// resident is dropped (a later get must fall through to the spilled
+// resident is dropped (a later get must fall through to the stored
 // copy, not serve the outdated body).
 func TestLRUCacheOversizedReplacesStaleResident(t *testing.T) {
-	var spilled []string
-	c := newLRUCache(256, 1000, func(key string, resp *response) {
-		spilled = append(spilled, key)
-	})
+	c := newLRUCache(256, 1000)
 	c.put("k", &response{body: []byte("small"), complete: true})
 	c.put("other", &response{body: []byte("x"), complete: true})
 	c.put("k", &response{body: make([]byte, 4000), complete: true})
@@ -150,15 +131,12 @@ func TestLRUCacheOversizedReplacesStaleResident(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}
-	if len(spilled) != 1 || spilled[0] != "k" {
-		t.Fatalf("spilled = %v, want [k]", spilled)
-	}
 }
 
 // TestLRUCacheReplaceAdjustsBytes: re-putting a key swaps its byte
 // accounting, it does not leak the old size.
 func TestLRUCacheReplaceAdjustsBytes(t *testing.T) {
-	c := newLRUCache(4, unbounded, nil)
+	c := newLRUCache(4, unbounded)
 	c.put("k", &response{body: make([]byte, 100)})
 	c.put("k", &response{body: make([]byte, 10)})
 	if got := c.totalBytes(); got != int64(len("k"))+10 {

@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -100,17 +98,14 @@ type PrecomputeResult struct {
 }
 
 // Precompute fills the configured store for every grid point not already
-// present, at the given worker parallelism (≤0: GOMAXPROCS), each solve
-// under the server's MaxDeadline budget. Only complete solves are
-// stored — a truncated row could otherwise mask the full answer forever.
-// Cancelling ctx stops cleanly after the in-flight points; logf (may be
-// nil) receives one line per point.
-func (s *Server) Precompute(ctx context.Context, grid []GridPoint, workers int, logf func(format string, args ...interface{})) (PrecomputeResult, error) {
+// present, MaxInflight points at a time, each solve under the server's
+// MaxDeadline budget. Only complete solves are stored — a truncated row
+// could otherwise mask the full answer forever. Cancelling ctx stops
+// cleanly after the in-flight points; logf (may be nil) receives one line
+// per point.
+func (s *Server) Precompute(ctx context.Context, grid []GridPoint, logf func(format string, args ...interface{})) (PrecomputeResult, error) {
 	if s.cfg.Store == nil {
 		return PrecomputeResult{}, fmt.Errorf("precompute: server has no store")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
@@ -119,7 +114,7 @@ func (s *Server) Precompute(ctx context.Context, grid []GridPoint, workers int, 
 	var solved, skipped, failed atomic.Int64
 	points := make(chan GridPoint)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < s.cfg.MaxInflight; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -169,9 +164,9 @@ feed:
 // holds its key.
 var errAlreadyStored = fmt.Errorf("already stored")
 
-// precomputeOne solves one grid point and stores its rendered body under
-// the canonical request key, exactly as the live solve path would have
-// rendered it.
+// precomputeOne solves one grid point through the live solve path's
+// solve–render–append helper, so its stored body is the one a live
+// query would have stored under the same canonical key.
 func (s *Server) precomputeOne(ctx context.Context, p GridPoint) (string, error) {
 	req, err := p.request()
 	if err != nil {
@@ -183,17 +178,12 @@ func (s *Server) precomputeOne(ctx context.Context, p GridPoint) (string, error)
 	}
 	solveCtx, cancel := context.WithTimeout(ctx, s.cfg.MaxDeadline)
 	defer cancel()
-	begin := time.Now()
-	m, err := req.Solve(solveCtx, s)
+	resp, err := s.solveAndStore(solveCtx, "bisection", key, req, s.cfg.MaxDeadline)
 	if err != nil {
 		return key, err
 	}
-	if solveCtx.Err() != nil {
+	if !resp.complete {
 		return key, fmt.Errorf("budget %s expired before a complete solve", s.cfg.MaxDeadline)
 	}
-	resp, err := s.render(m, "bisection", key, s.cfg.MaxDeadline, true, time.Since(begin))
-	if err != nil {
-		return key, err
-	}
-	return key, s.cfg.Store.Put(key, resp.body)
+	return key, nil
 }

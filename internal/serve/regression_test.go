@@ -93,10 +93,11 @@ func TestCoalescedFollowerSurvivesLeaderCancel(t *testing.T) {
 	<-blockerDone
 }
 
-// TestStoreHitRewarmDoesNotRespill pins the spill/re-warm interaction: a
-// store hit re-inserts the response into the LRU, and that entry's later
-// eviction must NOT append a duplicate record to the store — store.writes
-// stays flat across a hit→evict cycle of an already-persisted key.
+// TestStoreHitRewarmDoesNotRespill pins the store/re-warm interaction: a
+// store hit re-inserts the response into the LRU, and neither that hit
+// nor the entry's later eviction may append a duplicate record to the
+// store — store.writes stays flat across a hit→evict cycle of an
+// already-persisted key.
 func TestStoreHitRewarmDoesNotRespill(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -108,15 +109,18 @@ func TestStoreHitRewarmDoesNotRespill(t *testing.T) {
 	s := New(Config{CacheEntries: 1, Store: st})
 	base := startServer(t, s)
 	urlA := base + "/v1/bisection?network=wn&n=4"
+	urlB := base + "/v1/bisection?network=wn&n=8"
 
-	// Solve A, then displace it so it spills to the store.
+	// Solve A, then B, which displaces A; each solve appends its record.
 	if status, src, _ := get(t, urlA); status != http.StatusOK || src != "miss" {
 		t.Fatalf("prime A: status=%d source=%q", status, src)
 	}
-	if status, _, _ := get(t, base+"/v1/bisection?network=wn&n=8"); status != http.StatusOK {
+	if status, _, _ := get(t, urlB); status != http.StatusOK {
 		t.Fatalf("displace A: status=%d", status)
 	}
-	waitFor(t, func() bool { return st.Len() >= 1 }, "eviction never spilled A to the store")
+	if st.Len() != 2 {
+		t.Fatalf("store holds %d records after two solves, want 2", st.Len())
+	}
 
 	// Store hit: A re-enters the LRU.
 	status, src, _ := get(t, urlA)
@@ -124,12 +128,12 @@ func TestStoreHitRewarmDoesNotRespill(t *testing.T) {
 		t.Fatalf("re-warm A: status=%d source=%q, want store-hit", status, src)
 	}
 
-	// Displace the re-warmed A again: its eviction must skip the spill
-	// (the store already holds the record), so writes stays flat.
+	// Displace the re-warmed A with B, itself a store-hit now: neither
+	// the hit nor A's eviction writes, so writes stays flat.
 	writesBefore := writes.Value()
 	lenBefore := st.Len()
-	if status, _, _ := get(t, base+"/v1/bisection?network=bn&n=2"); status != http.StatusOK {
-		t.Fatalf("displace re-warmed A: status=%d", status)
+	if status, src, _ := get(t, urlB); status != http.StatusOK || src != "store-hit" {
+		t.Fatalf("displace re-warmed A: status=%d source=%q, want store-hit", status, src)
 	}
 	waitFor(t, func() bool {
 		if resp, ok := s.cache.get("bisection?network=wn&n=4&exact-nodes=32"); ok && resp != nil {

@@ -42,8 +42,6 @@ var (
 	metricRejected429 = obs.NewCounter("serve.rejected_429")
 	metricRejected503 = obs.NewCounter("serve.rejected_503")
 	metricInflight    = obs.NewGauge("serve.inflight")
-	metricCacheSpills = obs.NewCounter("serve.cache_spills")
-	metricStoreFills  = obs.NewCounter("serve.store_fills")
 )
 
 // requestOutcomes are the outcome-labeled request counters
@@ -116,10 +114,10 @@ type Config struct {
 	// fires on whichever bound trips first.
 	CacheEntries int
 	CacheBytes   int64
-	// Store, when non-nil, is the persistent result store: the LRU spills
-	// evictions into it, cache misses fall back to it (X-Cache:
-	// store-hit), Shutdown flushes the surviving cache entries to it, and
-	// Precompute batch-fills it.
+	// Store, when non-nil, is the persistent result store: every complete
+	// solve is appended to it before its response is written, cache misses
+	// fall back to it (X-Cache: store-hit), Shutdown syncs it, and
+	// Precompute batch-fills it. Hits never write.
 	Store *store.Store
 	// Trace, when non-nil, receives one span per request plus the solver
 	// spans of the engines it runs.
@@ -207,8 +205,8 @@ type Server struct {
 
 // response is one rendered API answer. complete reports that the solve
 // ran to its natural end (nothing was cancelled by deadline or drain) —
-// only complete responses enter the cache, so a budget-truncated answer
-// can never mask the full one.
+// only complete responses enter the cache and the store, so a
+// budget-truncated answer can never mask the full one.
 type response struct {
 	body     []byte
 	complete bool
@@ -245,18 +243,7 @@ func New(cfg Config) *Server {
 	// Runtime health gauges refresh on every /debug/metrics scrape (and
 	// statusz), so bench reports can correlate tail latency with GC.
 	obs.RegisterRuntimeGauges(obs.Default)
-	// LRU evictions spill to the persistent store (when configured), so
-	// falling out of memory costs a future request one disk read, not one
-	// solve — and a restart loses nothing that was ever cached.
-	var onEvict func(key string, resp *response)
-	if cfg.Store != nil {
-		onEvict = func(key string, resp *response) {
-			if s.spill(key, resp) {
-				metricCacheSpills.Inc()
-			}
-		}
-	}
-	s.cache = newLRUCache(cfg.CacheEntries, cfg.CacheBytes, onEvict)
+	s.cache = newLRUCache(cfg.CacheEntries, cfg.CacheBytes)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -291,16 +278,17 @@ func (s *Server) Serve(ln net.Listener) error { return s.http.Serve(ln) }
 // routing), in-flight solves are signalled to wind down — they return
 // best-so-far results marked non-exact, and their handlers still write
 // those responses — and the HTTP server stops once every handler has
-// finished, or when ctx expires.
-// When a persistent store is configured, the drained cache is flushed
-// into it before returning, so the hot set survives into the next
-// process (the warm-start snapshot).
+// finished, or when ctx expires. A configured store is synced before
+// returning: every complete solve is already in it, and the drain is
+// where those appends become durable against a machine crash.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.baseCancel()
 	err := s.http.Shutdown(ctx)
-	if _, ferr := s.FlushStore(); err == nil {
-		err = ferr
+	if s.cfg.Store != nil {
+		if serr := s.cfg.Store.Sync(); err == nil {
+			err = serr
+		}
 	}
 	return err
 }
@@ -496,10 +484,11 @@ func (s *Server) handleQuery(name string, parse func(q queryValues) (queryReques
 func (s *Server) AccessLogErr() error { return s.accessLog.Err() }
 
 // solve is the coalescing leader's path: admission, deadline, engines,
-// rendering, cache fill. callCtx is the detached per-solve context the
-// handler built (server lifetime bounded by queue wait + budget), NOT
-// the leader's client context — a leader disconnect must not poison the
-// followers coalesced behind it, in the queue or mid-solve.
+// rendering, store append, cache fill. callCtx is the detached per-solve
+// context the handler built (server lifetime bounded by queue wait +
+// budget), NOT the leader's client context — a leader disconnect must
+// not poison the followers coalesced behind it, in the queue or
+// mid-solve.
 func (s *Server) solve(callCtx context.Context, name, key string, req queryRequest, deadline time.Duration) (*response, error) {
 	release, err := s.admit(callCtx)
 	if err != nil {
@@ -519,27 +508,44 @@ func (s *Server) solve(callCtx context.Context, name, key string, req queryReque
 	defer cancel()
 
 	metricSolves.Inc()
+	resp, err := s.solveAndStore(ctx, name, key, req, deadline)
+	if resp == nil {
+		return nil, err
+	}
+	// A failed append is soft here: the answer is still served and
+	// cached, and solved again once it falls out of the cache.
+	if resp.complete {
+		s.cache.put(key, resp)
+	}
+	return resp, nil
+}
+
+// solveAndStore is the one solve–render–append path, shared by live
+// solves and the precompute batch: it runs req under ctx, whose deadline
+// is the solve budget, renders the result, and appends a complete body
+// to the store before returning it, so the answer outlives the process
+// that computed it. A non-nil response with a non-nil error means the
+// answer is good but the append failed.
+func (s *Server) solveAndStore(ctx context.Context, name, key string, req queryRequest, deadline time.Duration) (*response, error) {
 	begin := time.Now()
 	m, err := req.Solve(ctx, s)
 	if err != nil {
 		return nil, err
 	}
 	complete := ctx.Err() == nil
-
 	resp, err := s.render(m, name, key, deadline, complete, time.Since(begin))
 	if err != nil {
 		return nil, err
 	}
-	if complete {
-		s.cache.put(key, resp)
+	if complete && s.cfg.Store != nil {
+		return resp, s.cfg.Store.Put(key, resp.body)
 	}
 	return resp, nil
 }
 
-// render turns a solved manifest into the response the handler writes —
-// the single rendering path shared by live solves and the precompute
-// batch, so a stored body and a freshly served one are the same bytes
-// (modulo wall-clock telemetry).
+// render turns a solved manifest into the response the handler writes,
+// so a stored body and a freshly served one are the same bytes (modulo
+// wall-clock telemetry).
 func (s *Server) render(m *obs.Manifest, name, key string, deadline time.Duration, complete bool, elapsed time.Duration) (*response, error) {
 	m.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	env := s.env
@@ -558,9 +564,10 @@ func (s *Server) render(m *obs.Manifest, name, key string, deadline time.Duratio
 	return &response{body: body, complete: complete}, nil
 }
 
-// storeGet looks key up in the persistent store. Errors (bit rot, a
-// mid-compaction crash) are deliberately soft: the request falls through
-// to a fresh solve, and store.read_errors records that it happened.
+// storeGet looks key up in the persistent store. Errors (bit rot) are
+// deliberately soft: the request falls through to a fresh solve, whose
+// append supersedes the bad record, and store.read_errors records that
+// it happened.
 func (s *Server) storeGet(key string) (*response, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
@@ -570,33 +577,6 @@ func (s *Server) storeGet(key string) (*response, bool) {
 		return nil, false
 	}
 	return &response{body: body, complete: true}, true
-}
-
-// spill persists one complete response to the store unless it is already
-// there. It reports whether a write happened; write errors are soft (the
-// result is still in memory or recomputable).
-func (s *Server) spill(key string, resp *response) bool {
-	if s.cfg.Store == nil || !resp.complete || s.cfg.Store.Has(key) {
-		return false
-	}
-	return s.cfg.Store.Put(key, resp.body) == nil
-}
-
-// FlushStore persists every complete cached response that the store does
-// not already hold, then syncs. Shutdown calls it so a drain snapshots
-// the hot set — the warm-start state of the next process.
-func (s *Server) FlushStore() (int, error) {
-	if s.cfg.Store == nil {
-		return 0, nil
-	}
-	n := 0
-	for _, e := range s.cache.snapshot() {
-		if s.spill(e.key, e.resp) {
-			n++
-			metricStoreFills.Inc()
-		}
-	}
-	return n, s.cfg.Store.Sync()
 }
 
 // admit acquires a solve slot. A free slot is immediate; otherwise the

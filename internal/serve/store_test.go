@@ -88,11 +88,9 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	if status != http.StatusOK || source != "miss" {
 		t.Fatalf("first process: status=%d source=%q", status, source)
 	}
-	// Shutdown flushes the drained cache into the store (the warm-start
-	// snapshot), then the store closes cleanly.
 	shutdown(t, s1)
 	if !st1.Has("bisection?network=wn&n=16&exact-nodes=32") {
-		t.Fatal("drain did not flush the cached solve to the store")
+		t.Fatal("the complete solve never reached the store")
 	}
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
@@ -121,51 +119,80 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	shutdown(t, s2)
 }
 
-// TestEvictionSpillsToStore: falling out of the LRU demotes a result to
-// disk instead of discarding it — re-querying it is a store-hit, not a
-// re-solve.
-func TestEvictionSpillsToStore(t *testing.T) {
+// TestCompleteSolveSurvivesCrash: a complete solve is in the store as
+// soon as it is answered — before any eviction, drain or Close. A second
+// Open of the directory while the first server still runs (what a
+// restart after kill -9 sees) serves the same body as a store-hit.
+func TestCompleteSolveSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	const path = "/v1/bisection?network=wn&n=16"
+	st1 := openStore(t, dir)
+	defer st1.Close()
+	s1 := New(Config{Store: st1})
+	status, source, body1 := rget(t, s1, path)
+	if status != http.StatusOK || source != "miss" {
+		t.Fatalf("first process: status=%d source=%q", status, source)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	stored, ok, err := st2.Get("bisection?network=wn&n=16&exact-nodes=32")
+	if err != nil || !ok {
+		t.Fatalf("second Open: ok=%v err=%v, want the solved body", ok, err)
+	}
+	if !bytes.Equal(stored, body1) {
+		t.Fatalf("stored body differs from the served one:\n%s\nvs\n%s", stored, body1)
+	}
+	s2 := New(Config{Store: st2})
+	if status, source, body2 := rget(t, s2, path); status != http.StatusOK || source != "store-hit" || !bytes.Equal(body2, body1) {
+		t.Fatalf("after the crash: status=%d source=%q, identical=%v", status, source, bytes.Equal(body2, body1))
+	}
+}
+
+// TestIncompleteResponsesNeverStored: a budget-truncated answer is barred
+// from the store exactly as from the cache — a truncated row on disk
+// could mask the full answer forever.
+func TestIncompleteResponsesNeverStored(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
-	s := New(Config{Store: st, CacheEntries: 1})
-	const pathA = "/v1/bisection?network=wn&n=4"
-	const pathB = "/v1/bisection?network=wn&n=8"
-
-	spillsBefore := metricCacheSpills.Value()
-	rget(t, s, pathA)
-	rget(t, s, pathB) // evicts A from the one-entry LRU → spill
-	if got := metricCacheSpills.Value() - spillsBefore; got != 1 {
-		t.Fatalf("cache_spills advanced by %d, want 1", got)
+	s := New(Config{Store: st})
+	// TestDeadlineReturnsBestSoFarNonExact's request: B16's exact search
+	// cannot finish in 150 ms.
+	status, _, body := rget(t, s, "/v1/bisection?network=bn&n=16&exact-nodes=128&timeout=150ms")
+	if status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, body)
 	}
-	if !st.Has("bisection?network=wn&n=4&exact-nodes=32") {
-		t.Fatal("evicted entry missing from the store")
+	if _, row := decodeResponse(t, body); row["complete"] != false {
+		t.Fatalf("serve row = %v, want complete=false", row)
 	}
-
-	solvesBefore := metricSolves.Value()
-	status, source, _ := rget(t, s, pathA)
-	if status != http.StatusOK || source != "store-hit" {
-		t.Fatalf("evicted key: status=%d source=%q, want store-hit", status, source)
-	}
-	if got := metricSolves.Value() - solvesBefore; got != 0 {
-		t.Fatalf("evicted key re-solved %d times, want 0", got)
+	if st.Len() != 0 {
+		t.Fatalf("store holds %d records, want 0", st.Len())
 	}
 	shutdown(t, s)
 }
 
-// TestIncompleteResponsesNeverSpill: budget-truncated answers are barred
-// from the store exactly as from the cache — a truncated row on disk
-// could mask the full answer forever.
-func TestIncompleteResponsesNeverSpill(t *testing.T) {
+// TestStoreAppendErrors: a failed append never fails a live request —
+// the answer is still served and cached — but it fails a precompute
+// point, whose only job is to fill the store.
+func TestStoreAppendErrors(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	defer st.Close()
-	s := New(Config{Store: st, CacheEntries: 1})
-	// The incomplete solve is not cached, so fabricate the spill directly:
-	// the guard is in spill itself.
-	if s.spill("bisection?network=bn&n=16&exact-nodes=128", &response{body: []byte("{}"), complete: false}) {
-		t.Fatal("spill persisted an incomplete response")
+	if err := st.Close(); err != nil { // every Put now fails
+		t.Fatal(err)
 	}
-	if st.Len() != 0 {
-		t.Fatalf("store holds %d records, want 0", st.Len())
+	s := New(Config{Store: st})
+	const path = "/v1/bisection?network=wn&n=4"
+	if status, source, _ := rget(t, s, path); status != http.StatusOK || source != "miss" {
+		t.Fatalf("live solve: status=%d source=%q, want a served miss", status, source)
+	}
+	if _, source, _ := rget(t, s, path); source != "hit" {
+		t.Fatalf("repeat: source=%q, want hit", source)
+	}
+	grid, err := ParseGrid("wn:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Precompute(context.Background(), grid, nil); err == nil || res.Failed != 1 {
+		t.Fatalf("precompute: %+v err=%v, want the point failed", res, err)
 	}
 }
 
@@ -176,7 +203,7 @@ func TestIncompleteResponsesNeverSpill(t *testing.T) {
 func TestPrecomputeFillsStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
-	batch := New(Config{Store: st})
+	batch := New(Config{Store: st, MaxInflight: 2})
 
 	grid, err := ParseGrid("wn:2-3,bn:2")
 	if err != nil {
@@ -185,14 +212,14 @@ func TestPrecomputeFillsStore(t *testing.T) {
 	if len(grid) != 3 {
 		t.Fatalf("grid has %d points, want 3", len(grid))
 	}
-	res, err := batch.Precompute(context.Background(), grid, 2, t.Logf)
+	res, err := batch.Precompute(context.Background(), grid, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Solved != 3 || res.Skipped != 0 || res.Failed != 0 {
 		t.Fatalf("first fill: %+v, want 3 solved", res)
 	}
-	res, err = batch.Precompute(context.Background(), grid, 2, t.Logf)
+	res, err = batch.Precompute(context.Background(), grid, t.Logf)
 	if err != nil || res.Skipped != 3 || res.Solved != 0 {
 		t.Fatalf("refill: %+v err=%v, want 3 skipped", res, err)
 	}
@@ -220,7 +247,7 @@ func TestPrecomputeFillsStore(t *testing.T) {
 // error, not a silent no-op.
 func TestPrecomputeRequiresStore(t *testing.T) {
 	s := New(Config{})
-	if _, err := s.Precompute(context.Background(), []GridPoint{{Network: "bn", LogN: 2, ExactNodes: 32}}, 1, nil); err == nil {
+	if _, err := s.Precompute(context.Background(), []GridPoint{{Network: "bn", LogN: 2, ExactNodes: 32}}, nil); err == nil {
 		t.Fatal("precompute without a store did not error")
 	}
 }

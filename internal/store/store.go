@@ -1,9 +1,10 @@
 // Package store is the append-only on-disk result store under butterflyd:
 // canonical request key → rendered response body, durable across process
-// restarts. The serve layer's LRU spills evictions here and falls back
-// here on miss, and `butterflyd -precompute` batch-fills it ahead of
-// traffic — so a restarted daemon answers previously solved queries with
-// one disk read (microseconds) instead of one solve (seconds).
+// restarts. The serve layer appends every complete solve here and falls
+// back here on an LRU miss, and `butterflyd -precompute` batch-fills it
+// ahead of traffic — so a restarted daemon answers previously solved
+// queries with one disk read (microseconds) instead of one solve
+// (seconds).
 //
 // On disk a store is a directory of numbered segment files
 // (seg-000001.bfc, ...), each an internal/codec stream of KindManifest
@@ -11,15 +12,16 @@
 // segment; an in-memory map from key to (segment, offset) — rebuilt by
 // scanning the segments at Open — is the only index, so there is no
 // separate index file to corrupt. Within and across segments, the latest
-// record for a key wins, which makes overwrites plain appends and lets
-// compaction rewrite the live set into a fresh segment and drop the rest.
+// record for a key wins, which makes overwrites plain appends.
 //
-// Recovery policy: a decode error at the tail of the *newest* segment is
-// a torn final append (the crash window of an append-only file) and is
-// repaired by truncating to the last whole record; a decode error
-// anywhere else is real corruption and fails Open with the codec error.
-// Every read re-verifies its record's CRC, so bit rot surfaces as an
-// error, never as a silently wrong response body.
+// Recovery policy: at the tail of the *newest* segment, a frame cut short
+// or a whole frame that fails its CRC with nothing after it is a torn
+// final append (the crash window of an append-only file) and is repaired
+// by truncating to the last whole record; any other decode error,
+// including a bad frame with records after it, is real corruption and
+// fails Open with the file untouched. Every read re-verifies its
+// record's CRC, so bit rot surfaces as an error, never as a silently
+// wrong response body.
 package store
 
 import (
@@ -39,32 +41,24 @@ import (
 // store.hits advances (and serve.solves does not) when a restarted daemon
 // answers from disk.
 var (
-	metricHits        = obs.NewCounter("store.hits")
-	metricMisses      = obs.NewCounter("store.misses")
-	metricWrites      = obs.NewCounter("store.writes")
-	metricCompactions = obs.NewCounter("store.compactions")
-	metricReadErrors  = obs.NewCounter("store.read_errors")
-	metricTornTails   = obs.NewCounter("store.torn_tails")
-	metricBytes       = obs.NewGauge("store.bytes")
-	metricRecords     = obs.NewGauge("store.records")
+	metricHits       = obs.NewCounter("store.hits")
+	metricMisses     = obs.NewCounter("store.misses")
+	metricWrites     = obs.NewCounter("store.writes")
+	metricReadErrors = obs.NewCounter("store.read_errors")
+	metricTornTails  = obs.NewCounter("store.torn_tails")
+	metricBytes      = obs.NewGauge("store.bytes")
+	metricRecords    = obs.NewGauge("store.records")
 )
+
+// segmentBytes is the size past which Put rotates the active segment.
+// Rotation bounds the blast radius of a torn tail.
+const segmentBytes = 64 << 20
 
 // Options tunes a Store.
 type Options struct {
-	// SegmentBytes rotates the active segment once its size exceeds this
-	// (≤0: 64 MiB). Rotation bounds the rewrite unit of compaction and the
-	// blast radius of a torn tail.
-	SegmentBytes int64
 	// Trace, when non-nil, receives a store.load span covering the startup
 	// segment scan and index build — the warm-start cost, measured.
 	Trace *obs.Tracer
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	return o
 }
 
 // ref locates one live record: which segment and at which byte offset
@@ -84,11 +78,11 @@ type segment struct {
 
 // Store is the persistent result store. All methods are safe for
 // concurrent use: reads share an RLock (os.File.ReadAt is itself
-// concurrency-safe), writes and compaction take the write lock.
+// concurrency-safe), writes take the write lock.
 type Store struct {
-	mu   sync.RWMutex
-	dir  string
-	opts Options
+	mu       sync.RWMutex
+	dir      string
+	rotateAt int64 // segmentBytes; in-package tests shrink it
 
 	segs   []*segment // ascending id order; last is the active segment
 	active *os.File   // append handle of segs[len(segs)-1]
@@ -106,7 +100,6 @@ func segPath(dir string, id int) string {
 // segment to rebuild the key index. A torn tail on the newest segment is
 // truncated away; any other decode failure aborts with the codec error.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	span := opts.Trace.StartSpan("store.load", obs.Attrs{"dir": dir})
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -115,7 +108,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, index: make(map[string]ref)}
+	s := &Store{dir: dir, rotateAt: segmentBytes, index: make(map[string]ref)}
 	if len(ids) == 0 {
 		if err := s.startSegment(1); err != nil {
 			return nil, err
@@ -247,6 +240,15 @@ func indexSegment(f *os.File, id int, index map[string]ref) (int64, error) {
 		if err == io.EOF {
 			return off, nil
 		}
+		// A whole frame that fails its CRC can be a torn append only if
+		// it is the last one. With anything after it, it is corruption:
+		// report it without the ErrChecksum class, so no caller truncates
+		// the records that follow.
+		if errors.Is(err, codec.ErrChecksum) {
+			if _, after := d.Next(); after != io.EOF {
+				return off, fmt.Errorf("corrupt record at offset %d with data after it: %v", off, err)
+			}
+		}
 		if err != nil {
 			return off, err
 		}
@@ -271,11 +273,11 @@ func (s *Store) findSeg(id int) *segment {
 }
 
 // Get returns the stored payload for key. The record's CRC is verified
-// on every read; a failed read (bit rot, torn compaction) counts in
-// store.read_errors and returns the error rather than a wrong body.
+// on every read; a failed read (bit rot) counts in store.read_errors and
+// returns the error rather than a wrong body.
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	// The read happens under the RLock: os.File.ReadAt is safe for
-	// concurrent use, and holding the lock keeps Compact from closing the
+	// concurrent use, and holding the lock keeps Close from closing the
 	// segment handle mid-read.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -322,8 +324,8 @@ func (s *Store) Len() int {
 
 // Put appends one record for key, superseding any previous one, and
 // rotates the active segment past the size limit. Appends are buffered
-// by the OS only — call Sync for durability points (drain, end of a
-// precompute batch).
+// by the OS only, so they survive the process but not the machine — call
+// Sync for durability points (drain, end of a precompute batch).
 func (s *Store) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,7 +343,7 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.index[key] = ref{seg: active.id, off: off}
 	metricWrites.Inc()
 	s.publishGauges()
-	if active.size > s.opts.SegmentBytes {
+	if active.size > s.rotateAt {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -355,102 +357,6 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("store: sealing segment: %w", err)
 	}
 	return s.startSegment(s.segs[len(s.segs)-1].id + 1)
-}
-
-// Compact rewrites the live records (sorted by key, so a compacted store
-// is byte-deterministic for a given content) into one fresh segment and
-// deletes every older one. The new segment is built as a temp file,
-// synced, then renamed into place before the old segments go — a crash
-// at any point leaves either the old set or the complete new one.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	newID := s.segs[len(s.segs)-1].id + 1
-	tmpPath := filepath.Join(s.dir, "compact.tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compaction temp: %w", err)
-	}
-	defer os.Remove(tmpPath) // no-op after the rename succeeds
-	w, err := codec.NewWriter(tmp)
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	newIndex := make(map[string]ref, len(keys))
-	off := int64(codec.HeaderSize)
-	for _, key := range keys {
-		r := s.index[key]
-		seg := s.findSeg(r.seg)
-		rec, err := codec.ReadRecordAt(seg.r, r.off)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compacting %q: %w", key, err)
-		}
-		n, err := w.Write(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		newIndex[key] = ref{seg: newID, off: off}
-		off += n
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: syncing compaction: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	newPath := segPath(s.dir, newID)
-	if err := os.Rename(tmpPath, newPath); err != nil {
-		return fmt.Errorf("store: installing compacted segment: %w", err)
-	}
-
-	// The compacted segment is durable under its final name: retire the
-	// old world. A failure from here on leaves handles in an undefined
-	// mix of old and new, so it closes the store rather than limping.
-	old := s.segs
-	fail := func(err error) error {
-		s.closeAll()
-		s.closed = true
-		return fmt.Errorf("store: after compaction rename: %w", err)
-	}
-	r, err := os.Open(newPath)
-	if err != nil {
-		return fail(err)
-	}
-	active, err := os.OpenFile(newPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		r.Close()
-		return fail(err)
-	}
-	if err := s.active.Close(); err != nil {
-		r.Close()
-		active.Close()
-		return fail(err)
-	}
-	s.segs = []*segment{{id: newID, r: r, size: off}}
-	s.active = active
-	s.w = codec.Resume(active)
-	s.index = newIndex
-	s.bytes = off
-	for _, seg := range old {
-		seg.r.Close()
-		os.Remove(segPath(s.dir, seg.id))
-	}
-	metricCompactions.Inc()
-	s.publishGauges()
-	return nil
 }
 
 // Sync flushes the active segment to stable storage.

@@ -75,7 +75,8 @@ func TestPutGetSurvivesReopen(t *testing.T) {
 func TestRotationAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of records.
-	s := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s := mustOpen(t, dir, Options{})
+	s.rotateAt = 256
 	payload := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 20; i++ {
 		mustPut(t, s, fmt.Sprintf("key-%02d", i), payload)
@@ -91,7 +92,7 @@ func TestRotationAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpen(t, dir, Options{SegmentBytes: 256})
+	s2 := mustOpen(t, dir, Options{})
 	if s2.Len() != 20 {
 		t.Fatalf("reopened Len = %d, want 20", s2.Len())
 	}
@@ -99,53 +100,6 @@ func TestRotationAndReopen(t *testing.T) {
 		if got := mustGet(t, s2, fmt.Sprintf("key-%02d", i)); !bytes.Equal(got, payload) {
 			t.Fatalf("key-%02d corrupted after rotation+reopen", i)
 		}
-	}
-}
-
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 256})
-	big := bytes.Repeat([]byte("y"), 120)
-	// Many overwrites of few keys: most records are dead.
-	for i := 0; i < 30; i++ {
-		mustPut(t, s, fmt.Sprintf("key-%d", i%3), append(big, byte('0'+i%10)))
-	}
-	compactionsBefore := metricCompactions.Value()
-	bytesBefore := s.bytes
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if metricCompactions.Value() != compactionsBefore+1 {
-		t.Fatal("compaction counter did not advance")
-	}
-	if s.bytes >= bytesBefore {
-		t.Fatalf("compaction did not shrink the store: %d -> %d", bytesBefore, s.bytes)
-	}
-	ids, err := segmentIDs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
-		t.Fatalf("segments after compaction: %v, want exactly one", ids)
-	}
-	// Live values survive, and the store still accepts appends.
-	for i := 27; i < 30; i++ {
-		want := append(bytes.Repeat([]byte("y"), 120), byte('0'+i%10))
-		if got := mustGet(t, s, fmt.Sprintf("key-%d", i%3)); !bytes.Equal(got, want) {
-			t.Fatalf("key-%d after compaction = %q", i%3, got[len(got)-1:])
-		}
-	}
-	mustPut(t, s, "post-compaction", []byte("still writable"))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := mustOpen(t, dir, Options{})
-	if got := mustGet(t, s2, "post-compaction"); string(got) != "still writable" {
-		t.Fatalf("post-compaction append lost: %q", got)
-	}
-	if s2.Len() != 4 {
-		t.Fatalf("Len after compaction+reopen = %d, want 4", s2.Len())
 	}
 }
 
@@ -199,7 +153,8 @@ func TestTornTailRecovers(t *testing.T) {
 // records.
 func TestMidFileCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 128})
+	s := mustOpen(t, dir, Options{})
+	s.rotateAt = 128
 	for i := 0; i < 10; i++ {
 		mustPut(t, s, fmt.Sprintf("key-%d", i), bytes.Repeat([]byte("z"), 64))
 	}
@@ -218,6 +173,85 @@ func TestMidFileCorruptionFails(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open accepted a corrupted non-final segment")
+	}
+}
+
+// tenRecordSegment writes ten 82-byte records (key-0 … key-9, 64-byte
+// payloads) into one segment and returns its path and bytes (828 with
+// the header).
+func tenRecordSegment(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 10; i++ {
+		mustPut(t, s, fmt.Sprintf("key-%d", i), bytes.Repeat([]byte("z"), 64))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := segPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 828 {
+		t.Fatalf("segment is %d bytes, want 828", len(data))
+	}
+	return path, data
+}
+
+// TestChecksumFlipBeforeTailFails: a flipped payload byte in the first
+// record of the only (so newest) segment is corruption, not a torn tail,
+// because whole records follow it. Open must refuse and leave every byte
+// of the file in place, instead of truncating the nine good records away.
+func TestChecksumFlipBeforeTailFails(t *testing.T) {
+	dir := t.TempDir()
+	path, data := tenRecordSegment(t, dir)
+	data[codec.HeaderSize+20] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("Open accepted a checksum failure with records after it")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("failed Open changed the segment: %d bytes → %d", len(data), len(after))
+	}
+}
+
+// TestChecksumFlipInLastFrameRecovers: a whole final frame that fails its
+// CRC, with nothing after it, is a torn append. Open truncates it away and
+// keeps the nine records before it.
+func TestChecksumFlipInLastFrameRecovers(t *testing.T) {
+	dir := t.TempDir()
+	path, data := tenRecordSegment(t, dir)
+	data[len(data)-10] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tornBefore := metricTornTails.Value()
+	s := mustOpen(t, dir, Options{})
+	if metricTornTails.Value() != tornBefore+1 {
+		t.Fatal("torn-tail counter did not advance")
+	}
+	if s.Len() != 9 {
+		t.Fatalf("Len after recovery = %d, want 9", s.Len())
+	}
+	if _, ok, _ := s.Get("key-9"); ok {
+		t.Fatal("the corrupt final record was resurrected")
+	}
+	if got := mustGet(t, s, "key-8"); !bytes.Equal(got, bytes.Repeat([]byte("z"), 64)) {
+		t.Fatalf("key-8 = %q", got)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 746 {
+		t.Fatalf("segment is %d bytes after recovery, want 746", fi.Size())
 	}
 }
 
@@ -280,7 +314,8 @@ func TestMetricsAndLoadSpan(t *testing.T) {
 // detector: concurrent readers against a writer that forces rotation.
 func TestConcurrentGetPut(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 512})
+	s := mustOpen(t, dir, Options{})
+	s.rotateAt = 512
 	mustPut(t, s, "hot", []byte("hot-value"))
 	done := make(chan struct{})
 	go func() {
