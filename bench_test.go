@@ -372,7 +372,7 @@ func BenchmarkAblationHeuristicVsConstruction(b *testing.B) {
 	best := mustPlanB(b, 64).Capacity
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := heuristic.Bisect(bt.Graph, heuristic.BisectOptions{Starts: 4, Seed: int64(i)})
+		h := heuristic.BisectParallel(bt.Graph, heuristic.BisectOptions{Starts: 4, Seed: int64(i)})
 		if h.Capacity() < best {
 			b.Fatalf("heuristic %d beat the construction %d", h.Capacity(), best)
 		}
@@ -497,9 +497,9 @@ func BenchmarkAblationVirtualParallel(b *testing.B) {
 	p := mustPlanB(b, 1<<15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		capacity, _ := p.EvaluateVirtualParallel(0)
-		if capacity >= 1<<15 {
-			b.Fatalf("capacity %d", capacity)
+		capacity, _, err := p.EvaluateVirtualParallelCtx(context.Background(), 0)
+		if err != nil || capacity >= 1<<15 {
+			b.Fatalf("capacity %d, err %v", capacity, err)
 		}
 	}
 }

@@ -32,7 +32,13 @@ func main() {
 	out := cli.RegisterOutput()
 	flag.Parse()
 
-	cli.Validate(cli.PowerOfTwo("n", *n))
+	sizeErr := cli.PowerOfTwo("n", *n)
+	if sizeErr == nil && *wrap && *n < 4 {
+		// W2 degenerates to self-loops, so topology.NewWrappedButterfly
+		// panics below n = 4.
+		sizeErr = fmt.Errorf("-n must be a power of two ≥ 4 with -wrap (got %d)", *n)
+	}
+	cli.Validate(sizeErr)
 
 	if *dot {
 		var b *topology.Butterfly

@@ -34,24 +34,6 @@ func DirectedCapacity(b *topology.Butterfly, side []bool) int {
 	return count
 }
 
-// IsKSCut reports whether the side assignment satisfies the Kruskal–Snir
-// constraint: |S ∩ inputs| ≥ n/2 and |S̄ ∩ outputs| ≥ n/2.
-func IsKSCut(b *topology.Butterfly, side []bool) bool {
-	inS, outSbar := 0, 0
-	for _, v := range b.InputNodes() {
-		if side[v] {
-			inS++
-		}
-	}
-	for _, v := range b.OutputNodes() {
-		if !side[v] {
-			outSbar++
-		}
-	}
-	half := b.Inputs() / 2
-	return inS >= half && outSbar >= half
-}
-
 // ColumnPrefixCut returns the side assignment of the cut achieving the n/2
 // bound: S is the set of nodes whose column number begins with 0. Only the
 // n/2 forward cross edges out of the level-0 prefix-0 nodes lead from S to
@@ -217,8 +199,3 @@ func MinDirectedBisection(b *topology.Butterfly) ([]bool, int) {
 	}
 	return bestSide, best
 }
-
-// BandwidthLowerBound returns the §1.2 relation: the network bandwidth 2n
-// cannot exceed 4× the directed bisection width, so the width is at least
-// ⌈2n/4⌉ = n/2.
-func BandwidthLowerBound(n int) int { return n / 2 }

@@ -131,3 +131,26 @@ func TestWrapPanics(t *testing.T) {
 	}()
 	DirectedCapacity(w, make([]bool, w.N()))
 }
+
+// IsKSCut reports whether the side assignment satisfies the Kruskal–Snir
+// constraint: |S ∩ inputs| ≥ n/2 and |S̄ ∩ outputs| ≥ n/2.
+func IsKSCut(b *topology.Butterfly, side []bool) bool {
+	inS, outSbar := 0, 0
+	for _, v := range b.InputNodes() {
+		if side[v] {
+			inS++
+		}
+	}
+	for _, v := range b.OutputNodes() {
+		if !side[v] {
+			outSbar++
+		}
+	}
+	half := b.Inputs() / 2
+	return inS >= half && outSbar >= half
+}
+
+// BandwidthLowerBound returns the §1.2 relation: the network bandwidth 2n
+// cannot exceed 4× the directed bisection width, so the width is at least
+// ⌈2n/4⌉ = n/2.
+func BandwidthLowerBound(n int) int { return n / 2 }

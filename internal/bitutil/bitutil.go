@@ -117,8 +117,3 @@ func BitString(w, d int) string {
 	}
 	return string(buf)
 }
-
-// OnesCount returns the number of set bits in w.
-func OnesCount(w int) int {
-	return bits.OnesCount(uint(w))
-}

@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -194,4 +195,9 @@ func TestPanicsOnBadRanges(t *testing.T) {
 	mustPanic("Compose", func() { Compose(2, 1, 0, 0, 0, 0) })
 	mustPanic("CeilLog2", func() { CeilLog2(0) })
 	mustPanic("FloorLog2", func() { FloorLog2(0) })
+}
+
+// OnesCount returns the number of set bits in w.
+func OnesCount(w int) int {
+	return bits.OnesCount(uint(w))
 }

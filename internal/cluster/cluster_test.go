@@ -481,3 +481,9 @@ func TestRouteBenchesUnreachableOwner(t *testing.T) {
 		})
 	}
 }
+
+// Owner exposes the ring decision for key among currently alive peers
+// (tests and status surfaces).
+func (rt *Router) Owner(key string) (string, bool) {
+	return rt.ring.Owner(key, rt.alive)
+}

@@ -45,13 +45,6 @@ func NewRing(addrs []string) *Ring {
 	return r
 }
 
-// Addrs returns the ring membership in construction order.
-func (r *Ring) Addrs() []string {
-	out := make([]string, len(r.addrs))
-	copy(out, r.addrs)
-	return out
-}
-
 // Owner returns the alive peer owning key. alive == nil means all peers
 // are alive; ok is false when no alive peer exists.
 func (r *Ring) Owner(key string, alive func(addr string) bool) (string, bool) {

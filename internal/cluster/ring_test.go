@@ -79,3 +79,10 @@ func TestRingOwnershipStability(t *testing.T) {
 		t.Fatalf("duplicate peers not collapsed: %d addrs", got)
 	}
 }
+
+// Addrs returns the ring membership in construction order.
+func (r *Ring) Addrs() []string {
+	out := make([]string, len(r.addrs))
+	copy(out, r.addrs)
+	return out
+}

@@ -114,12 +114,6 @@ func (rt *Router) bench(addr string) {
 	rt.deadUntil[addr] = time.Now().Add(deadPeerCooldown)
 }
 
-// Owner exposes the ring decision for key among currently alive peers
-// (tests and status surfaces).
-func (rt *Router) Owner(key string) (string, bool) {
-	return rt.ring.Owner(key, rt.alive)
-}
-
 // Route implements serve.PeerRouter: it forwards r to key's owner under
 // the request ID id, retrying once, and benches an owner it could not
 // get an answer from. That includes a client hanging up first: an owner

@@ -8,6 +8,10 @@
 // Compactness powers the paper's cut surgery (Lemmas 2.8, 2.9, 2.13) and
 // amenability its rebalancing step (Lemmas 2.15, 2.16); package construct
 // relies on the same frontier shapes to balance the sub-n bisection of Bn.
+//
+// The package is test code only: no binary needs the checks, so they live
+// beside the tests that run them (experiment E10, `go test
+// ./internal/compactness`).
 package compactness
 
 import (

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/bitutil"
 	"repro/internal/cut"
@@ -305,30 +304,15 @@ func (p *Plan) EvaluateVirtual() (capacity, sizeA int) {
 // balance through, so they are never optimal.
 const maxPlanJ = 4096
 
-// EvaluateVirtualParallel is EvaluateVirtual with the edge stream
-// partitioned into column ranges across worker goroutines — the evaluation
-// is embarrassingly parallel because InA is a pure function of (w,i). It
-// returns exactly the same counts.
-func (p *Plan) EvaluateVirtualParallel(workers int) (capacity, sizeA int) {
-	capacity, sizeA, _ = p.EvaluateVirtualParallelCtx(context.Background(), workers)
-	return capacity, sizeA
-}
-
-// evalCheckStride is how many columns each evaluation worker processes
-// between context polls: a column is log n InA pairs, so the poll cost is
-// amortized to nothing while cancellation still lands within milliseconds
-// even on multi-million-column plans.
-const evalCheckStride = 2048
-
-// EvaluateVirtualParallelCtx is EvaluateVirtualParallel with cooperative
-// cancellation: workers poll ctx every evalCheckStride columns (word
-// kernel: every block). On cancellation the partial counts are
-// meaningless, so it returns zeros and a non-nil error wrapping ctx.Err().
-//
-// Plans with at least one full word of columns run the word-parallel
-// kernel (see word.go): membership masks for 64 columns at a time,
-// popcount edge accounting, cache-resident blocks fanned over workers.
-// Smaller or degenerate plans keep the per-column scalar loop.
+// EvaluateVirtualParallelCtx is EvaluateVirtual under ctx, with the same
+// counts. Plans with at least one full word of columns run the
+// word-parallel kernel (see word.go): membership masks for 64 columns at a
+// time, popcount edge accounting, cache-resident blocks fanned over
+// workers, ctx polled between blocks. Any other plan — narrower than one
+// word, or a hand-built one whose blocks exceed the kernel's scratch bound
+// — runs the scalar EvaluateVirtual on the calling goroutine. On
+// cancellation the counts are discarded: it returns zeros and a non-nil
+// error wrapping ctx.Err().
 func (p *Plan) EvaluateVirtualParallelCtx(ctx context.Context, workers int) (capacity, sizeA int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -338,69 +322,16 @@ func (p *Plan) EvaluateVirtualParallelCtx(ctx context.Context, workers int) (cap
 	}
 	if p.wordEligible() {
 		capacity, sizeA, err = p.evaluateWords(ctx, workers)
-		metricVirtualEvals.Inc()
-		if err != nil {
-			metricVirtualCancelled.Inc()
-			return 0, 0, err
-		}
-		metricVirtualColumns.Add(int64(p.N))
-		return capacity, sizeA, nil
+	} else {
+		capacity, sizeA = p.EvaluateVirtual()
+		err = ctx.Err()
 	}
-	n, d := p.N, p.Dim
-	if workers > n {
-		workers = n
-	}
-	type partial struct{ capacity, sizeA int }
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		// Balanced ranges: ⌈n/workers⌉ vs ⌊n/workers⌋ columns per worker,
-		// not n/workers with the whole remainder dumped on the last one.
-		lo := n * wk / workers
-		hi := n * (wk + 1) / workers
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			var cp, sz int
-			untilPoll := evalCheckStride
-			for w := lo; w < hi; w++ {
-				untilPoll--
-				if untilPoll <= 0 {
-					if ctx.Err() != nil {
-						return
-					}
-					untilPoll = evalCheckStride
-				}
-				for i := 0; i < d; i++ {
-					a := p.InA(w, i)
-					if a != p.InA(w, i+1) {
-						cp++
-					}
-					if a != p.InA(bitutil.FlipBit(w, d, i+1), i+1) {
-						cp++
-					}
-					if a {
-						sz++
-					}
-				}
-				if p.InA(w, d) {
-					sz++
-				}
-			}
-			parts[wk] = partial{cp, sz}
-		}(wk, lo, hi)
-	}
-	wg.Wait()
 	metricVirtualEvals.Inc()
-	if cerr := ctx.Err(); cerr != nil {
+	if err != nil {
 		metricVirtualCancelled.Inc()
-		return 0, 0, fmt.Errorf("construct: virtual evaluation of n=%d plan interrupted: %w", n, cerr)
+		return 0, 0, fmt.Errorf("construct: virtual evaluation of n=%d plan interrupted: %w", p.N, err)
 	}
-	metricVirtualColumns.Add(int64(n))
-	for _, pt := range parts {
-		capacity += pt.capacity
-		sizeA += pt.sizeA
-	}
+	metricVirtualColumns.Add(int64(p.N))
 	return capacity, sizeA, nil
 }
 
@@ -448,22 +379,6 @@ func BestPlan(n int) (*Plan, error) {
 // TheoreticalRatio is the Theorem 2.20 limit 2(√2−1) ≈ 0.828 that the plan
 // ratios approach from above.
 var TheoreticalRatio = 2 * (math.Sqrt2 - 1)
-
-// Lemma216Ratio returns the capacity/n bound the paper's own Lemma 2.16
-// route guarantees with class grid j: 2·BW(MOS_{j,j},M2)/j² + 4/j, where
-// the M2-bisection capacity is supplied by the caller (package mos computes
-// it; construct does not import mos to keep the dependency one-way).
-func Lemma216Ratio(j, mosCapacity int) float64 {
-	return 2*float64(mosCapacity)/float64(j*j) + 4/float64(j)
-}
-
-// Lemma216MinLogN returns the smallest log n at which Lemma 2.16's
-// balancing precondition j³ + 2j − 1 ≤ log n holds — the reason the
-// paper's route needs astronomically large butterflies before its bound
-// beats the folklore n (j = 4 already demands log n ≥ 71), and the reason
-// this reproduction balances the same cut directly on Bn instead (see
-// DESIGN.md §2).
-func Lemma216MinLogN(j int) int { return j*j*j + 2*j - 1 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

@@ -1,22 +1,34 @@
 package construct
 
 import (
+	"context"
 	"testing"
 )
+
+// evaluateParallel runs EvaluateVirtualParallelCtx under a context that is
+// never cancelled, so any error fails the test.
+func evaluateParallel(t *testing.T, p *Plan, workers int) (capacity, sizeA int) {
+	t.Helper()
+	capacity, sizeA, err := p.EvaluateVirtualParallelCtx(context.Background(), workers)
+	if err != nil {
+		t.Fatalf("n=%d workers=%d: %v", p.N, workers, err)
+	}
+	return capacity, sizeA
+}
 
 func TestEvaluateVirtualParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{64, 1024, 1 << 14} {
 		p := mustBestPlan(t, n)
 		sc, ss := p.EvaluateVirtual()
 		for _, workers := range []int{1, 2, 3, 7, 16} {
-			pc, ps := p.EvaluateVirtualParallel(workers)
+			pc, ps := evaluateParallel(t, p, workers)
 			if pc != sc || ps != ss {
 				t.Errorf("n=%d workers=%d: parallel (%d,%d) ≠ serial (%d,%d)",
 					n, workers, pc, ps, sc, ss)
 			}
 		}
 		// Default worker count.
-		pc, ps := p.EvaluateVirtualParallel(0)
+		pc, ps := evaluateParallel(t, p, 0)
 		if pc != sc || ps != ss {
 			t.Errorf("n=%d default workers: mismatch", n)
 		}
@@ -26,7 +38,7 @@ func TestEvaluateVirtualParallelMatchesSerial(t *testing.T) {
 func TestEvaluateVirtualParallelMoreWorkersThanColumns(t *testing.T) {
 	p := mustBestPlan(t, 16)
 	sc, ss := p.EvaluateVirtual()
-	pc, ps := p.EvaluateVirtualParallel(64)
+	pc, ps := evaluateParallel(t, p, 64)
 	if pc != sc || ps != ss {
 		t.Errorf("oversubscribed workers gave (%d,%d), want (%d,%d)", pc, ps, sc, ss)
 	}
@@ -42,7 +54,7 @@ func TestLargeScaleVirtualParallel(t *testing.T) {
 	}
 	n := 1 << 20
 	p := mustBestPlan(t, n)
-	capacity, sizeA := p.EvaluateVirtualParallel(0)
+	capacity, sizeA := evaluateParallel(t, p, 0)
 	if capacity != p.Capacity {
 		t.Errorf("measured %d, predicted %d", capacity, p.Capacity)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cut"
-	"repro/internal/heuristic"
 	"repro/internal/topology"
 )
 
@@ -78,7 +77,7 @@ func TestColumnBisectionInvariantUnderXor(t *testing.T) {
 func TestAnnealCannotBeatConstruction(t *testing.T) {
 	b := topology.NewButterfly(64)
 	best := mustBestPlan(t, 64).Capacity
-	a := heuristic.Anneal(b.Graph, heuristic.AnnealOptions{Seed: 7, Sweeps: 24})
+	a := Anneal(b.Graph, AnnealOptions{Seed: 7, Sweeps: 24})
 	if a.Capacity() < best-8 {
 		t.Errorf("annealing %d far below construction %d", a.Capacity(), best)
 	}

@@ -2,6 +2,7 @@ package construct
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -23,20 +24,27 @@ func TestEvaluateVirtualParallelCtxMatchesSerial(t *testing.T) {
 
 func TestEvaluateVirtualParallelCtxCancelled(t *testing.T) {
 	// A 2^20-column plan streams ~44M InA pairs; a pre-cancelled context
-	// must abort it promptly with an error wrapping the cause.
-	p := mustBestPlan(t, 1<<20)
+	// must abort it promptly with an error wrapping the cause. Plans
+	// narrower than one word (8, 16, 32 columns) take the scalar path and
+	// must fail the same way, directly and through VirtualBisectionCapacity.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	_, _, err := p.EvaluateVirtualParallelCtx(ctx, 0)
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("cancelled evaluation took %v", took)
-	}
-	if err == nil {
-		t.Fatal("cancelled evaluation returned nil error")
-	}
-	if !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("error %q does not name the interruption", err)
+	for _, n := range []int{8, 16, 32, 1 << 20} {
+		p := mustBestPlan(t, n)
+		start := time.Now()
+		_, _, err := p.EvaluateVirtualParallelCtx(ctx, 0)
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("n=%d: cancelled evaluation took %v", n, took)
+		}
+		_, verr := p.VirtualBisectionCapacity(ctx, 0)
+		for _, err := range []error{err, verr} {
+			if err == nil {
+				t.Fatalf("n=%d: cancelled evaluation returned nil error", n)
+			}
+			if !strings.Contains(err.Error(), "interrupted") || !errors.Is(err, context.Canceled) {
+				t.Fatalf("n=%d: error %q does not name the interruption and wrap its cause", n, err)
+			}
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ package construct
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -328,8 +327,8 @@ func (p *Plan) evaluateWords(ctx context.Context, workers int) (capacity, sizeA 
 		}(wk, lo, hi)
 	}
 	wg.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return 0, 0, fmt.Errorf("construct: virtual evaluation of n=%d plan interrupted: %w", p.N, cerr)
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
 	}
 	var words, blocks int
 	for _, pt := range parts {

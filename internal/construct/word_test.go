@@ -127,7 +127,8 @@ func TestWordEvaluatorWorkerCounts(t *testing.T) {
 }
 
 // TestScalarFallbackBelowWordWidth: plans narrower than one word must keep
-// working through the scalar path inside the parallel evaluator.
+// working through the scalar path inside the parallel evaluator, at every
+// worker count and through VirtualBisectionCapacity.
 func TestScalarFallbackBelowWordWidth(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
 		p := mustBestPlan(t, n)
@@ -135,12 +136,22 @@ func TestScalarFallbackBelowWordWidth(t *testing.T) {
 			t.Fatalf("n=%d unexpectedly word-eligible", n)
 		}
 		wantCap, wantA := p.EvaluateVirtual()
-		gotCap, gotA, err := p.EvaluateVirtualParallelCtx(context.Background(), 3)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		for _, workers := range []int{1, 3, 0} {
+			gotCap, gotA, err := p.EvaluateVirtualParallelCtx(context.Background(), workers)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if gotCap != wantCap || gotA != wantA {
+				t.Errorf("n=%d workers=%d: scalar-fallback (%d,%d) ≠ oracle (%d,%d)",
+					n, workers, gotCap, gotA, wantCap, wantA)
+			}
 		}
-		if gotCap != wantCap || gotA != wantA {
-			t.Errorf("n=%d: scalar-fallback (%d,%d) ≠ oracle (%d,%d)", n, gotCap, gotA, wantCap, wantA)
+		capacity, err := p.VirtualBisectionCapacity(context.Background(), 0)
+		if err != nil {
+			t.Fatalf("n=%d: VirtualBisectionCapacity: %v", n, err)
+		}
+		if capacity != wantCap {
+			t.Errorf("n=%d: VirtualBisectionCapacity %d ≠ oracle %d", n, capacity, wantCap)
 		}
 	}
 }

@@ -206,16 +206,6 @@ func TestStructureReports(t *testing.T) {
 	}
 }
 
-func TestRenderButterflyDiagram(t *testing.T) {
-	out := RenderButterflyDiagram(8)
-	if !strings.Contains(out, "000") || !strings.Contains(out, "111") {
-		t.Errorf("diagram missing column labels:\n%s", out)
-	}
-	if strings.Count(out, "lvl") != 4 {
-		t.Errorf("diagram should have 4 level rows:\n%s", out)
-	}
-}
-
 func TestBenesRearrangeability(t *testing.T) {
 	routed, total := BenesRearrangeabilityCheck(16, 50, 1)
 	if routed != total {

@@ -208,9 +208,10 @@ func (o ExpansionTableOptions) withDefaults() ExpansionTableOptions {
 // ExpansionTable evaluates one §4.3 row family on an n-input network for
 // each witness dimension in dims. Exact optima are computed when the
 // enumeration is affordable (small n and k): all affordable rows are
-// batched into one exact.ExpansionSurvey call, root-forced on a network
-// declared vertex-transitive (Wn) and seeded with the witness boundaries
-// so the branch-and-bound prunes against a tight incumbent from the start.
+// batched into one exact.ExpansionSurveyWithOptions call, root-forced on
+// a network declared vertex-transitive (Wn) and seeded with the witness
+// boundaries so the branch-and-bound prunes against a tight incumbent
+// from the start.
 func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOptions) []ExpansionRow {
 	opts = opts.withDefaults()
 	rows := make([]ExpansionRow, 0, len(dims))

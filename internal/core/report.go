@@ -14,7 +14,7 @@ import (
 	"repro/internal/transmute"
 )
 
-// ReportOptions tune BuildFullReport / WriteFullReport.
+// ReportOptions tune BuildFullReport.
 type ReportOptions struct {
 	// Quick trims the exact-solver budget for fast runs.
 	Quick bool
@@ -302,19 +302,6 @@ func RenderFullReport(w io.Writer, rep *FullReport) {
 
 	fmt.Fprintln(w, "\n=== E17: VLSI layout (§1.1/§1.2) ===")
 	fmt.Fprint(w, RenderLayoutTable(rep.Layout))
-}
-
-// WriteFullReport runs every experiment of DESIGN.md (E1–E17) and writes
-// the complete reproduction report to w. cmd/paperrepro is a thin wrapper
-// around BuildFullReport + RenderFullReport; this convenience keeps the
-// historical single-call API.
-func WriteFullReport(w io.Writer, opts ReportOptions) error {
-	rep, err := BuildFullReport(opts)
-	if err != nil {
-		return err
-	}
-	RenderFullReport(w, rep)
-	return nil
 }
 
 // LayoutAreaLowerBound is Thompson's VLSI bound quoted in §1.2:

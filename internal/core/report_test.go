@@ -6,10 +6,12 @@ import (
 )
 
 func TestWriteFullReportQuick(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteFullReport(&sb, ReportOptions{Quick: true}); err != nil {
+	rep, err := BuildFullReport(ReportOptions{Quick: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
+	RenderFullReport(&sb, rep)
 	out := sb.String()
 	for _, section := range []string{
 		"E1:", "E2:", "E3:", "E4:", "E5:", "E6/E7:", "E8:", "E9:",

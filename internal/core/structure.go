@@ -88,32 +88,6 @@ func degreesString(h map[int]int) string {
 	return strings.Join(parts, " ")
 }
 
-// RenderButterflyDiagram draws Bn in the style of Figure 1: one row per
-// level, columns labeled with their binary strings. Practical for n ≤ 16.
-func RenderButterflyDiagram(n int) string {
-	b := topology.NewButterfly(n)
-	d := b.Dim()
-	var sb strings.Builder
-	sb.WriteString("column")
-	for w := 0; w < n; w++ {
-		sb.WriteString(fmt.Sprintf("  %0*b", d, w))
-	}
-	sb.WriteString("\n")
-	cell := d + 2
-	for i := 0; i <= d; i++ {
-		sb.WriteString(fmt.Sprintf("lvl %2d", i))
-		for w := 0; w < n; w++ {
-			sb.WriteString(strings.Repeat(" ", cell-1) + "o")
-		}
-		sb.WriteString("\n")
-		if i < d {
-			sb.WriteString(fmt.Sprintf("      %s(straight edges ||, cross edges flip bit %d)\n",
-				strings.Repeat(" ", 2), i+1))
-		}
-	}
-	return sb.String()
-}
-
 // BenesRearrangeabilityCheck routes count random permutations plus the
 // identity and reversal through the n-input Beneš network and reports how
 // many routed edge-disjointly (experiment E9); rearrangeability predicts

@@ -95,28 +95,6 @@ func (c *Cut) Capacity() int {
 	return cap
 }
 
-// CutEdges returns the indices of the edges crossing the cut.
-func (c *Cut) CutEdges() []int {
-	var out []int
-	for ei, e := range c.g.Edges() {
-		if c.side[e.U] != c.side[e.V] {
-			out = append(out, ei)
-		}
-	}
-	return out
-}
-
-// SNodes returns the nodes of S in increasing order.
-func (c *Cut) SNodes() []int {
-	out := make([]int, 0, c.inS)
-	for v, s := range c.side {
-		if s {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // IsBisection reports whether the cut is a bisection: both sides have at
 // most ⌈N/2⌉ nodes (§1.2).
 func (c *Cut) IsBisection() bool {

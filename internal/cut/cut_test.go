@@ -240,3 +240,14 @@ func TestDegreeToSides(t *testing.T) {
 		t.Errorf("DegreeToSides(0) = %d,%d", toS, toSbar)
 	}
 }
+
+// CutEdges returns the indices of the edges crossing the cut.
+func (c *Cut) CutEdges() []int {
+	var out []int
+	for ei, e := range c.g.Edges() {
+		if c.side[e.U] != c.side[e.V] {
+			out = append(out, ei)
+		}
+	}
+	return out
+}

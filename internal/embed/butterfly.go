@@ -49,23 +49,6 @@ func threeLegPathBn(b *topology.Butterfly, u, v int) []int {
 	return path
 }
 
-// KNIntoButterfly embeds the complete graph on all N = n(log n+1) nodes of
-// Bn into Bn with load 1, using three-leg up/across/up routes. Its measured
-// congestion gives the Ω(n) bisection lower bound and the Ω(k/log n) edge
-// expansion lower bound of §1.4.
-func KNIntoButterfly(b *topology.Butterfly) *Embedding {
-	if b.Wraparound() {
-		panic("embed: use KNIntoWrapped for Wn")
-	}
-	guest := topology.NewComplete(b.N())
-	nodeMap := identity(b.N())
-	paths := make([][]int, guest.M())
-	for ei, e := range guest.Edges() {
-		paths[ei] = threeLegPathBn(b, int(e.U), int(e.V))
-	}
-	return &Embedding{Guest: guest, Host: b.Graph, NodeMap: nodeMap, Paths: paths}
-}
-
 // DoubledCompleteIntoButterfly embeds 2K_N into Bn (the §1.4 argument for
 // BW(Bn) ≥ n/2): the two parallel edges between u and v follow the two
 // opposite-direction three-leg routes, u→v and v→u.
@@ -87,41 +70,6 @@ func DoubledCompleteIntoButterfly(b *topology.Butterfly) *Embedding {
 		}
 	}
 	return &Embedding{Guest: guest, Host: b.Graph, NodeMap: nodeMap, Paths: paths}
-}
-
-// KNIntoWrapped builds the Theorem 4.3 embedding of K_N into Wn
-// (N = n·log n): the path for {u,v} climbs u's column to level 0, follows
-// the length-(log n) rotated monotone path into v's column (arriving back at
-// level 0), and descends v's column in decreasing level order. Congestion is
-// O(N log n).
-func KNIntoWrapped(w *topology.Butterfly) *Embedding {
-	if !w.Wraparound() {
-		panic("embed: KNIntoWrapped targets Wn")
-	}
-	guest := topology.NewComplete(w.N())
-	nodeMap := identity(w.N())
-	d := w.Dim()
-	paths := make([][]int, guest.M())
-	for ei, e := range guest.Edges() {
-		u, v := int(e.U), int(e.V)
-		wu, iu := w.Column(u), w.Level(u)
-		wv, iv := w.Column(v), w.Level(v)
-		path := make([]int, 0, iu+d+(d-iv)+1)
-		// Leg 1: up u's column to level 0.
-		for l := iu; l >= 0; l-- {
-			path = append(path, w.Node(wu, l))
-		}
-		// Leg 2: the full-length monotone path to level log n ≡ 0 of v's
-		// column (even when wu = wv, per the theorem's description).
-		mono := w.RotatedMonotonePath(wu, wv, 0)
-		path = append(path, mono[1:]...)
-		// Leg 3: down from level log n ≡ 0 in decreasing level order to v.
-		for l := d - 1; l >= iv; l-- {
-			path = append(path, w.Node(wv, l))
-		}
-		paths[ei] = path
-	}
-	return &Embedding{Guest: guest, Host: w.Graph, NodeMap: nodeMap, Paths: paths}
 }
 
 // BkIntoBn builds the Lemma 2.10 embedding π of B_{n·2^j} into Bn with

@@ -11,8 +11,6 @@
 package embed
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 )
 
@@ -27,42 +25,6 @@ type Embedding struct {
 	Host    *graph.Graph
 	NodeMap []int
 	Paths   [][]int
-}
-
-// Validate checks structural soundness: every guest node maps to a host
-// node, and every guest edge's path connects the images of its endpoints
-// through host edges. It returns the first problem found.
-func (e *Embedding) Validate() error {
-	if len(e.NodeMap) != e.Guest.N() {
-		return fmt.Errorf("embed: node map has %d entries for %d guest nodes", len(e.NodeMap), e.Guest.N())
-	}
-	for v, h := range e.NodeMap {
-		if h < 0 || h >= e.Host.N() {
-			return fmt.Errorf("embed: guest node %d maps to invalid host node %d", v, h)
-		}
-	}
-	if len(e.Paths) != e.Guest.M() {
-		return fmt.Errorf("embed: %d paths for %d guest edges", len(e.Paths), e.Guest.M())
-	}
-	for ei, p := range e.Paths {
-		ge := e.Guest.Edge(ei)
-		if len(p) == 0 {
-			return fmt.Errorf("embed: empty path for guest edge %d", ei)
-		}
-		a, b := e.NodeMap[ge.U], e.NodeMap[ge.V]
-		first, last := p[0], p[len(p)-1]
-		if !(first == a && last == b) && !(first == b && last == a) {
-			return fmt.Errorf("embed: path of guest edge %d connects %d–%d, want %d–%d",
-				ei, first, last, a, b)
-		}
-		for i := 0; i+1 < len(p); i++ {
-			if !e.Host.HasEdge(p[i], p[i+1]) {
-				return fmt.Errorf("embed: path of guest edge %d uses non-edge {%d,%d}",
-					ei, p[i], p[i+1])
-			}
-		}
-	}
-	return nil
 }
 
 // Load returns the maximum number of guest nodes mapped to one host node.
@@ -135,23 +97,6 @@ func (e *Embedding) UniformCongestion() (int, bool) {
 	return want, true
 }
 
-// InducedGuestCut returns the number of guest edges whose paths cross the
-// host cut given by side (true = in S). Removing the host cut edges
-// disconnects exactly these guest edges — the counting at the heart of the
-// §1.4 lower-bound technique.
-func (e *Embedding) InducedGuestCut(side []bool) int {
-	count := 0
-	for _, p := range e.Paths {
-		for i := 0; i+1 < len(p); i++ {
-			if side[p[i]] != side[p[i+1]] {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}
-
 // BisectionLowerBound computes the §1.4 bound: if the guest K has bisection
 // width guestBW and the embedding has load 1 onto a host with the same node
 // count, then BW(host) ≥ ⌈guestBW / congestion⌉.
@@ -164,20 +109,6 @@ func (e *Embedding) BisectionLowerBound(guestBW int) int {
 		return 0
 	}
 	return ceilDiv(guestBW, c)
-}
-
-// EdgeExpansionLowerBound computes the §1.4 expansion bound for a load-1
-// embedding of the complete graph K_N: EE(host,k) ≥ ⌈k(N−k)/congestion⌉.
-func (e *Embedding) EdgeExpansionLowerBound(k int) int {
-	if e.Load() != 1 || e.Guest.N() != e.Host.N() {
-		panic("embed: expansion lower bound needs a load-1 embedding onto an equal-size host")
-	}
-	c := e.Congestion()
-	if c == 0 {
-		return 0
-	}
-	n := e.Guest.N()
-	return ceilDiv(k*(n-k), c)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

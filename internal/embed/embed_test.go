@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -227,7 +228,11 @@ func TestBenesIntoButterfly(t *testing.T) {
 		// The Beneš inputs and outputs land on L0 and partition it.
 		guest := topology.NewBenes(n / 2)
 		seen := make(map[int]bool)
-		for _, v := range append(guest.InputNodes(), guest.OutputNodes()...) {
+		var io []int
+		for w := 0; w < guest.Inputs(); w++ {
+			io = append(io, guest.Node(w, 0), guest.Node(w, guest.Levels()-1))
+		}
+		for _, v := range io {
 			hv := e.NodeMap[v]
 			if host.Level(hv) != 0 {
 				t.Errorf("n=%d: I/O node mapped to level %d", n, host.Level(hv))
@@ -378,4 +383,123 @@ func TestCompleteBisectionWidths(t *testing.T) {
 	if best != want {
 		t.Errorf("BW(K5) = %d, formula %d", best, want)
 	}
+}
+
+// KNIntoButterfly embeds the complete graph on all N = n(log n+1) nodes of
+// Bn into Bn with load 1, using three-leg up/across/up routes. Its measured
+// congestion gives the Ω(n) bisection lower bound and the Ω(k/log n) edge
+// expansion lower bound of §1.4.
+func KNIntoButterfly(b *topology.Butterfly) *Embedding {
+	if b.Wraparound() {
+		panic("embed: use KNIntoWrapped for Wn")
+	}
+	guest := topology.NewComplete(b.N())
+	nodeMap := identity(b.N())
+	paths := make([][]int, guest.M())
+	for ei, e := range guest.Edges() {
+		paths[ei] = threeLegPathBn(b, int(e.U), int(e.V))
+	}
+	return &Embedding{Guest: guest, Host: b.Graph, NodeMap: nodeMap, Paths: paths}
+}
+
+// KNIntoWrapped builds the Theorem 4.3 embedding of K_N into Wn
+// (N = n·log n): the path for {u,v} climbs u's column to level 0, follows
+// the length-(log n) rotated monotone path into v's column (arriving back at
+// level 0), and descends v's column in decreasing level order. Congestion is
+// O(N log n).
+func KNIntoWrapped(w *topology.Butterfly) *Embedding {
+	if !w.Wraparound() {
+		panic("embed: KNIntoWrapped targets Wn")
+	}
+	guest := topology.NewComplete(w.N())
+	nodeMap := identity(w.N())
+	d := w.Dim()
+	paths := make([][]int, guest.M())
+	for ei, e := range guest.Edges() {
+		u, v := int(e.U), int(e.V)
+		wu, iu := w.Column(u), w.Level(u)
+		wv, iv := w.Column(v), w.Level(v)
+		path := make([]int, 0, iu+d+(d-iv)+1)
+		// Leg 1: up u's column to level 0.
+		for l := iu; l >= 0; l-- {
+			path = append(path, w.Node(wu, l))
+		}
+		// Leg 2: the full-length monotone path to level log n ≡ 0 of v's
+		// column (even when wu = wv, per the theorem's description).
+		mono := w.RotatedMonotonePath(wu, wv, 0)
+		path = append(path, mono[1:]...)
+		// Leg 3: down from level log n ≡ 0 in decreasing level order to v.
+		for l := d - 1; l >= iv; l-- {
+			path = append(path, w.Node(wv, l))
+		}
+		paths[ei] = path
+	}
+	return &Embedding{Guest: guest, Host: w.Graph, NodeMap: nodeMap, Paths: paths}
+}
+
+// Validate checks structural soundness: every guest node maps to a host
+// node, and every guest edge's path connects the images of its endpoints
+// through host edges. It returns the first problem found.
+func (e *Embedding) Validate() error {
+	if len(e.NodeMap) != e.Guest.N() {
+		return fmt.Errorf("embed: node map has %d entries for %d guest nodes", len(e.NodeMap), e.Guest.N())
+	}
+	for v, h := range e.NodeMap {
+		if h < 0 || h >= e.Host.N() {
+			return fmt.Errorf("embed: guest node %d maps to invalid host node %d", v, h)
+		}
+	}
+	if len(e.Paths) != e.Guest.M() {
+		return fmt.Errorf("embed: %d paths for %d guest edges", len(e.Paths), e.Guest.M())
+	}
+	for ei, p := range e.Paths {
+		ge := e.Guest.Edge(ei)
+		if len(p) == 0 {
+			return fmt.Errorf("embed: empty path for guest edge %d", ei)
+		}
+		a, b := e.NodeMap[ge.U], e.NodeMap[ge.V]
+		first, last := p[0], p[len(p)-1]
+		if !(first == a && last == b) && !(first == b && last == a) {
+			return fmt.Errorf("embed: path of guest edge %d connects %d–%d, want %d–%d",
+				ei, first, last, a, b)
+		}
+		for i := 0; i+1 < len(p); i++ {
+			if !e.Host.HasEdge(p[i], p[i+1]) {
+				return fmt.Errorf("embed: path of guest edge %d uses non-edge {%d,%d}",
+					ei, p[i], p[i+1])
+			}
+		}
+	}
+	return nil
+}
+
+// InducedGuestCut returns the number of guest edges whose paths cross the
+// host cut given by side (true = in S). Removing the host cut edges
+// disconnects exactly these guest edges — the counting at the heart of the
+// §1.4 lower-bound technique.
+func (e *Embedding) InducedGuestCut(side []bool) int {
+	count := 0
+	for _, p := range e.Paths {
+		for i := 0; i+1 < len(p); i++ {
+			if side[p[i]] != side[p[i+1]] {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// EdgeExpansionLowerBound computes the §1.4 expansion bound for a load-1
+// embedding of the complete graph K_N: EE(host,k) ≥ ⌈k(N−k)/congestion⌉.
+func (e *Embedding) EdgeExpansionLowerBound(k int) int {
+	if e.Load() != 1 || e.Guest.N() != e.Host.N() {
+		panic("embed: expansion lower bound needs a load-1 embedding onto an equal-size host")
+	}
+	c := e.Congestion()
+	if c == 0 {
+		return 0
+	}
+	n := e.Guest.N()
+	return ceilDiv(k*(n-k), c)
 }

@@ -27,3 +27,17 @@ func TestEmulateStepsValidation(t *testing.T) {
 	}()
 	EmulateSteps(e, 0)
 }
+
+// EmulateSteps emulates t consecutive guest steps with a barrier between
+// steps (a guest node's step-t+1 messages depend on its step-t arrivals),
+// returning the total host steps. The amortized slowdown TotalSteps/t is
+// the §1.5 work-preserving emulation figure.
+func EmulateSteps(e *embed.Embedding, t int) (totalSteps int) {
+	if t < 1 {
+		panic("emulation: step count must be positive")
+	}
+	per := EmulateStep(e).HostSteps
+	// The model is memoryless across barriers: every guest step routes the
+	// same message pattern, so t steps cost exactly t × one step.
+	return t * per
+}

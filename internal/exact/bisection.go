@@ -15,8 +15,8 @@
 // against one shared incumbent. A serial solve is one worker running one
 // empty-prefix job. The expansion engine also takes achievable upper-bound
 // seeds (witness or greedy sets) and batches whole k-sweeps
-// (ExpansionSurvey) over one pool. An edge search of size k first
-// certifies EE(g, m) for every m < k and prunes with that table
+// (ExpansionSurveyWithOptions) over one pool. An edge search of size k
+// first certifies EE(g, m) for every m < k and prunes with that table
 // (Russian-doll search).
 package exact
 

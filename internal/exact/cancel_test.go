@@ -302,3 +302,15 @@ func TestSurveyUncancelledStaysExact(t *testing.T) {
 		t.Fatalf("survey explored=%d for a real search, want > 0", results[2].EEExplored)
 	}
 }
+
+// SolveSubsetBisection computes BW(g, u) (§2.1) under ctx; serial (the
+// subset solver has no parallel variant). Workers is ignored.
+func SolveSubsetBisection(ctx context.Context, g *graph.Graph, u []int, opts SolveOptions) BisectionResult {
+	mon := opts.monitor(ctx)
+	defer mon.Close()
+	c, w, exact := minSubsetBisectionSearch(g, u, mon)
+	return BisectionResult{
+		Cut: c, Width: w, Exact: exact,
+		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),
+	}
+}

@@ -11,11 +11,12 @@ import (
 )
 
 // The expansion engine: every EE/NE search (SolveEdge/NodeExpansion and
-// the k-sweeps of ExpansionSurvey) is a list of (search, prefix) jobs
-// drained by runExpansionJobs. A prefix fixes the decisions on the first
-// nodes of the BFS order; each worker owns one expState, reused across
-// every job of every search — a prefix is placed, searched, and unplaced,
-// so no per-job allocation or re-initialisation happens on the hot path.
+// the k-sweeps of ExpansionSurveyWithOptions) is a list of (search,
+// prefix) jobs drained by runExpansionJobs. A prefix fixes the decisions
+// on the first nodes of the BFS order; each worker owns one expState,
+// reused across every job of every search — a prefix is placed, searched,
+// and unplaced, so no per-job allocation or re-initialisation happens on
+// the hot path.
 // Before the edge searches of a run start, sweepEdgeTable certifies
 // EE(g, m) for every smaller m on the same job runner, so their bound can
 // prune with it.

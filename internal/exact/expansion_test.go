@@ -136,7 +136,7 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 					res = SolveNodeExpansion(ctx, g, k, opts)
 					check("SolveNodeExpansion", k, res.Set, res.Value, false)
 				}
-				for _, r := range ExpansionSurvey(g, ks, surveyRoot, workers) {
+				for _, r := range ExpansionSurveyWithOptions(g, ks, surveyRoot, workers, SurveyOptions{}) {
 					check("survey", r.K, r.EESet, r.EE, true)
 					check("survey", r.K, r.NESet, r.NE, false)
 				}

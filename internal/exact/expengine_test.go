@@ -169,7 +169,7 @@ func TestParallelExpansionSeeding(t *testing.T) {
 func TestExpansionSurveyMatchesIndividual(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
 	ks := []int{0, 1, 2, 3, 4, 5, g.N()}
-	res := ExpansionSurvey(g, ks, -1, 3)
+	res := ExpansionSurveyWithOptions(g, ks, -1, 3, SurveyOptions{})
 	if len(res) != len(ks) {
 		t.Fatalf("%d results for %d ks", len(res), len(ks))
 	}
@@ -291,7 +291,7 @@ func TestExpansionSurveyTinyGraph(t *testing.T) {
 	// Below 16 nodes every search is one job, however many workers;
 	// results must still match the individual solvers.
 	g := cycleGraph(10)
-	res := ExpansionSurvey(g, []int{1, 3, 5}, -1, 4)
+	res := ExpansionSurveyWithOptions(g, []int{1, 3, 5}, -1, 4, SurveyOptions{})
 	for i, k := range []int{1, 3, 5} {
 		if res[i].EE != 2 || res[i].NE != 2 {
 			t.Errorf("k=%d: EE/NE %d/%d, want 2/2", k, res[i].EE, res[i].NE)
@@ -309,7 +309,7 @@ func TestExpansionSurveyValidation(t *testing.T) {
 					t.Errorf("ks=%v did not panic", bad)
 				}
 			}()
-			ExpansionSurvey(g, bad, -1, 1)
+			ExpansionSurveyWithOptions(g, bad, -1, 1, SurveyOptions{})
 		}()
 	}
 	func() {
@@ -318,7 +318,7 @@ func TestExpansionSurveyValidation(t *testing.T) {
 				t.Errorf("oversized root did not panic")
 			}
 		}()
-		ExpansionSurvey(g, []int{2}, 6, 1)
+		ExpansionSurveyWithOptions(g, []int{2}, 6, 1, SurveyOptions{})
 	}()
 }
 

@@ -99,18 +99,6 @@ func SolveBisection(ctx context.Context, g *graph.Graph, opts SolveOptions) Bise
 	}
 }
 
-// SolveSubsetBisection computes BW(g, u) (§2.1) under ctx; serial (the
-// subset solver has no parallel variant). Workers is ignored.
-func SolveSubsetBisection(ctx context.Context, g *graph.Graph, u []int, opts SolveOptions) BisectionResult {
-	mon := opts.monitor(ctx)
-	defer mon.Close()
-	c, w, exact := minSubsetBisectionSearch(g, u, mon)
-	return BisectionResult{
-		Cut: c, Width: w, Exact: exact,
-		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),
-	}
-}
-
 // SolveEdgeExpansion computes EE(g,k) under ctx. For k ≥ 2 it first
 // certifies EE(g, m) for m = 1..k−1, one search each, and prunes with
 // those values; Explored and Pruned include them. On cancellation it

@@ -63,20 +63,16 @@ type SurveyOptions struct {
 	Trace *obs.Tracer
 }
 
-// ExpansionSurvey computes EE(g,k) and NE(g,k) exactly for every k in ks,
-// batched: the BFS order is computed once, one sweep over m = 1, 2, …
-// certifies EE(g, m) for the edge bound (a requested k is that sweep's
-// step whenever the sweep shares root, and is never searched twice), and
-// one run of the expansion engine then drains the remaining jobs jointly.
-// root ≥ 0 forces that node into every set (exact on vertex-transitive
-// networks, an upper bound elsewhere); root < 0 searches unrestricted.
-// workers is the pool size as in SolveOptions.Workers.
-func ExpansionSurvey(g *graph.Graph, ks []int, root, workers int) []SurveyResult {
-	return ExpansionSurveyWithOptions(g, ks, root, workers, SurveyOptions{})
-}
-
-// ExpansionSurveyWithOptions is ExpansionSurvey with quantity selection,
-// incumbent seeding, cancellation, and progress reporting.
+// ExpansionSurveyWithOptions computes EE(g,k) and NE(g,k) exactly for
+// every k in ks, batched: the BFS order is computed once, one sweep over
+// m = 1, 2, … certifies EE(g, m) for the edge bound (a requested k is that
+// sweep's step whenever the sweep shares root, and is never searched
+// twice), and one run of the expansion engine then drains the remaining
+// jobs jointly. root ≥ 0 forces that node into every set (exact on
+// vertex-transitive networks, an upper bound elsewhere); root < 0 searches
+// unrestricted. workers is the pool size as in SolveOptions.Workers. opts
+// adds quantity selection, incumbent seeding, cancellation and progress
+// reporting; the zero SurveyOptions surveys both quantities unseeded.
 func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opts SurveyOptions) []SurveyResult {
 	if root >= g.N() {
 		panic("exact: root out of range")

@@ -71,7 +71,3 @@ func BnNodeWitness(b *topology.Butterfly, d int) []int {
 	big := b.LevelRangeComponents(b.Dim()-d-1, b.Dim())[0].Nodes()
 	return big[1<<(d+1):]
 }
-
-// WitnessSize returns the node count k = 2^d·(d+1) of a d-dimensional
-// sub-butterfly, the k at which the §4 witnesses are evaluated.
-func WitnessSize(d int) int { return (d + 1) << d }

@@ -264,3 +264,7 @@ func TestCreditValidation(t *testing.T) {
 func randomSet(n, k int, rng *rand.Rand) []int {
 	return rng.Perm(n)[:k]
 }
+
+// WitnessSize returns the node count k = 2^d·(d+1) of a d-dimensional
+// sub-butterfly, the k at which the §4 witnesses are evaluated.
+func WitnessSize(d int) int { return (d + 1) << d }

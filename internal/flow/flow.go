@@ -19,9 +19,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, adj: make([][]int32, n)}
 }
 
-// N returns the node count.
-func (f *Network) N() int { return f.n }
-
 // AddArc adds a directed arc u→v with the given capacity (and its residual
 // reverse arc with capacity 0). It returns the arc id.
 func (f *Network) AddArc(u, v, capacity int) int {

@@ -45,9 +45,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, Edge{int32(u), int32(v)})
 }
 
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
 // Build freezes the builder into an immutable Graph. The builder may be
 // reused afterwards; further AddEdge calls do not affect the built graph.
 func (b *Builder) Build() *Graph {
@@ -128,12 +125,6 @@ func (g *Graph) Degree(v int) int {
 // returned slice aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {
 	return g.adjNode[g.adjStart[v]:g.adjStart[v+1]]
-}
-
-// IncidentEdges returns the edge indices incident to v (with multiplicity).
-// The returned slice aliases internal storage and must not be modified.
-func (g *Graph) IncidentEdges(v int) []int32 {
-	return g.adjEdge[g.adjStart[v]:g.adjStart[v+1]]
 }
 
 // HasEdge reports whether at least one edge joins u and v.

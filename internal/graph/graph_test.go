@@ -277,3 +277,9 @@ func TestNeighborsMatchEdges(t *testing.T) {
 		}
 	}
 }
+
+// IncidentEdges returns the edge indices incident to v (with multiplicity).
+// The returned slice aliases internal storage and must not be modified.
+func (g *Graph) IncidentEdges(v int) []int32 {
+	return g.adjEdge[g.adjStart[v]:g.adjStart[v+1]]
+}

@@ -63,27 +63,6 @@ func StartSeed(base int64, i int) int64 {
 	return int64(x)
 }
 
-// Bisect searches for a small bisection of g and returns the best cut found.
-// The result is always a valid bisection; its capacity is an upper bound on
-// BW(g). Start i draws from StartSeed(opts.Seed, i), and ties between
-// equal capacities resolve to the lowest start index, so Bisect and
-// BisectParallel return identical cuts for the same options.
-func Bisect(g *graph.Graph, opts BisectOptions) *cut.Cut {
-	opts = opts.withDefaults()
-	if g.N() == 0 {
-		return cut.FromSet(g, nil)
-	}
-	var best *cut.Cut
-	bestCap := -1
-	for start := 0; start < opts.Starts; start++ {
-		c := oneStart(g, StartSeed(opts.Seed, start), opts.MaxPasses, opts.Ctx)
-		if cap := c.Capacity(); bestCap < 0 || cap < bestCap {
-			best, bestCap = c, cap
-		}
-	}
-	return best
-}
-
 // oneStart runs a single random start: draw a balanced cut from seed,
 // refine it under ctx. Even a pre-cancelled ctx yields a valid (merely
 // unrefined) bisection.

@@ -18,14 +18,16 @@ var (
 	metricBisectMS     = obs.NewHistogram("heuristic.bisect_ms")
 )
 
-// BisectParallel runs the multi-start FM search with the starts distributed
-// over worker goroutines. The result is deterministic for a fixed seed and
-// identical to Bisect's: each start draws from StartSeed(opts.Seed, i)
-// (a splitmix64 mix, so nearby base seeds share no start streams), and
-// ties between equal capacities resolve to the lowest start index
-// regardless of the work partition. Cancelling opts.Ctx stops refinement
-// early; every start still yields a valid bisection, so the result is a
-// bisection either way.
+// BisectParallel searches for a small bisection of g with the multi-start
+// FM search, the starts distributed over worker goroutines, and returns
+// the best cut found. The result is always a valid bisection; its capacity
+// is an upper bound on BW(g). It is deterministic for a fixed seed and
+// independent of the worker count: each start draws from
+// StartSeed(opts.Seed, i) (a splitmix64 mix, so nearby base seeds share no
+// start streams), and ties between equal capacities resolve to the lowest
+// start index regardless of the work partition. Cancelling opts.Ctx stops
+// refinement early; every start still yields a valid bisection, so the
+// result is a bisection either way.
 func BisectParallel(g *graph.Graph, opts BisectOptions) *cut.Cut {
 	opts = opts.withDefaults()
 	began := time.Now()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -78,4 +79,24 @@ func TestBisectParallelEmpty(t *testing.T) {
 	if c := BisectParallel(g, BisectOptions{Seed: 1}); c.Capacity() != 0 {
 		t.Errorf("empty graph capacity %d", c.Capacity())
 	}
+}
+
+// Bisect is the serial multi-start search, the reference BisectParallel is
+// held to: start i draws from StartSeed(opts.Seed, i), and ties between
+// equal capacities resolve to the lowest start index, so for the same
+// options both return identical cuts.
+func Bisect(g *graph.Graph, opts BisectOptions) *cut.Cut {
+	opts = opts.withDefaults()
+	if g.N() == 0 {
+		return cut.FromSet(g, nil)
+	}
+	var best *cut.Cut
+	bestCap := -1
+	for start := 0; start < opts.Starts; start++ {
+		c := oneStart(g, StartSeed(opts.Seed, start), opts.MaxPasses, opts.Ctx)
+		if cap := c.Capacity(); bestCap < 0 || cap < bestCap {
+			best, bestCap = c, cap
+		}
+	}
+	return best
 }

@@ -9,26 +9,11 @@ package mos
 
 import (
 	"math"
-
-	"repro/internal/cut"
-	"repro/internal/topology"
 )
 
 // Limit is √2 − 1, the limit of BW(MOS_{j,j},M2)/j² (Lemma 2.19) and half
 // the leading constant of BW(Bn)/n (Theorem 2.20).
 var Limit = math.Sqrt2 - 1
-
-// F is the paper's f(x,y) = x + y − min(1, 2xy) (Lemma 2.17). It equals
-// C(g)/j² for the cheapest cut g of MOS_{j,j} that bisects M2 with
-// |A∩M1| = xj and |A∩M3| = yj, for ⟨x,y⟩ in the domain D.
-func F(x, y float64) float64 {
-	return x + y - math.Min(1, 2*x*y)
-}
-
-// InDomain reports whether ⟨x,y⟩ lies in D = {0 ≤ x,y ≤ 1 and x+y ≥ 1}.
-func InDomain(x, y float64) bool {
-	return x >= 0 && x <= 1 && y >= 0 && y <= 1 && x+y >= 1
-}
 
 // SideCost returns the minimum capacity over cuts (A,Ā) of MOS_{j,k} with
 // |A∩M1| = a, |A∩M3| = b and |A∩M2| = t. Middle nodes are independent: a
@@ -97,90 +82,4 @@ func M2BisectionWidth(j int) Result {
 	}
 	best.Ratio = float64(best.Capacity) / float64(m2)
 	return best
-}
-
-// M2BisectionWidthRect generalizes M2BisectionWidth to rectangular meshes
-// MOS_{j,k} (the shape Lemma 2.11 embeds into): the exact minimum capacity
-// over cuts bisecting the j·k middle nodes.
-func M2BisectionWidthRect(j, k int) (capacity, a, b, t int) {
-	if j < 1 || k < 1 {
-		panic("mos: dimensions must be positive")
-	}
-	m2 := j * k
-	ts := []int{m2 / 2}
-	if m2%2 == 1 {
-		ts = append(ts, m2/2+1)
-	}
-	capacity = -1
-	for aa := 0; aa <= j; aa++ {
-		for bb := 0; bb <= k; bb++ {
-			for _, tt := range ts {
-				c := SideCost(j, k, aa, bb, tt)
-				if capacity < 0 || c < capacity {
-					capacity, a, b, t = c, aa, bb, tt
-				}
-			}
-		}
-	}
-	return capacity, a, b, t
-}
-
-// BuildCut materializes a concrete cut of MOS_{j,j} realizing the values in
-// r: a of the M1 nodes and b of the M3 nodes go to A, and the t middle
-// nodes placed in A are chosen cheapest-first (both-A, then mixed, then
-// both-Ā). The returned cut bisects M2 and has capacity r.Capacity.
-func BuildCut(m *topology.MeshOfStars, r Result) *cut.Cut {
-	if m.J() != r.J || m.K() != r.J {
-		panic("mos: mesh does not match result")
-	}
-	side := make([]bool, m.N())
-	for a := 0; a < r.A; a++ {
-		side[m.M1Node(a)] = true
-	}
-	for b := 0; b < r.B; b++ {
-		side[m.M3Node(b)] = true
-	}
-	type mid struct {
-		v    int
-		cost int // cost of placing in A minus cost of placing in Ā
-	}
-	mids := make([]mid, 0, r.J*r.J)
-	for a := 0; a < r.J; a++ {
-		for b := 0; b < r.J; b++ {
-			v := m.M2Node(a, b)
-			inA := boolToInt(a >= r.A) + boolToInt(b >= r.B) // cut edges if v ∈ A
-			inABar := boolToInt(a < r.A) + boolToInt(b < r.B)
-			mids = append(mids, mid{v, inA - inABar})
-		}
-	}
-	// Stable three-way selection: all cost −2 (both-A) first, then 0
-	// (mixed), then +2 (both-Ā).
-	placed := 0
-	for _, want := range []int{-2, 0, 2} {
-		for _, md := range mids {
-			if placed == r.T {
-				break
-			}
-			if md.cost == want {
-				side[md.v] = true
-				placed++
-			}
-		}
-	}
-	return cut.New(m.Graph, side)
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Minimizer returns the optimal fractions (x,y) = (a/j, b/j) of an exact
-// M2-bisection of MOS_{j,j}; Lemma 2.19 shows they converge to
-// (√(1/2), √(1/2)) as j → ∞.
-func Minimizer(j int) (x, y float64) {
-	r := M2BisectionWidth(j)
-	return float64(r.A) / float64(j), float64(r.B) / float64(j)
 }

@@ -1,6 +1,6 @@
 // Package render draws butterfly networks: a Figure 1 style ASCII diagram
-// with explicit straight and cross edges, and Graphviz DOT output for any
-// graph in the repository.
+// with explicit straight and cross edges, and Graphviz DOT output of Bn and
+// Wn.
 package render
 
 import (
@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/bitutil"
-	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -81,31 +80,6 @@ func ButterflyASCII(b *topology.Butterfly) string {
 		}
 	}
 	return sb.String()
-}
-
-// DOT writes a Graphviz representation of any graph, with an optional node
-// labeler (nil renders bare ids) and an optional side assignment that
-// colors the S side.
-func DOT(w io.Writer, g *graph.Graph, label func(v int) string, side []bool) {
-	fmt.Fprintln(w, "graph G {")
-	fmt.Fprintln(w, "  node [shape=circle, fontsize=10];")
-	for v := 0; v < g.N(); v++ {
-		attrs := ""
-		if label != nil {
-			attrs = fmt.Sprintf(" [label=%q", label(v))
-			if side != nil && side[v] {
-				attrs += `, style=filled, fillcolor=lightblue`
-			}
-			attrs += "]"
-		} else if side != nil && side[v] {
-			attrs = ` [style=filled, fillcolor=lightblue]`
-		}
-		fmt.Fprintf(w, "  n%d%s;\n", v, attrs)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(w, "  n%d -- n%d;\n", e.U, e.V)
-	}
-	fmt.Fprintln(w, "}")
 }
 
 // ButterflyDOT renders Bn or Wn with ⟨column,level⟩ labels and level ranks.

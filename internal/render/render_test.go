@@ -36,33 +36,6 @@ func TestButterflyASCIIPanicsOnWn(t *testing.T) {
 	ButterflyASCII(topology.NewWrappedButterfly(8))
 }
 
-func TestDOT(t *testing.T) {
-	b := topology.NewButterfly(4)
-	var sb strings.Builder
-	side := make([]bool, b.N())
-	side[0] = true
-	DOT(&sb, b.Graph, func(v int) string { return "x" }, side)
-	out := sb.String()
-	if !strings.HasPrefix(out, "graph G {") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Errorf("not a DOT document:\n%s", out)
-	}
-	if strings.Count(out, " -- ") != b.M() {
-		t.Errorf("edge count mismatch: %d vs %d", strings.Count(out, " -- "), b.M())
-	}
-	if !strings.Contains(out, "lightblue") {
-		t.Errorf("side coloring missing")
-	}
-}
-
-func TestDOTNoLabeler(t *testing.T) {
-	b := topology.NewButterfly(2)
-	var sb strings.Builder
-	DOT(&sb, b.Graph, nil, nil)
-	if !strings.Contains(sb.String(), "n0;") {
-		t.Errorf("bare node ids missing:\n%s", sb.String())
-	}
-}
-
 func TestButterflyDOT(t *testing.T) {
 	b := topology.NewWrappedButterfly(4)
 	var sb strings.Builder

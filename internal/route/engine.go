@@ -639,30 +639,6 @@ func SimulateRandomDestinations(b *topology.Butterfly, ref *cut.Cut, seed int64)
 	return st.run(defaultMaxSteps(b))
 }
 
-// SimulateRandomDestinationsWrapped is the Wn analogue of
-// SimulateRandomDestinations: routes follow the Theorem 4.3 three-leg shape
-// (up the source column to level 0, the rotated monotone path into the
-// destination column, then down to the destination).
-func SimulateRandomDestinationsWrapped(w *topology.Butterfly, ref *cut.Cut, seed int64) SimResult {
-	st := getState(w)
-	defer putState(st)
-	st.setCut(ref)
-	st.compileRandomDestinationsWrapped(seed)
-	return st.run(defaultMaxSteps(w))
-}
-
-// SimulatePermutation routes one packet from every input of Bn to output
-// perm[input] along the monotone paths of Lemma 2.3.
-func SimulatePermutation(b *topology.Butterfly, ref *cut.Cut, perm []int) (SimResult, error) {
-	st := getState(b)
-	defer putState(st)
-	st.setCut(ref)
-	if err := st.compilePermutation(perm); err != nil {
-		return SimResult{}, err
-	}
-	return st.run(defaultMaxSteps(b)), nil
-}
-
 // checkKindTopology verifies that kind can run on b, surfacing the
 // compile-time panics as a returned error for request-level validation.
 func checkKindTopology(kind TrialKind, b *topology.Butterfly) error {
@@ -679,26 +655,4 @@ func checkKindTopology(kind TrialKind, b *topology.Butterfly) error {
 		return fmt.Errorf("route: unknown trial kind %d", int(kind))
 	}
 	return nil
-}
-
-// SimulateScenario runs one trial of kind on b under the given fault model
-// and switching discipline on the flat engine. Seed drives both the
-// traffic draw and (through a separate RNG stream) the fault plan; with
-// the zero FaultOptions and StoreAndForward it is byte-identical to the
-// healthy single-trial entry points. A trial that exceeds the step limit
-// returns with Exhausted set — never a panic.
-func SimulateScenario(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, seed int64, f FaultOptions, sw Switching) (SimResult, error) {
-	if err := checkKindTopology(kind, b); err != nil {
-		return SimResult{}, err
-	}
-	if err := f.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	st := getState(b)
-	defer putState(st)
-	st.setCut(ref)
-	st.setScenario(f, sw)
-	st.compileKind(kind, seed)
-	st.seedFaults(seed)
-	return st.run(defaultMaxSteps(b)), nil
 }

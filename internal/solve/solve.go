@@ -194,14 +194,6 @@ func (m *Monitor) Close() {
 	m.wg.Wait()
 }
 
-// Stop raises the stop flag directly (in addition to any context signal).
-func (m *Monitor) Stop() {
-	if m == nil {
-		return
-	}
-	m.stop.Store(true)
-}
-
 // Stopped reports whether the solve should wind down.
 func (m *Monitor) Stopped() bool {
 	return m != nil && m.stop.Load()

@@ -136,3 +136,11 @@ func TestCloseIdempotent(t *testing.T) {
 	m.Close()
 	m.Close()
 }
+
+// Stop raises the stop flag directly (in addition to any context signal).
+func (m *Monitor) Stop() {
+	if m == nil {
+		return
+	}
+	m.stop.Store(true)
+}

@@ -64,16 +64,3 @@ func Run(g *graph.Graph, seed []int) (Trace, error) {
 	}
 	return tr, nil
 }
-
-// VerifyGrowth checks the §1.3 growth law on a trace against a node
-// expansion oracle ne(k) ≤ NE(G,k): every round must have grown by at
-// least ne(size). It returns the first violating round, or −1.
-func VerifyGrowth(tr Trace, ne func(k int) int) int {
-	for t := 0; t+1 < len(tr.Sizes); t++ {
-		grew := tr.Sizes[t+1] - tr.Sizes[t]
-		if grew < ne(tr.Sizes[t]) {
-			return t
-		}
-	}
-	return -1
-}

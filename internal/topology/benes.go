@@ -76,21 +76,3 @@ func (be *Benes) Column(v int) int { return v % be.n }
 
 // Level returns the level of node id v.
 func (be *Benes) Level(v int) int { return v / be.n }
-
-// InputNodes returns the level-0 nodes.
-func (be *Benes) InputNodes() []int {
-	nodes := make([]int, be.n)
-	for w := range nodes {
-		nodes[w] = be.Node(w, 0)
-	}
-	return nodes
-}
-
-// OutputNodes returns the level-(2 log n) nodes.
-func (be *Benes) OutputNodes() []int {
-	nodes := make([]int, be.n)
-	for w := range nodes {
-		nodes[w] = be.Node(w, 2*be.dim)
-	}
-	return nodes
-}

@@ -2,8 +2,7 @@
 // butterfly Bn with and without wraparound, the cube-connected cycles CCCn,
 // the Beneš network, the mesh of stars MOS_{j,k} — together with the
 // reference networks used by its embedding arguments (hypercube, complete
-// and complete bipartite graphs, the doubled complete graph 2K_N, shuffle-
-// exchange and de Bruijn graphs).
+// and complete bipartite graphs, the doubled complete graph 2K_N).
 //
 // Terminology follows Section 1.1 of the paper: the (log n)-dimensional
 // butterfly Bn has N = n(log n + 1) nodes in log n + 1 levels of n nodes
@@ -133,15 +132,6 @@ func (b *Butterfly) OutputNodes() []int {
 		return b.LevelNodes(0)
 	}
 	return b.LevelNodes(b.dim)
-}
-
-// ColumnNodes returns the nodes of column w, level by level.
-func (b *Butterfly) ColumnNodes(w int) []int {
-	nodes := make([]int, b.Levels())
-	for i := range nodes {
-		nodes[i] = b.Node(w, i)
-	}
-	return nodes
 }
 
 // LevelReversalAutomorphism returns the node permutation of Lemma 2.1 for Bn:

@@ -327,3 +327,12 @@ func TestConstructorValidation(t *testing.T) {
 	mustPanic("Wn monotone", func() { NewWrappedButterfly(4).MonotonePath(0, 1) })
 	mustPanic("Bn rotated", func() { NewButterfly(4).RotatedMonotonePath(0, 1, 0) })
 }
+
+// ColumnNodes returns the nodes of column w, level by level.
+func (b *Butterfly) ColumnNodes(w int) []int {
+	nodes := make([]int, b.Levels())
+	for i := range nodes {
+		nodes[i] = b.Node(w, i)
+	}
+	return nodes
+}

@@ -48,9 +48,6 @@ func NewCCC(n int) *CCC {
 // Cycles returns n, the number of cycles.
 func (c *CCC) Cycles() int { return c.n }
 
-// Dim returns log n, the cycle length.
-func (c *CCC) Dim() int { return c.dim }
-
 // Node returns the id of node ⟨w,i⟩, 1 ≤ i ≤ log n.
 func (c *CCC) Node(w, i int) int {
 	if w < 0 || w >= c.n || i < 1 || i > c.dim {
@@ -61,6 +58,3 @@ func (c *CCC) Node(w, i int) int {
 
 // CycleLabel returns the cycle label w of node id v.
 func (c *CCC) CycleLabel(v int) int { return v % c.n }
-
-// Position returns the in-cycle position i ∈ 1..log n of node id v.
-func (c *CCC) Position(v int) int { return v/c.n + 1 }

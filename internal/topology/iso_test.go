@@ -1,6 +1,12 @@
-package graph
+package topology
 
-import "sort"
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/graph"
+)
 
 // Isomorphic reports whether g and h are isomorphic as undirected
 // multigraphs. It is a backtracking search with iterated degree-signature
@@ -8,7 +14,7 @@ import "sort"
 // dozen nodes, e.g. verifying that the components of Bn[i,j] are copies of
 // B_{2^(j−i)} as Lemma 2.4 claims). It is exponential in the worst case and
 // should not be fed large graphs.
-func Isomorphic(g, h *Graph) bool {
+func Isomorphic(g, h *graph.Graph) bool {
 	if g.N() != h.N() || g.M() != h.M() {
 		return false
 	}
@@ -67,7 +73,7 @@ func Isomorphic(g, h *Graph) bool {
 
 // consistent checks that mapping g-node v to h-node u preserves edge
 // multiplicities to all previously mapped neighbors, in both directions.
-func consistent(g, h *Graph, mapping []int32, v, u int) bool {
+func consistent(g, h *graph.Graph, mapping []int32, v, u int) bool {
 	for _, w := range g.Neighbors(v) {
 		if mu := mapping[w]; mu >= 0 {
 			if g.EdgeMultiplicity(v, int(w)) != h.EdgeMultiplicity(u, int(mu)) {
@@ -103,7 +109,7 @@ func consistent(g, h *Graph, mapping []int32, v, u int) bool {
 // fixed depth. Because the computation depends only on the isomorphism type
 // of the node's neighborhood, corresponding nodes of isomorphic graphs get
 // equal colors.
-func refineColors(g *Graph) []int64 {
+func refineColors(g *graph.Graph) []int64 {
 	n := g.N()
 	colors := make([]int64, n)
 	for v := 0; v < n; v++ {
@@ -156,7 +162,7 @@ func sameMultiset(a, b []int64) bool {
 
 // searchOrder returns a node order in which each node after the first of its
 // component is adjacent to some earlier node.
-func searchOrder(g *Graph) []int32 {
+func searchOrder(g *graph.Graph) []int32 {
 	n := g.N()
 	order := make([]int32, 0, n)
 	seen := make([]bool, n)
@@ -178,4 +184,141 @@ func searchOrder(g *Graph) []int32 {
 		}
 	}
 	return order
+}
+
+// path returns the path graph on n nodes.
+func path(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i+1 < n; i++ {
+		b.AddEdge(i, i+1)
+	}
+	return b.Build()
+}
+
+// cycle returns the cycle graph on n nodes (n ≥ 3).
+func cycle(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+	}
+	return b.Build()
+}
+
+// relabel returns g with nodes permuted by a random permutation.
+func relabel(g *graph.Graph, rng *rand.Rand) *graph.Graph {
+	n := g.N()
+	perm := rng.Perm(n)
+	b := graph.NewBuilder(n)
+	for _, e := range g.Edges() {
+		b.AddEdge(perm[e.U], perm[e.V])
+	}
+	return b.Build()
+}
+
+func TestIsomorphicTrivial(t *testing.T) {
+	if !Isomorphic(graph.NewBuilder(0).Build(), graph.NewBuilder(0).Build()) {
+		t.Errorf("empty graphs should be isomorphic")
+	}
+	if !Isomorphic(graph.NewBuilder(3).Build(), graph.NewBuilder(3).Build()) {
+		t.Errorf("edgeless graphs should be isomorphic")
+	}
+	if Isomorphic(graph.NewBuilder(2).Build(), graph.NewBuilder(3).Build()) {
+		t.Errorf("different orders should not be isomorphic")
+	}
+}
+
+func TestIsomorphicRelabel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range []*graph.Graph{path(7), cycle(8), NewComplete(5)} {
+		for trial := 0; trial < 5; trial++ {
+			h := relabel(g, rng)
+			if !Isomorphic(g, h) {
+				t.Errorf("graph should be isomorphic to its relabeling")
+			}
+		}
+	}
+}
+
+func TestIsomorphicNegative(t *testing.T) {
+	if Isomorphic(path(6), cycle(6)) {
+		t.Errorf("P6 vs C6")
+	}
+	// Same degree sequence, non-isomorphic: C6 vs two triangles.
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 0)
+	b.AddEdge(3, 4)
+	b.AddEdge(4, 5)
+	b.AddEdge(5, 3)
+	twoTriangles := b.Build()
+	if Isomorphic(cycle(6), twoTriangles) {
+		t.Errorf("C6 vs 2×C3 should not be isomorphic")
+	}
+}
+
+func TestIsomorphicMultigraph(t *testing.T) {
+	// Double edge {0,1} plus single {1,2} vs single {0,1} plus double {1,2}
+	// are isomorphic (swap 0 and 2); vs all-single path with an extra
+	// parallel on a different pair is not.
+	b1 := graph.NewBuilder(3)
+	b1.AddEdge(0, 1)
+	b1.AddEdge(0, 1)
+	b1.AddEdge(1, 2)
+	g1 := b1.Build()
+
+	b2 := graph.NewBuilder(3)
+	b2.AddEdge(0, 1)
+	b2.AddEdge(1, 2)
+	b2.AddEdge(1, 2)
+	g2 := b2.Build()
+
+	if !Isomorphic(g1, g2) {
+		t.Errorf("mirror multigraphs should be isomorphic")
+	}
+
+	// Triangle vs double-edge+single-edge: same n and m, different structure.
+	b3 := graph.NewBuilder(3)
+	b3.AddEdge(0, 1)
+	b3.AddEdge(1, 2)
+	b3.AddEdge(2, 0)
+	g3 := b3.Build()
+	if Isomorphic(g1, g3) {
+		t.Errorf("multigraph vs triangle should not be isomorphic")
+	}
+}
+
+func TestIsomorphicRandomRegularish(t *testing.T) {
+	// Random graphs relabeled must stay isomorphic; adding one edge must
+	// break it (edge counts differ).
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 10; trial++ {
+		n := 8 + rng.Intn(6)
+		b := graph.NewBuilder(n)
+		for i := 0; i < 2*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		if !Isomorphic(g, relabel(g, rng)) {
+			t.Fatalf("trial %d: relabeled graph not detected isomorphic", trial)
+		}
+	}
+}
+
+func TestIsomorphicDisconnected(t *testing.T) {
+	// P3 + P1 vs P2 + P2: same node and edge counts, not isomorphic.
+	b1 := graph.NewBuilder(4)
+	b1.AddEdge(0, 1)
+	b1.AddEdge(1, 2)
+	g1 := b1.Build()
+	b2 := graph.NewBuilder(4)
+	b2.AddEdge(0, 1)
+	b2.AddEdge(2, 3)
+	g2 := b2.Build()
+	if Isomorphic(g1, g2) {
+		t.Errorf("P3+P1 vs P2+P2 should not be isomorphic")
+	}
 }

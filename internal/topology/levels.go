@@ -39,25 +39,6 @@ func (b *Butterfly) LevelRangeComponents(lo, hi int) []LevelRangeComponent {
 	return comps
 }
 
-// LevelRangeComponentOf returns the component of Bn[lo,hi] containing column
-// w (any level in the range).
-func (b *Butterfly) LevelRangeComponentOf(lo, hi, w int) LevelRangeComponent {
-	if b.wrap {
-		panic("topology: LevelRangeComponentOf is defined on Bn")
-	}
-	return LevelRangeComponent{
-		b:      b,
-		Lo:     lo,
-		Hi:     hi,
-		Prefix: bitutil.Prefix(w, b.dim, lo),
-		Suffix: bitutil.Suffix(w, b.dim, b.dim-hi),
-	}
-}
-
-// Dim returns the dimension hi−lo of the component (it is a copy of
-// B_{2^(hi−lo)}).
-func (c LevelRangeComponent) Dim() int { return c.Hi - c.Lo }
-
 // NumColumns returns 2^(hi−lo), the number of Bn columns in the component.
 func (c LevelRangeComponent) NumColumns() int { return 1 << (c.Hi - c.Lo) }
 
@@ -91,17 +72,6 @@ func (c LevelRangeComponent) Nodes() []int {
 		}
 	}
 	return nodes
-}
-
-// Contains reports whether Bn node v belongs to the component.
-func (c LevelRangeComponent) Contains(v int) bool {
-	lvl := c.b.Level(v)
-	if lvl < c.Lo || lvl > c.Hi {
-		return false
-	}
-	w := c.b.Column(v)
-	return bitutil.Prefix(w, c.b.dim, c.Lo) == c.Prefix &&
-		bitutil.Suffix(w, c.b.dim, c.b.dim-c.Hi) == c.Suffix
 }
 
 // WrappedSubButterflyNodes returns the nodes of the d-dimensional

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bitutil"
-	"repro/internal/graph"
 )
 
 func TestLemma24ComponentCount(t *testing.T) {
@@ -50,7 +49,7 @@ func TestLemma24ComponentsAreConnectedAndIsomorphic(t *testing.T) {
 			if !sg.IsConnected() {
 				t.Fatalf("component of Bn[%d,%d] not connected", lo, hi)
 			}
-			if !graph.Isomorphic(sg.Graph, ref.Graph) {
+			if !Isomorphic(sg.Graph, ref.Graph) {
 				t.Fatalf("component of Bn[%d,%d] not isomorphic to B_%d", lo, hi, 1<<(hi-lo))
 			}
 			for k := 0; k <= comp.Dim(); k++ {
@@ -121,7 +120,7 @@ func TestWrappedSubButterfly(t *testing.T) {
 				}
 				sg := w.InducedSubgraph(nodes)
 				ref := NewButterfly(1 << d)
-				if !graph.Isomorphic(sg.Graph, ref.Graph) {
+				if !Isomorphic(sg.Graph, ref.Graph) {
 					t.Fatalf("sub-butterfly (start=%d,d=%d,fix=%d) not a copy of B_%d",
 						start, d, fix, 1<<d)
 				}
@@ -228,4 +227,34 @@ func TestDownTreeIsCompleteBinaryTree(t *testing.T) {
 	if len(cols) != 16 {
 		t.Fatalf("down-tree leaves cover %d columns, want 16", len(cols))
 	}
+}
+
+// LevelRangeComponentOf returns the component of Bn[lo,hi] containing column
+// w (any level in the range).
+func (b *Butterfly) LevelRangeComponentOf(lo, hi, w int) LevelRangeComponent {
+	if b.wrap {
+		panic("topology: LevelRangeComponentOf is defined on Bn")
+	}
+	return LevelRangeComponent{
+		b:      b,
+		Lo:     lo,
+		Hi:     hi,
+		Prefix: bitutil.Prefix(w, b.dim, lo),
+		Suffix: bitutil.Suffix(w, b.dim, b.dim-hi),
+	}
+}
+
+// Dim returns the dimension hi−lo of the component (it is a copy of
+// B_{2^(hi−lo)}).
+func (c LevelRangeComponent) Dim() int { return c.Hi - c.Lo }
+
+// Contains reports whether Bn node v belongs to the component.
+func (c LevelRangeComponent) Contains(v int) bool {
+	lvl := c.b.Level(v)
+	if lvl < c.Lo || lvl > c.Hi {
+		return false
+	}
+	w := c.b.Column(v)
+	return bitutil.Prefix(w, c.b.dim, c.Lo) == c.Prefix &&
+		bitutil.Suffix(w, c.b.dim, c.b.dim-c.Hi) == c.Suffix
 }

@@ -63,28 +63,6 @@ func (m *MeshOfStars) M3Node(b int) int {
 	return m.j + m.j*m.k + b
 }
 
-// LevelOf returns 1, 2, or 3 according to which level node id v belongs to.
-func (m *MeshOfStars) LevelOf(v int) int {
-	switch {
-	case v < m.j:
-		return 1
-	case v < m.j+m.j*m.k:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// M2Endpoints returns (a,b) for a middle node id v, i.e. the M1 and M3
-// indices it connects.
-func (m *MeshOfStars) M2Endpoints(v int) (a, b int) {
-	if m.LevelOf(v) != 2 {
-		panic("topology: node is not an M2 node")
-	}
-	v -= m.j
-	return v / m.k, v % m.k
-}
-
 // M2Nodes returns the ids of all middle nodes.
 func (m *MeshOfStars) M2Nodes() []int {
 	nodes := make([]int, m.j*m.k)

@@ -186,31 +186,30 @@ func TestCompleteGraphs(t *testing.T) {
 	}
 }
 
-func TestDeBruijnShuffleExchange(t *testing.T) {
-	db := NewDeBruijn(4)
-	if db.N() != 16 {
-		t.Errorf("de Bruijn N = %d", db.N())
+// Dim returns log n, the cycle length.
+func (c *CCC) Dim() int { return c.dim }
+
+// Position returns the in-cycle position i ∈ 1..log n of node id v.
+func (c *CCC) Position(v int) int { return v/c.n + 1 }
+
+// LevelOf returns 1, 2, or 3 according to which level node id v belongs to.
+func (m *MeshOfStars) LevelOf(v int) int {
+	switch {
+	case v < m.j:
+		return 1
+	case v < m.j+m.j*m.k:
+		return 2
+	default:
+		return 3
 	}
-	if !db.IsConnected() {
-		t.Errorf("de Bruijn should be connected")
+}
+
+// M2Endpoints returns (a,b) for a middle node id v, i.e. the M1 and M3
+// indices it connects.
+func (m *MeshOfStars) M2Endpoints(v int) (a, b int) {
+	if m.LevelOf(v) != 2 {
+		panic("topology: node is not an M2 node")
 	}
-	if db.MaxDegree() > 4 {
-		t.Errorf("de Bruijn max degree = %d, want ≤ 4", db.MaxDegree())
-	}
-	se := NewShuffleExchange(4)
-	if se.N() != 16 {
-		t.Errorf("shuffle-exchange N = %d", se.N())
-	}
-	if !se.IsConnected() {
-		t.Errorf("shuffle-exchange should be connected")
-	}
-	if se.MaxDegree() > 3 {
-		t.Errorf("shuffle-exchange max degree = %d, want ≤ 3", se.MaxDegree())
-	}
-	// Every node has its exchange partner.
-	for w := 0; w < 16; w++ {
-		if !se.HasEdge(w, w^1) {
-			t.Errorf("missing exchange edge at %d", w)
-		}
-	}
+	v -= m.j
+	return v / m.k, v % m.k
 }

@@ -50,7 +50,6 @@ func NewCompleteBipartite(a, b int) *graph.Graph {
 // dilation (§1.5), which package embed demonstrates.
 type Hypercube struct {
 	*graph.Graph
-	dim int
 }
 
 // NewHypercube constructs Q_d for d ≥ 1.
@@ -58,7 +57,7 @@ func NewHypercube(d int) *Hypercube {
 	if d < 1 {
 		panic(fmt.Sprintf("topology: hypercube dimension %d out of range", d))
 	}
-	h := &Hypercube{dim: d}
+	h := &Hypercube{}
 	n := 1 << d
 	b := graph.NewBuilder(n)
 	for w := 0; w < n; w++ {
@@ -72,94 +71,3 @@ func NewHypercube(d int) *Hypercube {
 	h.Graph = b.Build().DeclareVertexTransitive()
 	return h
 }
-
-// Dim returns d.
-func (h *Hypercube) Dim() int { return h.dim }
-
-// DeBruijn is the d-dimensional de Bruijn graph on 2^d nodes, with edges
-// {w, shift(w)} and {w, shift(w)+1} where shift drops the most significant
-// bit and appends a 0 (undirected; self-loops and coincident pairs skipped).
-// It is one of the bounded-degree hypercube relatives discussed in §1.5.
-type DeBruijn struct {
-	*graph.Graph
-	dim int
-}
-
-// NewDeBruijn constructs the d-dimensional de Bruijn graph, d ≥ 2.
-func NewDeBruijn(d int) *DeBruijn {
-	if d < 2 {
-		panic(fmt.Sprintf("topology: de Bruijn dimension %d out of range", d))
-	}
-	g := &DeBruijn{dim: d}
-	n := 1 << d
-	b := graph.NewBuilder(n)
-	seen := make(map[[2]int]bool)
-	add := func(u, v int) {
-		if u == v {
-			return
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]int{u, v}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		b.AddEdge(u, v)
-	}
-	for w := 0; w < n; w++ {
-		s := (w << 1) & (n - 1)
-		add(w, s)
-		add(w, s|1)
-	}
-	g.Graph = b.Build()
-	return g
-}
-
-// Dim returns d.
-func (g *DeBruijn) Dim() int { return g.dim }
-
-// ShuffleExchange is the d-dimensional shuffle-exchange graph on 2^d nodes:
-// exchange edges {w, w⊕1} and shuffle edges {w, rotateLeft(w)} (undirected;
-// fixed points skipped, duplicates kept out). Another §1.5 relative.
-type ShuffleExchange struct {
-	*graph.Graph
-	dim int
-}
-
-// NewShuffleExchange constructs the d-dimensional shuffle-exchange graph,
-// d ≥ 2.
-func NewShuffleExchange(d int) *ShuffleExchange {
-	if d < 2 {
-		panic(fmt.Sprintf("topology: shuffle-exchange dimension %d out of range", d))
-	}
-	g := &ShuffleExchange{dim: d}
-	n := 1 << d
-	b := graph.NewBuilder(n)
-	seen := make(map[[2]int]bool)
-	add := func(u, v int) {
-		if u == v {
-			return
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]int{u, v}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		b.AddEdge(u, v)
-	}
-	for w := 0; w < n; w++ {
-		add(w, w^1)
-		rot := ((w << 1) | (w >> (d - 1))) & (n - 1)
-		add(w, rot)
-	}
-	g.Graph = b.Build()
-	return g
-}
-
-// Dim returns d.
-func (g *ShuffleExchange) Dim() int { return g.dim }

@@ -83,6 +83,7 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 		{"./cmd/bwtable", "-max-log", "49"},
 		{"./cmd/bwtable", "-exact-nodes", "-1"},
 		{"./cmd/figdata", "-max-log", "49"},
+		{"./cmd/butterfly", "-n", "2", "-wrap"},
 		{"./cmd/butterflyd", "-addr", "127.0.0.1:18080", "-peers", "127.0.0.1:18081"},
 		{"./cmd/butterflyd", "-precompute", "bn:3-4"},
 		{"./cmd/butterflyd", "-precompute", "bogus", "-store", storeDir},
