@@ -47,7 +47,7 @@ func main() {
 		} else {
 			b = topology.NewButterfly(*n)
 		}
-		render.ButterflyDOT(os.Stdout, b, nil)
+		render.ButterflyDOT(os.Stdout, b)
 		return
 	}
 

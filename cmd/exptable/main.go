@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 256, "butterfly inputs (power of two)")
+	n := flag.Int("n", 256, "butterfly inputs (power of two ≥ 4)")
 	maxD := flag.Int("max-d", 4, "largest witness sub-butterfly dimension")
 	exactNodes := flag.Int("exact-nodes", 32, "exact enumeration budget (node count)")
 	kmax := flag.Int("kmax", 8, "largest set size certified by the exact engine")
@@ -37,8 +37,14 @@ func main() {
 	out := cli.RegisterOutput()
 	flag.Parse()
 
+	sizeErr := cli.PowerOfTwo("n", *n)
+	if sizeErr == nil && *n < 4 {
+		// The Wn tables need n ≥ 4: W2 degenerates to self-loops, so
+		// topology.NewWrappedButterfly panics below it.
+		sizeErr = fmt.Errorf("-n must be a power of two ≥ 4 (got %d)", *n)
+	}
 	cli.Validate(
-		cli.PowerOfTwo("n", *n),
+		sizeErr,
 		cli.Positive("max-d", *maxD),
 		cli.NonNegative("exact-nodes", *exactNodes),
 		cli.Positive("kmax", *kmax),

@@ -55,8 +55,9 @@ func Range(name string, v, lo, hi int) error {
 	return nil
 }
 
-// PowerOfTwo rejects network sizes the butterfly constructors cannot
-// build, turning their panic into a usage error.
+// PowerOfTwo rejects network sizes that are not a power of two ≥ 2, the
+// sizes Bn is built for, turning the constructor's panic into a usage
+// error. Wn needs n ≥ 4, which a command that builds it checks itself.
 func PowerOfTwo(name string, v int) error {
 	if v < 2 || v&(v-1) != 0 {
 		return fmt.Errorf("-%s must be a power of two ≥ 2 (got %d)", name, v)

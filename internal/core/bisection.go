@@ -53,18 +53,21 @@ type BisectionReport struct {
 	TheoryLabel string `json:"theory_label"`
 }
 
+const (
+	// heuristicNodes is the largest node count a report runs the heuristic
+	// search on.
+	heuristicNodes = 16384
+	// materializeNodes is the largest node count for which a report builds
+	// the butterfly graph; beyond it, constructed cuts are evaluated
+	// virtually.
+	materializeNodes = 1 << 22
+)
+
 // BisectionBudget bounds the expensive computations in a report.
 type BisectionBudget struct {
 	// ExactNodes is the largest node count on which the exact solver runs
 	// (default 32: B8/W8-scale; 0 disables).
 	ExactNodes int
-	// HeuristicNodes is the largest node count for heuristic search
-	// (default 16384; 0 disables).
-	HeuristicNodes int
-	// MaterializeNodes is the largest node count for which the butterfly
-	// graph is built; beyond it, constructed cuts are evaluated virtually
-	// (default 1<<22).
-	MaterializeNodes int
 
 	// Ctx cancels the expensive solves: exact searches return their best
 	// incumbent with ExactComplete false, heuristic refinement stops at
@@ -72,9 +75,8 @@ type BisectionBudget struct {
 	// plan's predicted capacity. nil means never cancelled.
 	Ctx context.Context
 	// OnProgress, when non-nil, receives solver progress snapshots every
-	// ProgressInterval (≤ 0: 1s) while an exact search runs.
-	OnProgress       func(solve.Progress)
-	ProgressInterval time.Duration
+	// second while an exact search runs.
+	OnProgress func(solve.Progress)
 	// Trace, when non-nil, receives solver span events (labelled with the
 	// network name).
 	Trace *obs.Tracer
@@ -82,11 +84,10 @@ type BisectionBudget struct {
 
 func (b BisectionBudget) solveOptions(label string, bound int) exact.SolveOptions {
 	return exact.SolveOptions{
-		Bound:            bound,
-		Label:            label,
-		Trace:            b.Trace,
-		OnProgress:       b.OnProgress,
-		ProgressInterval: b.ProgressInterval,
+		Bound:      bound,
+		Label:      label,
+		Trace:      b.Trace,
+		OnProgress: b.OnProgress,
 	}
 }
 
@@ -112,12 +113,6 @@ func (b BisectionBudget) withDefaults() BisectionBudget {
 	if b.ExactNodes == 0 {
 		b.ExactNodes = 32
 	}
-	if b.HeuristicNodes == 0 {
-		b.HeuristicNodes = 16384
-	}
-	if b.MaterializeNodes == 0 {
-		b.MaterializeNodes = 1 << 22
-	}
 	return b
 }
 
@@ -141,7 +136,7 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 		TheoryLabel: "2(√2−1)n + o(n) (Thm 2.20)",
 	}
 
-	if nodes <= budget.MaterializeNodes {
+	if nodes <= materializeNodes {
 		b := topology.NewButterfly(n)
 		if n >= 4 {
 			plan, err := construct.BestPlan(n)
@@ -157,7 +152,7 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 		if nodes <= budget.ExactNodes {
 			rep.recordSolve(exact.SolveBisection(budget.Ctx, b.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
 		}
-		if nodes <= budget.HeuristicNodes {
+		if nodes <= heuristicNodes {
 			h := heuristic.BisectParallel(b.Graph, budget.bisectOptions("bisection "+rep.Network))
 			rep.Heuristic = h.Capacity()
 		}
@@ -210,7 +205,7 @@ func WrappedBisection(n int, budget BisectionBudget) BisectionReport {
 	if rep.Nodes <= budget.ExactNodes {
 		rep.recordSolve(exact.SolveBisection(budget.Ctx, w.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
 	}
-	if rep.Nodes <= budget.HeuristicNodes {
+	if rep.Nodes <= heuristicNodes {
 		rep.Heuristic = heuristic.BisectParallel(w.Graph, budget.bisectOptions("bisection "+rep.Network)).Capacity()
 	}
 	return rep
@@ -235,7 +230,7 @@ func CCCBisection(n int, budget BisectionBudget) BisectionReport {
 	if rep.Nodes <= budget.ExactNodes {
 		rep.recordSolve(exact.SolveBisection(budget.Ctx, c.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
 	}
-	if rep.Nodes <= budget.HeuristicNodes {
+	if rep.Nodes <= heuristicNodes {
 		rep.Heuristic = heuristic.BisectParallel(c.Graph, budget.bisectOptions("bisection "+rep.Network)).Capacity()
 	}
 	return rep

@@ -39,14 +39,14 @@ func TestButterflyBisectionCancelledVirtualFallsBack(t *testing.T) {
 	// quotes the plan's analytic capacity rather than erroring: -timeout
 	// runs must exit cleanly.
 	start := time.Now()
-	r, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000, Ctx: cancelledCtx()})
+	r, err := ButterflyBisection(1<<18, BisectionBudget{Ctx: cancelledCtx()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("cancelled virtual report took %v", took)
 	}
-	live, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000})
+	live, err := ButterflyBisection(1<<18, BisectionBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}

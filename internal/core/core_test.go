@@ -49,16 +49,17 @@ func TestButterflyBisectionExactB8(t *testing.T) {
 }
 
 func TestButterflyBisectionVirtualLarge(t *testing.T) {
-	// Beyond the materialization budget, the constructed capacity comes
-	// from the virtual evaluator and beats folklore at large sizes.
-	r, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000})
+	// Beyond the materialization budget (B(2^18) has 4,980,736 nodes, past
+	// 2^22), the constructed capacity comes from the virtual evaluator and
+	// beats folklore at large sizes.
+	r, err := ButterflyBisection(1<<18, BisectionBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Exact != Unknown || r.Heuristic != Unknown {
 		t.Errorf("exact/heuristic should be skipped at this size")
 	}
-	if r.Constructed >= 1<<15 {
+	if r.Constructed >= 1<<18 {
 		t.Errorf("constructed %d did not beat folklore", r.Constructed)
 	}
 }

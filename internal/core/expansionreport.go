@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/cut"
 	"repro/internal/exact"
@@ -191,9 +190,8 @@ type ExpansionTableOptions struct {
 	// nil means never cancelled.
 	Ctx context.Context
 	// OnProgress, when non-nil, receives solver progress snapshots every
-	// ProgressInterval (≤ 0: 1s) while the exact pass runs.
-	OnProgress       func(solve.Progress)
-	ProgressInterval time.Duration
+	// second while the exact pass runs.
+	OnProgress func(solve.Progress)
 	// Trace, when non-nil, receives the survey's span events.
 	Trace *obs.Tracer
 }
@@ -251,15 +249,14 @@ func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOp
 		return -1
 	}
 	surveyOpts := exact.SurveyOptions{
-		EdgeOnly:         kind == WnEdge || kind == BnEdge,
-		NodeOnly:         kind == WnNode || kind == BnNode,
-		EdgeSeed:         seed,
-		NodeSeed:         seed,
-		Ctx:              opts.Ctx,
-		OnProgress:       opts.OnProgress,
-		ProgressInterval: opts.ProgressInterval,
-		Label:            fmt.Sprintf("%s survey n=%d", kind, n),
-		Trace:            opts.Trace,
+		EdgeOnly:   kind == WnEdge || kind == BnEdge,
+		NodeOnly:   kind == WnNode || kind == BnNode,
+		EdgeSeed:   seed,
+		NodeSeed:   seed,
+		Ctx:        opts.Ctx,
+		OnProgress: opts.OnProgress,
+		Label:      fmt.Sprintf("%s survey n=%d", kind, n),
+		Trace:      opts.Trace,
 	}
 	type exactOutcome struct {
 		value    int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/construct"
 	"repro/internal/mos"
@@ -25,9 +24,8 @@ type ReportOptions struct {
 	// nil means never cancelled.
 	Ctx context.Context
 	// OnProgress, when non-nil, receives solver progress snapshots every
-	// ProgressInterval (≤ 0: 1s) from the exact and Monte-Carlo engines.
-	OnProgress       func(solve.Progress)
-	ProgressInterval time.Duration
+	// second from the exact and Monte-Carlo engines.
+	OnProgress func(solve.Progress)
 	// Trace, when non-nil, receives span events from every solver the
 	// report runs.
 	Trace *obs.Tracer
@@ -102,11 +100,10 @@ func BuildFullReport(opts ReportOptions) (*FullReport, error) {
 		opts.Seed = 1
 	}
 	budget := BisectionBudget{
-		ExactNodes:       exactNodes,
-		Ctx:              opts.Ctx,
-		OnProgress:       opts.OnProgress,
-		ProgressInterval: opts.ProgressInterval,
-		Trace:            opts.Trace,
+		ExactNodes: exactNodes,
+		Ctx:        opts.Ctx,
+		OnProgress: opts.OnProgress,
+		Trace:      opts.Trace,
 	}
 	rep := &FullReport{Seed: opts.Seed}
 
@@ -159,11 +156,10 @@ func BuildFullReport(opts ReportOptions) (*FullReport, error) {
 	}
 
 	expOpts := ExpansionTableOptions{
-		ExactNodes:       exactNodes,
-		Ctx:              opts.Ctx,
-		OnProgress:       opts.OnProgress,
-		ProgressInterval: opts.ProgressInterval,
-		Trace:            opts.Trace,
+		ExactNodes: exactNodes,
+		Ctx:        opts.Ctx,
+		OnProgress: opts.OnProgress,
+		Trace:      opts.Trace,
 	}
 	for _, kind := range []ExpansionKind{WnEdge, WnNode, BnEdge, BnNode} {
 		rep.Expansion = append(rep.Expansion, ExpansionTable(kind, 256, []int{1, 2, 3, 4}, expOpts))
@@ -176,21 +172,19 @@ func BuildFullReport(opts ReportOptions) (*FullReport, error) {
 
 	for _, n := range []int{8, 16, 32, 64} {
 		rep.Routing = append(rep.Routing, RandomRoutingExperiment(n, opts.Seed, RoutingOptions{
-			Trials:           25,
-			Ctx:              opts.Ctx,
-			OnProgress:       opts.OnProgress,
-			ProgressInterval: opts.ProgressInterval,
-			Trace:            opts.Trace,
+			Trials:     25,
+			Ctx:        opts.Ctx,
+			OnProgress: opts.OnProgress,
+			Trace:      opts.Trace,
 		}))
 	}
 
 	rep.RoutingFaults = RoutingDegradation(32, opts.Seed, route.RandomDestinations,
 		[]float64{0, 0.02, 0.05, 0.1}, RoutingOptions{
-			Trials:           25,
-			Ctx:              opts.Ctx,
-			OnProgress:       opts.OnProgress,
-			ProgressInterval: opts.ProgressInterval,
-			Trace:            opts.Trace,
+			Trials:     25,
+			Ctx:        opts.Ctx,
+			OnProgress: opts.OnProgress,
+			Trace:      opts.Trace,
 		})
 
 	for _, n := range []int{8, 64, 256} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/construct"
 	"repro/internal/obs"
@@ -27,9 +26,8 @@ type RoutingOptions struct {
 	// cancelled.
 	Ctx context.Context
 	// OnProgress, when non-nil, receives completed-trial counts every
-	// ProgressInterval (≤ 0: 1s).
-	OnProgress       func(solve.Progress)
-	ProgressInterval time.Duration
+	// second.
+	OnProgress func(solve.Progress)
 	// Trace, when non-nil, receives per-trial events on the simulation's
 	// span.
 	Trace *obs.Tracer
@@ -122,12 +120,11 @@ func routingExperiment(n int, seed int64, kind route.TrialKind, opt RoutingOptio
 		// Greedy store-and-forward empirically sits 3–5× above the §1.2
 		// floor, so a 4× threshold splits the trial distribution instead
 		// of counting all or nothing.
-		TightFactor:      4,
-		Ctx:              opt.Ctx,
-		OnProgress:       opt.OnProgress,
-		ProgressInterval: opt.ProgressInterval,
-		Fault:            opt.Fault,
-		Switching:        opt.Switching,
+		TightFactor: 4,
+		Ctx:         opt.Ctx,
+		OnProgress:  opt.OnProgress,
+		Fault:       opt.Fault,
+		Switching:   opt.Switching,
 	})
 	return RoutingReport{
 		N:              n,

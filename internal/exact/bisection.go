@@ -11,17 +11,18 @@
 //
 // Bisection and expansion each have one engine: a job runner that splits
 // the search at a BFS prefix into independent subproblems and drains them
-// over a worker pool, every worker reusing one search state and pruning
-// against one shared incumbent. A serial solve is one worker running one
-// empty-prefix job. The expansion engine also takes achievable upper-bound
-// seeds (witness or greedy sets) and batches whole k-sweeps
-// (ExpansionSurveyWithOptions) over one pool. An edge search of size k
-// first certifies EE(g, m) for every m < k and prunes with that table
-// (Russian-doll search).
+// over a worker pool, every worker reusing one search state, pruning
+// against one shared incumbent and counting its nodes on one counter. A
+// serial solve is one worker running one empty-prefix job. The bisection
+// engine balances a node set U: every node for BW(g), the given subset for
+// the U-bisection width, so both run on the same job runner. The expansion
+// engine also takes achievable upper-bound seeds (witness or greedy sets)
+// and batches whole k-sweeps (ExpansionSurveyWithOptions) over one pool.
+// An edge search of size k first certifies EE(g, m) for every m < k and
+// prunes with that table (Russian-doll search).
 package exact
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cut"
@@ -42,10 +43,18 @@ const (
 //
 // never overestimates the final capacity, because each unassigned node must
 // eventually cut at least that many of its edges to already-assigned nodes,
-// and those edge sets are disjoint across unassigned nodes.
+// and those edge sets are disjoint across unassigned nodes. The bound holds
+// for any balance constraint, so one state serves every node set U.
 type bbState struct {
-	g       *graph.Graph
-	order   []int32 // assignment order (BFS order keeps edges local)
+	g     *graph.Graph
+	order []int32 // assignment order (BFS order keeps edges local)
+	// inU[v] is 1 for a node of U, the node set the search bisects, and 0
+	// elsewhere: only U's nodes count toward sizeS and sizeT, neither of
+	// which may exceed half, and the node at order index pin (U's first)
+	// is fixed in S, as the two sides are symmetric.
+	inU     []int8
+	half    int
+	pin     int
 	assign  []int8
 	cntS    []int32 // per node: assigned neighbors in S
 	cntSbar []int32 // per node: assigned neighbors in S̄
@@ -54,56 +63,21 @@ type bbState struct {
 	sizeS   int
 	sizeT   int
 
-	// Cooperative cancellation + telemetry: explored/pruned counts are
-	// batched locally and flushed to mon every solve.TickStride nodes.
-	// tickBudget counts DOWN from solve.TickStride so the per-node fast
-	// path is one decrement and one branch; after a stop it stays pinned
-	// at zero, steering every later tick into the latched slow path.
-	mon        *solve.Monitor
-	tickBudget int32
-	prunedTick int32
-	stopped    bool
+	nodeCounter
 }
 
-// tickNode counts one explored search node and reports whether the search
-// should stop. The monitor's atomic stop flag is only polled when the
-// stride budget runs out (every solve.TickStride nodes); once seen,
-// stopped latches so the remaining unwind is pure returns.
-func (st *bbState) tickNode() bool {
-	st.tickBudget--
-	if st.tickBudget <= 0 {
-		st.flushTicks()
-		return st.stopped
-	}
-	return false
-}
-
-// flushTicks drains the local counters into the monitor and samples the
-// stop flag. After a stop it only re-pins the budget: the drained totals
-// were flushed when the stop was first seen and no nodes are explored
-// past it.
-func (st *bbState) flushTicks() {
-	if st.stopped {
-		st.tickBudget = 0
-		return
-	}
-	e, p := int64(solve.TickStride-st.tickBudget), int64(st.prunedTick)
-	st.tickBudget, st.prunedTick = solve.TickStride, 0
-	if st.mon.Tick(e, p) {
-		st.stopped = true
-		st.tickBudget = 0
-	}
-}
-
-func newBBState(g *graph.Graph, order []int32) *bbState {
+func newBBState(g *graph.Graph, order []int32, inU []int8, half, pin int) *bbState {
 	st := &bbState{
 		g:       g,
 		order:   order,
+		inU:     inU,
+		half:    half,
+		pin:     pin,
 		assign:  make([]int8, g.N()),
 		cntS:    make([]int32, g.N()),
 		cntSbar: make([]int32, g.N()),
 
-		tickBudget: solve.TickStride,
+		nodeCounter: nodeCounter{tickBudget: solve.TickStride},
 	}
 	for i := range st.assign {
 		st.assign[i] = unassigned
@@ -162,10 +136,10 @@ func (st *bbState) place(v int, s int8) {
 	st.minSum -= int(minInt32(st.cntS[v], st.cntSbar[v]))
 	st.assign[v] = s
 	if s == sideS {
-		st.sizeS++
+		st.sizeS += int(st.inU[v])
 		st.curCut += int(st.cntSbar[v])
 	} else {
-		st.sizeT++
+		st.sizeT += int(st.inU[v])
 		st.curCut += int(st.cntS[v])
 	}
 	for _, u := range st.g.Neighbors(v) {
@@ -198,44 +172,19 @@ func (st *bbState) unplace(v int, s int8) {
 	}
 	st.assign[v] = unassigned
 	if s == sideS {
-		st.sizeS--
+		st.sizeS -= int(st.inU[v])
 		st.curCut -= int(st.cntSbar[v])
 	} else {
-		st.sizeT--
+		st.sizeT -= int(st.inU[v])
 		st.curCut -= int(st.cntS[v])
 	}
 	st.minSum += int(minInt32(st.cntS[v], st.cntSbar[v]))
 }
 
-// sharedBound is the incumbent of one bisection search, shared by every
-// worker: best is read lock-free on every prune check; improvements take
-// the mutex to update both the bound and the witness side consistently.
-type sharedBound struct {
-	best atomic.Int64
-	mu   sync.Mutex
-	side []bool
-	mon  *solve.Monitor
-}
-
-func (sb *sharedBound) record(cur int, assign []int8) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if int64(cur) >= sb.best.Load() {
-		return // someone else got there first
-	}
-	sb.best.Store(int64(cur))
-	side := make([]bool, len(assign))
-	for v, a := range assign {
-		side[v] = a == sideS
-	}
-	sb.side = side
-	sb.mon.SetIncumbent(int64(cur))
-}
-
 // dfs decides order[idx:] given the placements before idx, recording every
-// bisection that beats sb. Neither side may exceed half nodes, and the
-// first node is fixed in S (the two sides are symmetric).
-func (st *bbState) dfs(idx, half int, sb *sharedBound) {
+// U-bisection that beats sb: neither side may hold more than half nodes of
+// U, and U's first node stays in S.
+func (st *bbState) dfs(idx int, sb *incumbent) {
 	if st.tickNode() {
 		return
 	}
@@ -248,17 +197,18 @@ func (st *bbState) dfs(idx, half int, sb *sharedBound) {
 		return
 	}
 	v := int(st.order[idx])
+	u := int(st.inU[v])
 	// Try the side with fewer cut edges first for faster incumbents.
 	first, second := sideS, sideSbar
 	if st.cntSbar[v] < st.cntS[v] {
 		first, second = sideSbar, sideS
 	}
 	for _, s := range []int8{first, second} {
-		if s == sideS && st.sizeS >= half || s == sideSbar && (st.sizeT >= half || idx == 0) {
+		if s == sideS && st.sizeS+u > st.half || s == sideSbar && (st.sizeT+u > st.half || idx == st.pin) {
 			continue
 		}
 		st.place(v, s)
-		st.dfs(idx+1, half, sb)
+		st.dfs(idx+1, sb)
 		st.unplace(v, s)
 	}
 }
@@ -276,37 +226,69 @@ func MinBisection(g *graph.Graph) (*cut.Cut, int) {
 // tighter seed prunes more. If bound is not achievable the function falls
 // back to an unseeded search, so the result is the true optimum either way.
 func MinBisectionWithBound(g *graph.Graph, bound int) (*cut.Cut, int) {
-	c, w, _ := searchBisection(g, bound, 1, nil)
+	c, w, _ := searchBisection(g, nil, bound, 1, nil)
 	return c, w
 }
 
-// searchBisection is the bisection engine behind MinBisection* and
-// SolveBisection: the prefix jobs of bisectionPrefixes drained by
-// workers goroutines (≤ 0: GOMAXPROCS), each reusing one bbState, all
-// pruning against one incumbent seeded with the BFS-prefix cut or with
-// bound > 0, whichever is smaller. The flag reports whether the search
-// ran to completion; a stopped search returns its best incumbent (or the
-// BFS-prefix cut), a valid bisection but not a certified optimum.
-func searchBisection(g *graph.Graph, bound, workers int, mon *solve.Monitor) (*cut.Cut, int, bool) {
+// MinSubsetBisection returns a cut of minimum capacity among those that
+// bisect the node set u (the U-bisection width BW(g, U) of §2.1), together
+// with that capacity, searched on one worker. Nodes outside u are
+// unconstrained.
+func MinSubsetBisection(g *graph.Graph, u []int) (*cut.Cut, int) {
+	c, w, _ := searchBisection(g, subsetMask(g.N(), u), 0, 1, nil)
+	return c, w
+}
+
+// subsetMask is searchBisection's membership mask of the node set u.
+func subsetMask(n int, u []int) []int8 {
+	inU := make([]int8, n)
+	for _, v := range u {
+		inU[v] = 1
+	}
+	return inU
+}
+
+// searchBisection is the bisection engine behind MinBisection*,
+// MinSubsetBisection and SolveBisection: the least cut that bisects the
+// node set U marked in inU (nil: every node, which is BW(g)). The prefix
+// jobs of bisectionPrefixes are drained by workers goroutines (≤ 0:
+// GOMAXPROCS), each reusing one bbState, all pruning against one incumbent
+// seeded with the BFS-prefix cut or with bound > 0, whichever is smaller.
+// The flag reports whether the search ran to completion; a stopped search
+// returns its best incumbent (or the BFS-prefix cut), a valid U-bisection
+// but not a certified optimum.
+func searchBisection(g *graph.Graph, inU []int8, bound, workers int, mon *solve.Monitor) (*cut.Cut, int, bool) {
 	n := g.N()
 	if n == 0 {
 		return cut.FromSet(g, nil), 0, true
 	}
+	if inU == nil {
+		inU = make([]int8, n)
+		for v := range inU {
+			inU[v] = 1
+		}
+	}
 	order := bfsOrder(g)
-	seedCut := initialBisection(g, order)
+	sizeU, pin := 0, n
+	for i := n - 1; i >= 0; i-- {
+		if inU[order[i]] != 0 {
+			sizeU, pin = sizeU+1, i
+		}
+	}
+	seedCut := initialBisection(g, order, inU, sizeU/2)
 	start := seedCut.Capacity()
 	seeded := bound > 0 && bound < start
 	if seeded {
 		start = bound
 	}
-	sb := sharedBound{mon: mon}
+	sb := incumbent{mon: mon}
 	sb.best.Store(int64(start + 1))
-	half := (n + 1) / 2
-	prefixes := bisectionPrefixes(n, fanoutDepth(n, workers), half)
+	half := (sizeU + 1) / 2
+	prefixes := bisectionPrefixes(order, inU, fanoutDepth(n, workers), half, pin)
 	var incomplete atomic.Bool
 	runPool(len(prefixes), workers, func() func(int) {
-		st := newBBState(g, order)
-		st.mon = mon
+		st := newBBState(g, order, inU, half, pin)
+		st.mon, st.sb = mon, &sb
 		return func(job int) {
 			if mon.Stopped() {
 				incomplete.Store(true)
@@ -316,7 +298,7 @@ func searchBisection(g *graph.Graph, bound, workers int, mon *solve.Monitor) (*c
 			for i, s := range prefix {
 				st.place(int(order[i]), s)
 			}
-			st.dfs(len(prefix), half, &sb)
+			st.dfs(len(prefix), &sb)
 			for i := len(prefix) - 1; i >= 0; i-- {
 				st.unplace(int(order[i]), prefix[i])
 			}
@@ -335,8 +317,8 @@ func searchBisection(g *graph.Graph, bound, workers int, mon *solve.Monitor) (*c
 		// feasible but not certified.
 		return seedCut, seedCut.Capacity(), false
 	case seeded:
-		// bound undercut BW(g), so nothing was found: rerun unseeded.
-		return searchBisection(g, 0, workers, mon)
+		// bound undercut the optimum, so nothing was found: rerun unseeded.
+		return searchBisection(g, inU, 0, workers, mon)
 	default:
 		// Nothing beat the BFS-prefix cut: it is optimal.
 		return seedCut, seedCut.Capacity(), true
@@ -345,9 +327,9 @@ func searchBisection(g *graph.Graph, bound, workers int, mon *solve.Monitor) (*c
 
 // bisectionPrefixes enumerates the side assignments of the first depth
 // nodes of the order under the search's own constraints (at most half
-// nodes per side, the first node in S); depth 0 yields the one empty
-// prefix.
-func bisectionPrefixes(n, depth, half int) [][]int8 {
+// nodes of U per side, the node at index pin in S); depth 0 yields the one
+// empty prefix.
+func bisectionPrefixes(order []int32, inU []int8, depth, half, pin int) [][]int8 {
 	var out [][]int8
 	prefix := make([]int8, depth)
 	var gen func(idx, sizeS, sizeT int)
@@ -356,133 +338,27 @@ func bisectionPrefixes(n, depth, half int) [][]int8 {
 			out = append(out, append([]int8(nil), prefix...))
 			return
 		}
-		if sizeS < half {
+		u := int(inU[order[idx]])
+		if sizeS+u <= half {
 			prefix[idx] = sideS
-			gen(idx+1, sizeS+1, sizeT)
+			gen(idx+1, sizeS+u, sizeT)
 		}
-		if idx > 0 && sizeT < half {
+		if idx != pin && sizeT+u <= half {
 			prefix[idx] = sideSbar
-			gen(idx+1, sizeS, sizeT+1)
+			gen(idx+1, sizeS, sizeT+u)
 		}
 	}
 	gen(0, 0, 0)
 	return out
 }
 
-// initialBisection returns the balanced BFS-prefix cut used to seed the
-// search.
-func initialBisection(g *graph.Graph, order []int32) *cut.Cut {
+// initialBisection returns the BFS-prefix cut that seeds the search: S is
+// the shortest prefix of the order that holds inS nodes of U.
+func initialBisection(g *graph.Graph, order []int32, inU []int8, inS int) *cut.Cut {
 	side := make([]bool, g.N())
-	for i := 0; i < g.N()/2; i++ {
+	for i := 0; inS > 0; i++ {
 		side[order[i]] = true
+		inS -= int(inU[order[i]])
 	}
 	return cut.New(g, side)
-}
-
-// MinSubsetBisection returns a cut of minimum capacity among those that
-// bisect the node set u (the U-bisection width BW(g, U) of §2.1), together
-// with that capacity. Nodes outside u are unconstrained.
-func MinSubsetBisection(g *graph.Graph, u []int) (*cut.Cut, int) {
-	c, w, _ := minSubsetBisectionSearch(g, u, nil)
-	return c, w
-}
-
-// minSubsetBisectionSearch is MinSubsetBisection with cooperative
-// cancellation; the flag reports completion (see searchBisection). It
-// stays a serial DFS of its own: the U-balance constraint has no
-// prefix fan-out and no caller needs one.
-func minSubsetBisectionSearch(g *graph.Graph, u []int, mon *solve.Monitor) (*cut.Cut, int, bool) {
-	n := g.N()
-	inU := make([]bool, n)
-	for _, v := range u {
-		inU[v] = true
-	}
-	st := newBBState(g, bfsOrder(g))
-	st.mon = mon
-
-	// Seed: alternate u between sides in BFS order, everything else in S̄.
-	seedSide := make([]bool, n)
-	uSeen := 0
-	for _, v := range st.order {
-		if inU[v] {
-			seedSide[v] = uSeen%2 == 0
-			uSeen++
-		}
-	}
-	seed := cut.New(g, seedSide)
-	sb := sharedBound{mon: mon}
-	sb.best.Store(int64(seed.Capacity() + 1))
-
-	uHalf := (len(u) + 1) / 2
-	uInS, uInSbar := 0, 0
-	firstU := -1
-	for _, v := range st.order {
-		if inU[int(v)] {
-			firstU = int(v)
-			break
-		}
-	}
-
-	var dfs func(idx int)
-	dfs = func(idx int) {
-		if st.tickNode() {
-			return
-		}
-		if st.curCut+st.minSum >= int(sb.best.Load()) {
-			st.prunedTick++
-			return
-		}
-		if idx == n {
-			sb.record(st.curCut, st.assign)
-			return
-		}
-		v := int(st.order[idx])
-		first, second := sideS, sideSbar
-		if st.cntSbar[v] < st.cntS[v] {
-			first, second = sideSbar, sideS
-		}
-		for _, s := range []int8{first, second} {
-			if inU[v] {
-				if s == sideS && uInS >= uHalf {
-					continue
-				}
-				if s == sideSbar && uInSbar >= uHalf {
-					continue
-				}
-				// Symmetry: the first u node in order is fixed in S.
-				if v == firstU && s != sideS {
-					continue
-				}
-			}
-			if inU[v] {
-				if s == sideS {
-					uInS++
-				} else {
-					uInSbar++
-				}
-			}
-			st.place(v, s)
-			dfs(idx + 1)
-			st.unplace(v, s)
-			if inU[v] {
-				if s == sideS {
-					uInS--
-				} else {
-					uInSbar--
-				}
-			}
-		}
-	}
-	if !mon.Stopped() {
-		dfs(0)
-	}
-	st.flushTicks() // latches st.stopped if the monitor stopped at any point
-
-	if sb.side == nil {
-		// Either the alternating seed is optimal (complete search) or the
-		// search was cancelled before beating it; the seed is feasible
-		// either way.
-		return seed, seed.Capacity(), !st.stopped
-	}
-	return cut.New(g, sb.side), int(sb.best.Load()), !st.stopped
 }

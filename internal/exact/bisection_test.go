@@ -23,18 +23,24 @@ func minBW(t *testing.T, g *graph.Graph, opts SolveOptions) int {
 	return res.Width
 }
 
-// TestBisectionAgainstBruteForce checks the bisection engine on one and
-// on three workers, seeded and unseeded, against enumerating every
-// balanced split of random graphs of up to 16 nodes (16-node graphs run
-// fanned out, smaller ones as one job).
-func TestBisectionAgainstBruteForce(t *testing.T) {
+// bruteForceGraphs are the cross-check graphs of the bisection engine:
+// Q4, a 16-cycle and random graphs of up to 16 nodes (16-node graphs run
+// fanned out on more than one worker, smaller ones as one job).
+func bruteForceGraphs() []*graph.Graph {
 	rng := rand.New(rand.NewSource(29))
 	graphs := []*graph.Graph{topology.NewHypercube(4).Graph, cycleGraph(16)}
 	for _, n := range []int{9, 12, 15, 16, 16, 16} {
 		graphs = append(graphs, randomGraph(rng, n, 2*n+rng.Intn(n)))
 	}
-	for i, g := range graphs {
-		want := bruteForceBisection(g)
+	return graphs
+}
+
+// TestBisectionAgainstBruteForce checks the bisection engine on one and
+// on three workers, seeded and unseeded, against enumerating every
+// balanced split of bruteForceGraphs.
+func TestBisectionAgainstBruteForce(t *testing.T) {
+	for i, g := range bruteForceGraphs() {
+		want := bruteForceBisection(g, 1<<g.N()-1)
 		if _, got := MinBisection(g); got != want {
 			t.Fatalf("graph %d (n=%d): MinBisection %d, brute force %d", i, g.N(), got, want)
 		}
@@ -46,12 +52,52 @@ func TestBisectionAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// bruteForceBisection enumerates every split of g into ⌊n/2⌋ and ⌈n/2⌉
-// nodes as a bitmask and returns the least capacity.
-func bruteForceBisection(g *graph.Graph) int {
+// TestSubsetBisectionAgainstBruteForce checks the U-bisection width on
+// one, two and four workers, unseeded and seeded, against enumeration, on
+// bruteForceGraphs with U every node, a random U of odd and of even size,
+// and |U| ≤ 1 (width 0).
+func TestSubsetBisectionAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for i, g := range bruteForceGraphs() {
+		n := g.N()
+		perm := rng.Perm(n)
+		odd := 3 + 2*rng.Intn((n-3)/2)
+		even := 2 + 2*rng.Intn((n-2)/2)
+		for _, u := range [][]int{perm, perm[:odd], perm[:even], perm[:1], nil} {
+			var mask uint32
+			for _, v := range u {
+				mask |= 1 << v
+			}
+			want := bruteForceBisection(g, mask)
+			if len(u) <= 1 && want != 0 {
+				t.Fatalf("graph %d: brute-force width %d for |U| = %d", i, want, len(u))
+			}
+			if _, got := MinSubsetBisection(g, u); got != want {
+				t.Fatalf("graph %d (n=%d) |U|=%d: MinSubsetBisection %d, brute force %d", i, n, len(u), got, want)
+			}
+			for _, opts := range []SolveOptions{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 2, Bound: want}, {Workers: 4, Bound: want + 3}} {
+				res := SolveSubsetBisection(context.Background(), g, u, opts)
+				if !res.Exact || res.Width != want {
+					t.Fatalf("graph %d (n=%d) |U|=%d %+v: (%d,%v), brute force %d",
+						i, n, len(u), opts, res.Width, res.Exact, want)
+				}
+				if !res.Cut.BisectsSubset(u) || res.Cut.Capacity() != res.Width {
+					t.Fatalf("graph %d |U|=%d %+v: witness does not bisect U at capacity %d",
+						i, len(u), opts, res.Width)
+				}
+			}
+		}
+	}
+}
+
+// bruteForceBisection enumerates every split of g that bisects the node
+// set U given as a bitmask, as a bitmask of S holding ⌊|U|/2⌋ nodes of U
+// (its complement covers the splits with ⌈|U|/2⌉), and returns the least
+// capacity.
+func bruteForceBisection(g *graph.Graph, u uint32) int {
 	n, best := g.N(), 1<<30
 	for mask := uint32(0); mask < 1<<n; mask++ {
-		if bits.OnesCount32(mask) != n/2 {
+		if bits.OnesCount32(mask&u) != bits.OnesCount32(u)/2 {
 			continue
 		}
 		c := 0

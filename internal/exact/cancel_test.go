@@ -208,26 +208,29 @@ func TestSolveBisectionUncancelledMatchesMin(t *testing.T) {
 }
 
 func TestSolveSubsetBisection(t *testing.T) {
-	b := topology.NewButterfly(4)
+	// B8 has 32 nodes, so two workers split the search into prefix jobs.
+	b := topology.NewButterfly(8)
 	g := b.Graph
 	u := b.InputNodes()
 	_, want := MinSubsetBisection(g, u)
-	res := SolveSubsetBisection(context.Background(), g, u, SolveOptions{})
-	if !res.Exact || res.Width != want {
-		t.Fatalf("subset solve = (%d,%v), want (%d,true)", res.Width, res.Exact, want)
-	}
-	if !res.Cut.BisectsSubset(u) {
-		t.Fatal("subset solve witness does not bisect u")
-	}
+	for _, workers := range []int{1, 2} {
+		res := SolveSubsetBisection(context.Background(), g, u, SolveOptions{Workers: workers})
+		if !res.Exact || res.Width != want {
+			t.Fatalf("workers=%d: subset solve = (%d,%v), want (%d,true)", workers, res.Width, res.Exact, want)
+		}
+		if !res.Cut.BisectsSubset(u) {
+			t.Fatalf("workers=%d: subset solve witness does not bisect u", workers)
+		}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cres := SolveSubsetBisection(ctx, g, u, SolveOptions{})
-	if cres.Exact {
-		t.Fatal("pre-cancelled subset solve claims Exact")
-	}
-	if !cres.Cut.BisectsSubset(u) {
-		t.Fatal("pre-cancelled subset incumbent does not bisect u")
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cres := SolveSubsetBisection(ctx, g, u, SolveOptions{Workers: workers})
+		if cres.Exact {
+			t.Fatalf("workers=%d: pre-cancelled subset solve claims Exact", workers)
+		}
+		if !cres.Cut.BisectsSubset(u) || cres.Cut.Capacity() != cres.Width {
+			t.Fatalf("workers=%d: pre-cancelled subset incumbent does not bisect u", workers)
+		}
 	}
 }
 
@@ -303,12 +306,12 @@ func TestSurveyUncancelledStaysExact(t *testing.T) {
 	}
 }
 
-// SolveSubsetBisection computes BW(g, u) (§2.1) under ctx; serial (the
-// subset solver has no parallel variant). Workers is ignored.
+// SolveSubsetBisection computes BW(g, u) (§2.1) under ctx on the bisection
+// job runner, honouring Workers and Bound as SolveBisection does.
 func SolveSubsetBisection(ctx context.Context, g *graph.Graph, u []int, opts SolveOptions) BisectionResult {
 	mon := opts.monitor(ctx)
 	defer mon.Close()
-	c, w, exact := minSubsetBisectionSearch(g, u, mon)
+	c, w, exact := searchBisection(g, subsetMask(g.N(), u), opts.Bound, opts.Workers, mon)
 	return BisectionResult{
 		Cut: c, Width: w, Exact: exact,
 		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),

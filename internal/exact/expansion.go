@@ -38,7 +38,7 @@ const (
 type expSearch struct {
 	k          int
 	edge       bool
-	sb         *sharedExpBound
+	sb         *incumbent
 	table      []int
 	incomplete atomic.Bool
 }
@@ -46,7 +46,7 @@ type expSearch struct {
 // newExpSearch starts a search whose incumbent is seeded from bound
 // (noBound: one past the trivial maximum of the quantity).
 func newExpSearch(g *graph.Graph, k int, edge bool, bound int, mon *solve.Monitor) *expSearch {
-	s := &expSearch{k: k, edge: edge, sb: &sharedExpBound{mon: mon}}
+	s := &expSearch{k: k, edge: edge, sb: &incumbent{mon: mon}}
 	s.sb.best.Store(initialExpBest(g, edge, bound))
 	return s
 }
@@ -116,7 +116,7 @@ func runSearches(g *graph.Graph, order []int32, rootForced bool, searches []*exp
 		runExpansionJobs(g, order, jobs, rootForced, workers, mon)
 		var redo []*expSearch
 		for _, s := range searches {
-			if s.sb.set == nil && !s.incomplete.Load() {
+			if s.sb.side == nil && !s.incomplete.Load() {
 				s.sb.best.Store(initialExpBest(g, s.edge, noBound))
 				redo = append(redo, s)
 			}
@@ -203,8 +203,14 @@ func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSear
 // first k nodes of the decision order (a BFS-connected prefix, so already
 // a reasonable set) with its measured boundary.
 func (s *expSearch) result(g *graph.Graph, order []int32) ([]int, int, bool) {
-	if s.sb.set != nil {
-		return s.sb.set, int(s.sb.best.Load()), !s.incomplete.Load()
+	if s.sb.side != nil {
+		set := make([]int, 0, s.k)
+		for v, in := range s.sb.side {
+			if in {
+				set = append(set, v)
+			}
+		}
+		return set, int(s.sb.best.Load()), !s.incomplete.Load()
 	}
 	set := make([]int, s.k)
 	for i := range set {

@@ -1,9 +1,6 @@
 package exact
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/solve"
 )
@@ -54,51 +51,7 @@ type expState struct {
 	permNbrs  int
 	undWithIn int
 
-	// Cooperative cancellation + telemetry (see bbState.tickNode): local
-	// counters flushed every solve.TickStride explored nodes into mon
-	// (the solve-wide totals) and sb (the per-search totals a survey
-	// reports per row). sb is repointed per job, as one state serves
-	// every search of a run. tickBudget counts DOWN from
-	// solve.TickStride so the per-node fast path is one decrement and one
-	// branch; after a stop it stays pinned at zero, steering every later
-	// tick into the latched slow path.
-	mon        *solve.Monitor
-	sb         *sharedExpBound
-	tickBudget int32
-	prunedTick int32
-	stopped    bool
-}
-
-// tickNode counts one explored node; the stop flag is polled only when the
-// stride budget runs out and then latches.
-func (st *expState) tickNode() bool {
-	st.tickBudget--
-	if st.tickBudget <= 0 {
-		st.flushTicks()
-		return st.stopped
-	}
-	return false
-}
-
-// flushTicks drains the local counters into the current search and the
-// monitor, sampling the stop flag. After a stop it only re-pins the
-// budget: the drained totals were flushed when the stop was first seen and
-// no nodes are explored past it.
-func (st *expState) flushTicks() {
-	if st.stopped {
-		st.tickBudget = 0
-		return
-	}
-	e, p := int64(solve.TickStride-st.tickBudget), int64(st.prunedTick)
-	st.tickBudget, st.prunedTick = solve.TickStride, 0
-	if st.sb != nil && (e != 0 || p != 0) {
-		st.sb.explored.Add(e)
-		st.sb.pruned.Add(p)
-	}
-	if st.mon.Tick(e, p) {
-		st.stopped = true
-		st.tickBudget = 0
-	}
+	nodeCounter
 }
 
 func newExpState(g *graph.Graph, order []int32) *expState {
@@ -113,7 +66,7 @@ func newExpState(g *graph.Graph, order []int32) *expState {
 		inHist:   make([]int32, maxDeg+1),
 		maxDeg:   maxDeg,
 
-		tickBudget: solve.TickStride,
+		nodeCounter: nodeCounter{tickBudget: solve.TickStride},
 	}
 	for i := range st.assign {
 		st.assign[i] = unassigned
@@ -337,42 +290,10 @@ func (st *expState) nodeLB(k int) int {
 	return lb
 }
 
-// sharedExpBound is the incumbent of one expansion search, shared by every
-// worker. best is read lock-free on every prune check; improvements take
-// the mutex so the bound and the witness set stay consistent.
-// explored/pruned accumulate this search's telemetry (a survey reports
-// them per row).
-type sharedExpBound struct {
-	best atomic.Int64
-	mu   sync.Mutex
-	set  []int
-
-	mon      *solve.Monitor
-	explored atomic.Int64
-	pruned   atomic.Int64
-}
-
-func (sb *sharedExpBound) record(val int, assign []int8) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if int64(val) >= sb.best.Load() {
-		return // someone else got there first
-	}
-	sb.best.Store(int64(val))
-	set := sb.set[:0]
-	for v, a := range assign {
-		if a == sideS {
-			set = append(set, v)
-		}
-	}
-	sb.set = set
-	sb.mon.SetIncumbent(int64(val))
-}
-
 // dfsEdgeExpansion explores all decisions for order[idx:] given the prefix
 // already placed in st, recording edge-boundary improvements over sb.best.
 // rootForced skips the exclude branch at idx 0 (root-forced searches).
-func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *sharedExpBound) {
+func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) {
 	if st.tickNode() {
 		return
 	}
@@ -403,7 +324,7 @@ func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *sharedExpBo
 }
 
 // dfsNodeExpansion is the neighbor-set analogue of dfsEdgeExpansion.
-func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *sharedExpBound) {
+func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) {
 	if st.tickNode() {
 		return
 	}
@@ -433,7 +354,7 @@ func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *sharedExpBo
 	st.unplaceNode(v)
 }
 
-func dfsExpansion(st *expState, idx, k int, edge, rootForced bool, sb *sharedExpBound) {
+func dfsExpansion(st *expState, idx, k int, edge, rootForced bool, sb *incumbent) {
 	if edge {
 		dfsEdgeExpansion(st, idx, k, rootForced, sb)
 	} else {

@@ -14,11 +14,13 @@ import (
 )
 
 // This file is the context-aware entry point to the exact engines, and
-// the worker pool both engines run on. The Min*Bisection functions remain
-// as uncancellable serial conveniences; Solve* accept a context.Context
-// (deadline or cancellation), report telemetry, and — the key contract —
-// mark results from an interrupted search Exact=false instead of silently
-// presenting incumbents as optima.
+// what both engines run on: the worker pool, the incumbent and the node
+// counter. The Min*Bisection functions remain as uncancellable serial
+// conveniences, the U-bisection among them, on the same bisection job
+// runner as SolveBisection; Solve* accept a context.Context (deadline or
+// cancellation), report telemetry, and — the key contract — mark results
+// from an interrupted search Exact=false instead of silently presenting
+// incumbents as optima.
 
 // SolveOptions tune the context-aware solvers. The zero value runs an
 // unseeded search on GOMAXPROCS workers.
@@ -92,7 +94,7 @@ type BisectionResult struct {
 func SolveBisection(ctx context.Context, g *graph.Graph, opts SolveOptions) BisectionResult {
 	mon := opts.monitor(ctx)
 	defer mon.Close()
-	c, w, exact := searchBisection(g, opts.Bound, opts.Workers, mon)
+	c, w, exact := searchBisection(g, nil, opts.Bound, opts.Workers, mon)
 	return BisectionResult{
 		Cut: c, Width: w, Exact: exact,
 		Explored: mon.Explored(), Pruned: mon.Pruned(), Elapsed: mon.Elapsed(),
@@ -182,4 +184,86 @@ func runPool(jobs, workers int, newWorker func() func(job int)) {
 		work()
 	}
 	wg.Wait()
+}
+
+// incumbent is the best solution of one search, shared by every worker:
+// best is read lock-free on every prune check; improvements take the mutex
+// so the value and the witness stay consistent. side[v] reports whether
+// node v is in S at the witness. explored/pruned accumulate the search's
+// own telemetry (a survey reports them per row; mon holds the solve-wide
+// totals).
+type incumbent struct {
+	best atomic.Int64
+	mu   sync.Mutex
+	side []bool
+
+	mon      *solve.Monitor
+	explored atomic.Int64
+	pruned   atomic.Int64
+}
+
+func (sb *incumbent) record(val int, assign []int8) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if int64(val) >= sb.best.Load() {
+		return // someone else got there first
+	}
+	sb.best.Store(int64(val))
+	if sb.side == nil {
+		sb.side = make([]bool, len(assign))
+	}
+	for v, a := range assign {
+		sb.side[v] = a == sideS
+	}
+	sb.mon.SetIncumbent(int64(val))
+}
+
+// nodeCounter is a worker's cooperative cancellation and telemetry, shared
+// by both engines' search states: explored/pruned counts are batched
+// locally and flushed every solve.TickStride nodes into mon (the
+// solve-wide totals) and sb (the totals of the search being run, repointed
+// per job as one state serves every search of a run). tickBudget counts
+// DOWN from solve.TickStride so the per-node fast path is one decrement
+// and one branch; after a stop it stays pinned at zero, steering every
+// later tick into the latched slow path.
+type nodeCounter struct {
+	mon        *solve.Monitor
+	sb         *incumbent
+	tickBudget int32
+	prunedTick int32
+	stopped    bool
+}
+
+// tickNode counts one explored search node and reports whether the search
+// should stop. The monitor's atomic stop flag is only polled when the
+// stride budget runs out; once seen, stopped latches so the remaining
+// unwind is pure returns.
+func (c *nodeCounter) tickNode() bool {
+	c.tickBudget--
+	if c.tickBudget <= 0 {
+		c.flushTicks()
+		return c.stopped
+	}
+	return false
+}
+
+// flushTicks drains the local counters into the current search and the
+// monitor, sampling the stop flag. After a stop it only re-pins the
+// budget: the drained totals were flushed when the stop was first seen and
+// no nodes are explored past it.
+func (c *nodeCounter) flushTicks() {
+	if c.stopped {
+		c.tickBudget = 0
+		return
+	}
+	e, p := int64(solve.TickStride-c.tickBudget), int64(c.prunedTick)
+	c.tickBudget, c.prunedTick = solve.TickStride, 0
+	if e != 0 || p != 0 {
+		c.sb.explored.Add(e)
+		c.sb.pruned.Add(p)
+	}
+	if c.mon.Tick(e, p) {
+		c.stopped = true
+		c.tickBudget = 0
+	}
 }

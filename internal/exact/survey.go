@@ -2,7 +2,6 @@ package exact
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -54,9 +53,8 @@ type SurveyOptions struct {
 	// incumbents with the *Exact flags false. nil means never cancelled.
 	Ctx context.Context
 	// OnProgress, when non-nil, receives solve-wide Progress snapshots
-	// every ProgressInterval (≤ 0: 1s).
-	OnProgress       func(solve.Progress)
-	ProgressInterval time.Duration
+	// every second.
+	OnProgress func(solve.Progress)
 	// Label names the survey in progress lines and trace spans.
 	Label string
 	// Trace, when non-nil, receives the survey's span events.
@@ -86,7 +84,6 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 	mon := solve.Start(solve.Options{
 		Ctx:        opts.Ctx,
 		OnProgress: opts.OnProgress,
-		Interval:   opts.ProgressInterval,
 		Name:       opts.Label,
 		Trace:      opts.Trace,
 	})

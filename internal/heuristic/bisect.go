@@ -22,8 +22,6 @@ import (
 type BisectOptions struct {
 	// Starts is the number of random restarts (default 8).
 	Starts int
-	// MaxPasses bounds the refinement passes per start (default 16).
-	MaxPasses int
 	// Seed makes the search deterministic.
 	Seed int64
 	// Ctx cancels the search between refinement passes. The result is
@@ -41,9 +39,6 @@ type BisectOptions struct {
 func (o BisectOptions) withDefaults() BisectOptions {
 	if o.Starts <= 0 {
 		o.Starts = 8
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 16
 	}
 	return o
 }
@@ -63,13 +58,17 @@ func StartSeed(base int64, i int) int64 {
 	return int64(x)
 }
 
+// startPasses bounds the refinement passes of one random start, and of
+// RefineCut when its caller gives no bound.
+const startPasses = 16
+
 // oneStart runs a single random start: draw a balanced cut from seed,
-// refine it under ctx. Even a pre-cancelled ctx yields a valid (merely
-// unrefined) bisection.
-func oneStart(g *graph.Graph, seed int64, maxPasses int, ctx context.Context) *cut.Cut {
+// refine it under ctx for up to startPasses passes. Even a pre-cancelled
+// ctx yields a valid (merely unrefined) bisection.
+func oneStart(g *graph.Graph, seed int64, ctx context.Context) *cut.Cut {
 	rng := rand.New(rand.NewSource(seed))
 	c := cut.New(g, randomBalancedSide(g.N(), rng))
-	refineCtx(c, maxPasses, ctx)
+	refineCtx(c, startPasses, ctx)
 	return c
 }
 
@@ -82,7 +81,7 @@ func cancelled(ctx context.Context) bool {
 // refined cut's capacity. Use it to try to improve a constructed cut.
 func RefineCut(c *cut.Cut, maxPasses int) int {
 	if maxPasses <= 0 {
-		maxPasses = 16
+		maxPasses = startPasses
 	}
 	refine(c, maxPasses)
 	return c.Capacity()

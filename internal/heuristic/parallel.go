@@ -57,7 +57,7 @@ func BisectParallel(g *graph.Graph, opts BisectOptions) *cut.Cut {
 			for start := range starts {
 				// Each start gets its own deterministic sub-seed, so the
 				// work partition does not affect the outcome.
-				results[start] = oneStart(g, StartSeed(opts.Seed, start), opts.MaxPasses, opts.Ctx)
+				results[start] = oneStart(g, StartSeed(opts.Seed, start), opts.Ctx)
 			}
 		}()
 	}

@@ -93,7 +93,7 @@ func Bisect(g *graph.Graph, opts BisectOptions) *cut.Cut {
 	var best *cut.Cut
 	bestCap := -1
 	for start := 0; start < opts.Starts; start++ {
-		c := oneStart(g, StartSeed(opts.Seed, start), opts.MaxPasses, opts.Ctx)
+		c := oneStart(g, StartSeed(opts.Seed, start), opts.Ctx)
 		if cap := c.Capacity(); bestCap < 0 || cap < bestCap {
 			best, bestCap = c, cap
 		}

@@ -82,9 +82,6 @@ type Options struct {
 	Timeout time.Duration
 	// SLOs are evaluated against the finished run (may be empty).
 	SLOs []SLO
-	// Client overrides the HTTP client (tests); nil builds one with
-	// Timeout and enough idle connections for the offered concurrency.
-	Client *http.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -194,18 +191,15 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	paths := Requests(opt.Profile, opt.Seed, total)
 	interval := time.Duration(float64(time.Second) / opt.QPS)
 
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: opt.Timeout,
-			Transport: &http.Transport{
-				// The open loop can legitimately hold hundreds of requests
-				// in flight against a slow server; don't strangle it on
-				// two idle conns per host (the net/http default).
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-			},
-		}
+	client := &http.Client{
+		Timeout: opt.Timeout,
+		Transport: &http.Transport{
+			// The open loop can legitimately hold hundreds of requests in
+			// flight against a slow server; don't strangle it on two idle
+			// conns per host (the net/http default).
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 256,
+		},
 	}
 
 	before, _ := ScrapeMetrics(client, opt.BaseURL)

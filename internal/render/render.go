@@ -83,7 +83,7 @@ func ButterflyASCII(b *topology.Butterfly) string {
 }
 
 // ButterflyDOT renders Bn or Wn with ⟨column,level⟩ labels and level ranks.
-func ButterflyDOT(w io.Writer, b *topology.Butterfly, side []bool) {
+func ButterflyDOT(w io.Writer, b *topology.Butterfly) {
 	fmt.Fprintln(w, "graph butterfly {")
 	fmt.Fprintln(w, "  rankdir=TB; node [shape=circle, fontsize=10];")
 	for i := 0; i < b.Levels(); i++ {
@@ -94,11 +94,7 @@ func ButterflyDOT(w io.Writer, b *topology.Butterfly, side []bool) {
 		fmt.Fprintln(w, " }")
 	}
 	for v := 0; v < b.N(); v++ {
-		attrs := fmt.Sprintf("label=\"%s,%d\"", bitutil.BitString(b.Column(v), b.Dim()), b.Level(v))
-		if side != nil && side[v] {
-			attrs += ", style=filled, fillcolor=lightblue"
-		}
-		fmt.Fprintf(w, "  n%d [%s];\n", v, attrs)
+		fmt.Fprintf(w, "  n%d [label=\"%s,%d\"];\n", v, bitutil.BitString(b.Column(v), b.Dim()), b.Level(v))
 	}
 	for _, e := range b.Edges() {
 		fmt.Fprintf(w, "  n%d -- n%d;\n", e.U, e.V)

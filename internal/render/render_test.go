@@ -39,7 +39,7 @@ func TestButterflyASCIIPanicsOnWn(t *testing.T) {
 func TestButterflyDOT(t *testing.T) {
 	b := topology.NewWrappedButterfly(4)
 	var sb strings.Builder
-	ButterflyDOT(&sb, b, nil)
+	ButterflyDOT(&sb, b)
 	out := sb.String()
 	if strings.Count(out, "rank=same") != b.Levels() {
 		t.Errorf("rank groups %d, want %d", strings.Count(out, "rank=same"), b.Levels())

@@ -196,13 +196,14 @@ func TestSimulateManyKindValidation(t *testing.T) {
 	})
 }
 
-// TestMaxStepsExhaustion forces non-convergence via an absurdly low step
-// limit and checks the trials come back flagged Exhausted — never a panic
-// — excluded from the aggregates, and that the worker states survive to
-// run a healthy aggregate afterwards.
+// TestMaxStepsExhaustion forces non-convergence through the seeded fault
+// model (DropProb 0.999 with unbounded retransmission never converges
+// within the step limit) and checks the trials come back flagged Exhausted
+// — never a panic — excluded from the aggregates, and that the worker
+// states survive to run a healthy aggregate afterwards.
 func TestMaxStepsExhaustion(t *testing.T) {
 	b := topology.NewButterfly(16)
-	s := SimulateMany(b, nil, RandomDestinations, ManyOptions{Trials: 2, Workers: 2, MaxSteps: 1})
+	s := SimulateMany(b, nil, RandomDestinations, ManyOptions{Trials: 2, Workers: 2, Fault: FaultOptions{DropProb: 0.999}})
 	if s.ExhaustedTrials != 2 {
 		t.Fatalf("ExhaustedTrials = %d, want 2", s.ExhaustedTrials)
 	}

@@ -99,7 +99,7 @@ func ParseTrialKind(s string) (TrialKind, error) {
 }
 
 // ManyOptions configures SimulateMany. The zero value runs one trial on
-// all available cores with the default step limit and tightness factor 2.
+// all available cores with tightness factor 2.
 type ManyOptions struct {
 	// Trials is the number of independently seeded trials (≤0: 1).
 	Trials int
@@ -108,12 +108,6 @@ type ManyOptions struct {
 	// Seed is the base seed; trial t runs on TrialSeed(Seed, t), so the
 	// aggregate is reproducible at any worker count.
 	Seed int64
-	// MaxSteps bounds each trial's simulated time (≤0: 64·N, far above
-	// any convergent schedule on a healthy network). A trial that exceeds
-	// it completes with Exhausted set and is counted in
-	// TrialStats.ExhaustedTrials — never a panic: heavy drop rates with
-	// unbounded retransmission make non-convergence a legitimate outcome.
-	MaxSteps int
 	// TightFactor is the §1.2 tightness threshold: a trial is counted
 	// tight when Steps ≤ TightFactor · CongestionBound (≤0: 2).
 	TightFactor float64
@@ -227,6 +221,11 @@ func TrialSeed(base int64, trial int) int64 {
 // worker pool. Each worker owns one reusable simState, so the steady state
 // allocates nothing per trial; results land in a per-trial slice indexed
 // by trial number, so the aggregate is byte-identical at any worker count.
+// Each trial's simulated time is bounded at 64·N steps, far above any
+// convergent schedule on a healthy network; a trial that reaches it
+// completes with Exhausted set and is counted in TrialStats.ExhaustedTrials
+// — never a panic: heavy drop rates with unbounded retransmission make
+// non-convergence a legitimate outcome.
 func SimulateMany(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, opt ManyOptions) TrialStats {
 	if err := checkKindTopology(kind, b); err != nil {
 		panic(err.Error())
@@ -242,10 +241,7 @@ func SimulateMany(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, opt ManyO
 	if workers > trials {
 		workers = trials
 	}
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps(b)
-	}
+	maxSteps := defaultMaxSteps(b)
 	tight := opt.TightFactor
 	if tight <= 0 {
 		tight = 2

@@ -77,6 +77,7 @@ func TestBinariesRejectNonsenseFlags(t *testing.T) {
 		{"./cmd/routesim", "-workers", "-1"},
 		{"./cmd/routesim", "-max-log", "25"},
 		{"./cmd/exptable", "-n", "100"},
+		{"./cmd/exptable", "-n", "2"},
 		{"./cmd/exptable", "-kmax", "0"},
 		{"./cmd/exptable", "-workers", "-2"},
 		{"./cmd/exptable", "-max-d", "0"},
