@@ -183,7 +183,7 @@ func BenchmarkExpansionExact(b *testing.B) {
 }
 
 // BenchmarkExpansionExactParallel{Edge,Node} measure the expansion engine
-// fanned out over GOMAXPROCS workers on a W16 workload;
+// on GOMAXPROCS workers on a W16 workload;
 // BenchmarkExpansionExact above is the one-worker, one-job entry.
 func BenchmarkExpansionExactParallelEdge(b *testing.B) {
 	w := topology.NewWrappedButterfly(16)
@@ -205,6 +205,25 @@ func BenchmarkExpansionExactParallelNode(b *testing.B) {
 		res := exact.SolveNodeExpansion(context.Background(), w.Graph, 6, exact.SolveOptions{})
 		if res.Value != 9 {
 			b.Fatalf("NE(W16,6) = %d", res.Value)
+		}
+	}
+}
+
+// BenchmarkExpansionExactHeavyPrefix measures the expansion engine on
+// GOMAXPROCS workers on a skewed tree: rooted NE(W32,8) = 12, seeded with
+// its witness value, explores 10.6M nodes, 4.7M of them under one branch
+// (root in S, the next seven BFS nodes out), so its wall time shows how
+// well idle workers are fed pieces of that branch. NE(W64,8) has the same
+// shape at ten times the size (63M of 104M nodes).
+func BenchmarkExpansionExactHeavyPrefix(b *testing.B) {
+	w := topology.NewWrappedButterfly(32)
+	opts := exact.SolveOptions{Bound: 12, Containing: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := exact.SolveNodeExpansion(context.Background(), w.Graph, 8, opts)
+		if res.Value != 12 || !res.Exact {
+			b.Fatalf("NE(W32,8) = %d (exact %v)", res.Value, res.Exact)
 		}
 	}
 }

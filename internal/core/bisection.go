@@ -66,7 +66,7 @@ const (
 // BisectionBudget bounds the expensive computations in a report.
 type BisectionBudget struct {
 	// ExactNodes is the largest node count on which the exact solver runs
-	// (default 32: B8/W8-scale; 0 disables).
+	// (0 disables it; 32 reaches B8, W8 and CCC8).
 	ExactNodes int
 
 	// Ctx cancels the expensive solves: exact searches return their best
@@ -109,20 +109,12 @@ func durationMS(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-func (b BisectionBudget) withDefaults() BisectionBudget {
-	if b.ExactNodes == 0 {
-		b.ExactNodes = 32
-	}
-	return b
-}
-
 // ButterflyBisection analyzes BW(Bn) (experiment E2, Theorem 2.20). A
 // cancelled budget.Ctx degrades gracefully — incumbents instead of optima,
 // the plan's predicted capacity instead of the virtually verified one — and
 // the only error is a genuinely unbalanced virtual plan (a construction
 // bug, previously a panic).
 func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) {
-	budget = budget.withDefaults()
 	d := log2(n)
 	nodes := n * (d + 1)
 	rep := BisectionReport{
@@ -188,7 +180,6 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 
 // WrappedBisection analyzes BW(Wn) = n (experiment E4, Lemma 3.2).
 func WrappedBisection(n int, budget BisectionBudget) BisectionReport {
-	budget = budget.withDefaults()
 	d := log2(n)
 	rep := BisectionReport{
 		Network:     fmt.Sprintf("W%d", n),
@@ -213,7 +204,6 @@ func WrappedBisection(n int, budget BisectionBudget) BisectionReport {
 
 // CCCBisection analyzes BW(CCCn) = n/2 (experiment E5, Lemma 3.3).
 func CCCBisection(n int, budget BisectionBudget) BisectionReport {
-	budget = budget.withDefaults()
 	d := log2(n)
 	rep := BisectionReport{
 		Network:     fmt.Sprintf("CCC%d", n),

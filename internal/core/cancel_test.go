@@ -98,7 +98,7 @@ func TestRoutingExperimentCancelled(t *testing.T) {
 }
 
 func TestRenderBisectionTableTelemetryColumns(t *testing.T) {
-	r := WrappedBisection(8, BisectionBudget{})
+	r := WrappedBisection(8, BisectionBudget{ExactNodes: 32})
 	if !r.ExactComplete || r.Explored == 0 {
 		t.Fatalf("W8 solve telemetry: complete=%v explored=%d", r.ExactComplete, r.Explored)
 	}

@@ -8,7 +8,7 @@ import (
 func TestButterflyBisectionSmall(t *testing.T) {
 	// B4: exact, heuristic, constructed and lower bound must nest
 	// correctly: LB ≤ exact ≤ heuristic, exact ≤ constructed.
-	r, err := ButterflyBisection(4, BisectionBudget{})
+	r, err := ButterflyBisection(4, BisectionBudget{ExactNodes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,28 @@ func TestButterflyBisectionVirtualLarge(t *testing.T) {
 }
 
 func TestWrappedAndCCCBisection(t *testing.T) {
-	w := WrappedBisection(8, BisectionBudget{})
+	w := WrappedBisection(8, BisectionBudget{ExactNodes: 32})
 	if w.Exact != 8 || w.Constructed != 8 {
 		t.Errorf("W8: exact %d constructed %d, want 8/8", w.Exact, w.Constructed)
 	}
-	c := CCCBisection(8, BisectionBudget{})
+	c := CCCBisection(8, BisectionBudget{ExactNodes: 32})
 	if c.Exact != 4 || c.Constructed != 4 {
 		t.Errorf("CCC8: exact %d constructed %d, want 4/4", c.Exact, c.Constructed)
+	}
+}
+
+// TestExactNodesZeroDisablesExact pins the documented budget: ExactNodes 0
+// runs no exact solve, on networks that 32 would certify.
+func TestExactNodesZeroDisablesExact(t *testing.T) {
+	b8, err := ButterflyBisection(8, BisectionBudget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []BisectionReport{b8, WrappedBisection(8, BisectionBudget{}), CCCBisection(8, BisectionBudget{})} {
+		if r.Exact != Unknown || r.ExactComplete || r.Explored != 0 {
+			t.Errorf("%s with ExactNodes 0: exact %d (complete %v, explored %d), want no exact solve",
+				r.Network, r.Exact, r.ExactComplete, r.Explored)
+		}
 	}
 }
 

@@ -9,17 +9,20 @@
 // networks are handled by package heuristic (upper bounds) and by the
 // paper's constructions and certified lower bounds.
 //
-// Bisection and expansion each have one engine: a job runner that splits
-// the search at a BFS prefix into independent subproblems and drains them
-// over a worker pool, every worker reusing one search state, pruning
-// against one shared incumbent and counting its nodes on one counter. A
-// serial solve is one worker running one empty-prefix job. The bisection
-// engine balances a node set U: every node for BW(g), the given subset for
-// the U-bisection width, so both run on the same job runner. The expansion
-// engine also takes achievable upper-bound seeds (witness or greedy sets)
-// and batches whole k-sweeps (ExpansionSurveyWithOptions) over one pool.
-// An edge search of size k first certifies EE(g, m) for every m < k and
-// prunes with that table (Russian-doll search).
+// Bisection and expansion each have one engine: a job runner that drains
+// prefix jobs (subproblems that fix the sides of the first nodes of a BFS
+// order) over a worker pool, every worker reusing one search state,
+// pruning against one shared incumbent and counting its nodes on one
+// counter. A bisection starts split at a BFS prefix, an expansion search
+// as one job, and whenever a worker waits with nothing queued, a busy one
+// donates its shallowest untried branch as a new job. A serial solve is
+// one worker running one empty-prefix job, which never donates. The
+// bisection engine balances a node set U: every node for BW(g), the given
+// subset for the U-bisection width, so both run on the same job runner.
+// The expansion engine also takes achievable upper-bound seeds (witness or
+// greedy sets) and batches whole k-sweeps (ExpansionSurveyWithOptions)
+// over one pool. An edge search of size k first certifies EE(g, m) for
+// every m < k and prunes with that table (Russian-doll search).
 package exact
 
 import (
@@ -46,8 +49,7 @@ const (
 // and those edge sets are disjoint across unassigned nodes. The bound holds
 // for any balance constraint, so one state serves every node set U.
 type bbState struct {
-	g     *graph.Graph
-	order []int32 // assignment order (BFS order keeps edges local)
+	g *graph.Graph
 	// inU[v] is 1 for a node of U, the node set the search bisects, and 0
 	// elsewhere: only U's nodes count toward sizeS and sizeT, neither of
 	// which may exceed half, and the node at order index pin (U's first)
@@ -55,7 +57,6 @@ type bbState struct {
 	inU     []int8
 	half    int
 	pin     int
-	assign  []int8
 	cntS    []int32 // per node: assigned neighbors in S
 	cntSbar []int32 // per node: assigned neighbors in S̄
 	curCut  int
@@ -67,22 +68,16 @@ type bbState struct {
 }
 
 func newBBState(g *graph.Graph, order []int32, inU []int8, half, pin int) *bbState {
-	st := &bbState{
+	return &bbState{
 		g:       g,
-		order:   order,
 		inU:     inU,
 		half:    half,
 		pin:     pin,
-		assign:  make([]int8, g.N()),
 		cntS:    make([]int32, g.N()),
 		cntSbar: make([]int32, g.N()),
 
-		nodeCounter: nodeCounter{tickBudget: solve.TickStride},
+		nodeCounter: newNodeCounter(order),
 	}
-	for i := range st.assign {
-		st.assign[i] = unassigned
-	}
-	return st
 }
 
 // bfsOrder returns a BFS order of all nodes, sweeping components in node-id
@@ -183,7 +178,8 @@ func (st *bbState) unplace(v int, s int8) {
 
 // dfs decides order[idx:] given the placements before idx, recording every
 // U-bisection that beats sb: neither side may hold more than half nodes of
-// U, and U's first node stays in S.
+// U, and U's first node stays in S. A feasible second side is owed while
+// the first runs, and skipped if a flush donated it meanwhile.
 func (st *bbState) dfs(idx int, sb *incumbent) {
 	if st.tickNode() {
 		return
@@ -203,14 +199,29 @@ func (st *bbState) dfs(idx int, sb *incumbent) {
 	if st.cntSbar[v] < st.cntS[v] {
 		first, second = sideSbar, sideS
 	}
-	for _, s := range []int8{first, second} {
-		if s == sideS && st.sizeS+u > st.half || s == sideSbar && (st.sizeT+u > st.half || idx == st.pin) {
-			continue
-		}
-		st.place(v, s)
+	takeSecond := st.fits(idx, u, second)
+	if st.fits(idx, u, first) {
+		owed := &st.owed[idx]
+		*owed = takeSecond
+		st.place(v, first)
 		st.dfs(idx+1, sb)
-		st.unplace(v, s)
+		st.unplace(v, first)
+		takeSecond, *owed = *owed, false
 	}
+	if takeSecond {
+		st.place(v, second)
+		st.dfs(idx+1, sb)
+		st.unplace(v, second)
+	}
+}
+
+// fits reports whether order[idx], u of U's nodes (0 or 1), may join side
+// s: that side stays within half, and U's first node stays in S.
+func (st *bbState) fits(idx, u int, s int8) bool {
+	if s == sideS {
+		return st.sizeS+u <= st.half
+	}
+	return st.sizeT+u <= st.half && idx != st.pin
 }
 
 // MinBisection returns a minimum bisection of g and its capacity BW(g),
@@ -251,9 +262,10 @@ func subsetMask(n int, u []int) []int8 {
 // searchBisection is the bisection engine behind MinBisection*,
 // MinSubsetBisection and SolveBisection: the least cut that bisects the
 // node set U marked in inU (nil: every node, which is BW(g)). The prefix
-// jobs of bisectionPrefixes are drained by workers goroutines (≤ 0:
-// GOMAXPROCS), each reusing one bbState, all pruning against one incumbent
-// seeded with the BFS-prefix cut or with bound > 0, whichever is smaller.
+// jobs of bisectionPrefixes, and the branches they donate, are drained by
+// workers goroutines (≤ 0: GOMAXPROCS), each reusing one bbState, all
+// pruning against one incumbent seeded with the BFS-prefix cut or with
+// bound > 0, whichever is smaller.
 // The flag reports whether the search ran to completion; a stopped search
 // returns its best incumbent (or the BFS-prefix cut), a valid U-bisection
 // but not a certified optimum.
@@ -284,35 +296,13 @@ func searchBisection(g *graph.Graph, inU []int8, bound, workers int, mon *solve.
 	sb := incumbent{mon: mon}
 	sb.best.Store(int64(start + 1))
 	half := (sizeU + 1) / 2
-	prefixes := bisectionPrefixes(order, inU, fanoutDepth(n, workers), half, pin)
-	var incomplete atomic.Bool
-	runPool(len(prefixes), workers, func() func(int) {
-		st := newBBState(g, order, inU, half, pin)
-		st.mon, st.sb = mon, &sb
-		return func(job int) {
-			if mon.Stopped() {
-				incomplete.Store(true)
-				return
-			}
-			prefix := prefixes[job]
-			for i, s := range prefix {
-				st.place(int(order[i]), s)
-			}
-			st.dfs(len(prefix), &sb)
-			for i := len(prefix) - 1; i >= 0; i-- {
-				st.unplace(int(order[i]), prefix[i])
-			}
-			st.flushTicks()
-			if st.stopped {
-				incomplete.Store(true)
-			}
-		}
-	})
+	jobs := bisectionPrefixes(order, inU, fanoutDepth(n, workers), half, pin)
+	incomplete := runBisectionJobs(g, order, inU, half, pin, jobs, &sb, workers, mon)
 
 	switch {
 	case sb.side != nil:
-		return cut.New(g, sb.side), int(sb.best.Load()), !incomplete.Load()
-	case incomplete.Load():
+		return cut.New(g, sb.side), int(sb.best.Load()), !incomplete
+	case incomplete:
 		// Cancelled before anything beat the seed: the BFS-prefix cut is
 		// feasible but not certified.
 		return seedCut, seedCut.Capacity(), false
@@ -325,17 +315,48 @@ func searchBisection(g *graph.Graph, inU []int8, bound, workers int, mon *solve.
 	}
 }
 
+// runBisectionJobs drains the prefix jobs of one U-bisection search
+// (inU, half and pin as in bbState) through a pool of workers (≤ 0:
+// GOMAXPROCS), each reusing one bbState, every job pruning against and
+// recording into sb. It reports whether a job was cut short by
+// cancellation; the pool always drains, so it returns promptly.
+func runBisectionJobs(g *graph.Graph, order []int32, inU []int8, half, pin int, jobs []job, sb *incumbent, workers int, mon *solve.Monitor) bool {
+	var incomplete atomic.Bool
+	runPool(jobs, workers, func() (*nodeCounter, func(job)) {
+		st := newBBState(g, order, inU, half, pin)
+		st.mon, st.sb = mon, sb
+		return &st.nodeCounter, func(j job) {
+			if mon.Stopped() {
+				incomplete.Store(true)
+				return
+			}
+			for i, s := range j.prefix {
+				st.place(int(order[i]), s)
+			}
+			st.dfs(len(j.prefix), sb)
+			for i := len(j.prefix) - 1; i >= 0; i-- {
+				st.unplace(int(order[i]), j.prefix[i])
+			}
+			st.flushTicks()
+			if st.stopped {
+				incomplete.Store(true)
+			}
+		}
+	})
+	return incomplete.Load()
+}
+
 // bisectionPrefixes enumerates the side assignments of the first depth
 // nodes of the order under the search's own constraints (at most half
-// nodes of U per side, the node at index pin in S); depth 0 yields the one
-// empty prefix.
-func bisectionPrefixes(order []int32, inU []int8, depth, half, pin int) [][]int8 {
-	var out [][]int8
+// nodes of U per side, the node at index pin in S) as jobs; depth 0 yields
+// the one empty prefix.
+func bisectionPrefixes(order []int32, inU []int8, depth, half, pin int) []job {
+	var out []job
 	prefix := make([]int8, depth)
 	var gen func(idx, sizeS, sizeT int)
 	gen = func(idx, sizeS, sizeT int) {
 		if idx == depth {
-			out = append(out, append([]int8(nil), prefix...))
+			out = append(out, job{prefix: append([]int8(nil), prefix...)})
 			return
 		}
 		u := int(inU[order[idx]])

@@ -11,12 +11,13 @@ import (
 )
 
 // The expansion engine: every EE/NE search (SolveEdge/NodeExpansion and
-// the k-sweeps of ExpansionSurveyWithOptions) is a list of (search,
-// prefix) jobs drained by runExpansionJobs. A prefix fixes the decisions
-// on the first nodes of the BFS order; each worker owns one expState,
-// reused across every job of every search — a prefix is placed, searched,
-// and unplaced, so no per-job allocation or re-initialisation happens on
-// the hot path.
+// the k-sweeps of ExpansionSurveyWithOptions) starts as one empty-prefix
+// job drained by runExpansionJobs, and an idle worker is fed by a busy one
+// donating its shallowest untried branch as a prefix job of the same
+// search. A prefix fixes the decisions on the first nodes of the BFS
+// order; each worker owns one expState, reused across every job of every
+// search — a prefix is placed, searched, and unplaced, so no per-job
+// allocation or re-initialisation happens on the hot path.
 // Before the edge searches of a run start, sweepEdgeTable certifies
 // EE(g, m) for every smaller m on the same job runner, so their bound can
 // prune with it.
@@ -51,41 +52,36 @@ func newExpSearch(g *graph.Graph, k int, edge bool, bound int, mon *solve.Monito
 	return s
 }
 
-// expJob is one prefix subproblem of one search.
-type expJob struct {
-	s      *expSearch
-	prefix []int8
-}
-
-// runExpansionJobs drains jobs through a pool of workers (≤ 0:
-// GOMAXPROCS). Searches are independent (each has its own incumbent), so
-// jobs of several searches share the pool and it load-balances across
-// them. On cancellation, jobs not run to completion mark their search
-// incomplete; the pool always drains, so the call returns promptly with
-// whatever incumbents were found.
-func runExpansionJobs(g *graph.Graph, order []int32, jobs []expJob, rootForced bool, workers int, mon *solve.Monitor) {
-	runPool(len(jobs), workers, func() func(int) {
+// runExpansionJobs drains jobs, each naming its search by index into
+// searches, through a pool of workers (≤ 0: GOMAXPROCS). Searches are
+// independent (each has its own incumbent), so jobs of several searches
+// share the pool and it load-balances across them. On cancellation, jobs
+// not run to completion mark their search incomplete; the pool always
+// drains, so the call returns promptly with whatever incumbents were
+// found.
+func runExpansionJobs(g *graph.Graph, order []int32, searches []*expSearch, jobs []job, rootForced bool, workers int, mon *solve.Monitor) {
+	runPool(jobs, workers, func() (*nodeCounter, func(job)) {
 		st := newExpState(g, order)
 		st.mon = mon
-		return func(i int) {
-			j := jobs[i]
+		return &st.nodeCounter, func(j job) {
+			s := searches[j.search]
 			if mon.Stopped() {
-				j.s.incomplete.Store(true)
+				s.incomplete.Store(true)
 				return
 			}
-			st.sb, st.table = j.s.sb, j.s.table
+			st.sb, st.table = s.sb, s.table
 			for d, side := range j.prefix {
-				st.place(int(order[d]), side, j.s.edge)
+				st.place(int(order[d]), side, s.edge)
 			}
 			// dfsExpansion re-checks the bound first thing, so prefixes that
 			// are already prunable cost only the placements.
-			dfsExpansion(st, len(j.prefix), j.s.k, j.s.edge, rootForced, j.s.sb)
+			dfsExpansion(st, len(j.prefix), s.k, s.edge, rootForced, s.sb)
 			for d := len(j.prefix) - 1; d >= 0; d-- {
-				st.unplace(int(order[d]), j.s.edge)
+				st.unplace(int(order[d]), s.edge)
 			}
 			st.flushTicks()
 			if st.stopped {
-				j.s.incomplete.Store(true)
+				s.incomplete.Store(true)
 			}
 		}
 	})
@@ -101,19 +97,17 @@ func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers in
 	return order
 }
 
-// runSearches runs searches to completion on one pool, each split at
-// fanoutDepth. A search whose seed undercut its optimum finishes without a
-// witness and is rerun unseeded, so a completed search is exact either way.
+// runSearches runs searches to completion on one pool, each starting as
+// one empty-prefix job. A search whose seed undercut its optimum finishes
+// without a witness and is rerun unseeded, so a completed search is exact
+// either way.
 func runSearches(g *graph.Graph, order []int32, rootForced bool, searches []*expSearch, workers int, mon *solve.Monitor) {
-	depth := fanoutDepth(g.N(), workers)
 	for len(searches) > 0 {
-		var jobs []expJob
-		for _, s := range searches {
-			for _, p := range expansionPrefixes(g.N(), depth, s.k, rootForced) {
-				jobs = append(jobs, expJob{s: s, prefix: p})
-			}
+		jobs := make([]job, len(searches))
+		for i := range jobs {
+			jobs[i].search = i
 		}
-		runExpansionJobs(g, order, jobs, rootForced, workers, mon)
+		runExpansionJobs(g, order, searches, jobs, rootForced, workers, mon)
 		var redo []*expSearch
 		for _, s := range searches {
 			if s.sb.side == nil && !s.incomplete.Load() {
@@ -217,32 +211,6 @@ func (s *expSearch) result(g *graph.Graph, order []int32) ([]int, int, bool) {
 		set[i] = int(order[i])
 	}
 	return set, boundary(g, set, s.edge), false
-}
-
-// expansionPrefixes enumerates the decisions for the first depth nodes of
-// the order that can still complete to a k-set: at most k inclusions, and
-// enough nodes left after each exclusion. rootForced pins the first node
-// into S. Depth 0 yields the one empty prefix.
-func expansionPrefixes(n, depth, k int, rootForced bool) [][]int8 {
-	var out [][]int8
-	prefix := make([]int8, depth)
-	var gen func(idx, inS int)
-	gen = func(idx, inS int) {
-		if idx == depth {
-			out = append(out, append([]int8(nil), prefix...))
-			return
-		}
-		if inS < k {
-			prefix[idx] = sideS
-			gen(idx+1, inS+1)
-		}
-		if !(rootForced && idx == 0) && inS+(n-idx-1) >= k {
-			prefix[idx] = sideSbar
-			gen(idx+1, inS)
-		}
-	}
-	gen(0, 0)
-	return out
 }
 
 // expansionOrder is the decision order of every expansion search: BFS from

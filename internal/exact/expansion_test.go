@@ -10,8 +10,9 @@ import (
 	"repro/internal/topology"
 )
 
-// serial runs a search as one depth-first job; fanned runs it split into
-// prefix jobs on three workers (on networks of at least 16 nodes).
+// serial runs a search as one depth-first job; fanned shares it among three
+// workers, which donate branches to each other (and split a bisection of
+// at least 16 nodes at a BFS prefix first).
 var (
 	serial = SolveOptions{Workers: 1}
 	fanned = SolveOptions{Workers: 3}
@@ -90,9 +91,9 @@ func TestExpansionTrivialSizes(t *testing.T) {
 // TestExpansionAgainstBruteForce checks every route into the expansion
 // engine — Solve* and the survey, each on one and on three workers —
 // against plain enumeration, unrooted and rooted, for every k on B4, Q4,
-// W4 and random graphs of up to 18 nodes (so both the single-job and the
-// fanned-out schedules run). Q4 and W4 are declared vertex-transitive, so
-// their edge table sweeps run rooted; W4 has parallel edges.
+// W4 and random graphs of up to 18 nodes. Q4 and W4 are declared
+// vertex-transitive, so their edge table sweeps run rooted; W4 has
+// parallel edges.
 func TestExpansionAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))

@@ -81,7 +81,7 @@ func checkWorkersAgree(t *testing.T, name string, g *graph.Graph, k int, workers
 func TestParallelExpansionMatchesSerialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
-		n := 16 + rng.Intn(6) // at or above the fan-out threshold
+		n := 16 + rng.Intn(6)
 		g := randomGraph(rng, n, 3*n)
 		for k := 1; k <= 6; k++ {
 			checkWorkersAgree(t, "random", g, k, 1, 3)

@@ -1,9 +1,6 @@
 package exact
 
-import (
-	"repro/internal/graph"
-	"repro/internal/solve"
-)
+import "repro/internal/graph"
 
 // expState is the incremental machinery of the expansion branch-and-bound
 // (EE and NE, §1.3), one per worker of the engine. Nodes are decided
@@ -29,8 +26,6 @@ import (
 // zero, so one state serves jobs of either kind back to back.
 type expState struct {
 	g      *graph.Graph
-	order  []int32
-	assign []int8
 	inNbrs []int32 // per node: number of incident edges whose other end is in S
 	// Edge searches only: outNbrs counts, per node, the incident edges whose
 	// other end is decided out, gainHist[maxDeg+in−out] the undecided nodes
@@ -58,18 +53,13 @@ func newExpState(g *graph.Graph, order []int32) *expState {
 	maxDeg := g.MaxDegree()
 	st := &expState{
 		g:        g,
-		order:    order,
-		assign:   make([]int8, g.N()),
 		inNbrs:   make([]int32, g.N()),
 		outNbrs:  make([]int32, g.N()),
 		gainHist: make([]int32, 2*maxDeg+1),
 		inHist:   make([]int32, maxDeg+1),
 		maxDeg:   maxDeg,
 
-		nodeCounter: nodeCounter{tickBudget: solve.TickStride},
-	}
-	for i := range st.assign {
-		st.assign[i] = unassigned
+		nodeCounter: newNodeCounter(order),
 	}
 	// Every node undecided, in = out = 0.
 	st.gainHist[maxDeg] = int32(g.N())
@@ -292,7 +282,9 @@ func (st *expState) nodeLB(k int) int {
 
 // dfsEdgeExpansion explores all decisions for order[idx:] given the prefix
 // already placed in st, recording edge-boundary improvements over sb.best.
-// rootForced skips the exclude branch at idx 0 (root-forced searches).
+// rootForced skips the exclude branch at idx 0 (root-forced searches). The
+// exclude branch is owed while the include branch runs, and skipped if a
+// flush donated it meanwhile.
 func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) {
 	if st.tickNode() {
 		return
@@ -311,13 +303,16 @@ func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	}
 	v := int(st.order[idx])
 
+	owed := &st.owed[idx]
+	*owed = !rootForced || idx > 0
 	st.placeEdge(v, sideS)
 	dfsEdgeExpansion(st, idx+1, k, rootForced, sb)
 	st.unplaceEdge(v)
 
-	if rootForced && idx == 0 {
+	if !*owed {
 		return
 	}
+	*owed = false
 	st.placeEdge(v, sideSbar)
 	dfsEdgeExpansion(st, idx+1, k, rootForced, sb)
 	st.unplaceEdge(v)
@@ -342,13 +337,16 @@ func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	}
 	v := int(st.order[idx])
 
+	owed := &st.owed[idx]
+	*owed = !rootForced || idx > 0
 	st.placeNode(v, sideS)
 	dfsNodeExpansion(st, idx+1, k, rootForced, sb)
 	st.unplaceNode(v)
 
-	if rootForced && idx == 0 {
+	if !*owed {
 		return
 	}
+	*owed = false
 	st.placeNode(v, sideSbar)
 	dfsNodeExpansion(st, idx+1, k, rootForced, sb)
 	st.unplaceNode(v)

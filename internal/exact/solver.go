@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,7 @@ import (
 )
 
 // This file is the context-aware entry point to the exact engines, and
-// what both engines run on: the worker pool, the incumbent and the node
+// what both engines run on: the job queue, the incumbent and the node
 // counter. The Min*Bisection functions remain as uncancellable serial
 // conveniences, the U-bisection among them, on the same bisection job
 // runner as SolveBisection; Solve* accept a context.Context (deadline or
@@ -26,9 +27,12 @@ import (
 // unseeded search on GOMAXPROCS workers.
 type SolveOptions struct {
 	// Workers is the pool size, ≤ 0 meaning GOMAXPROCS. One worker runs
-	// the whole search as one depth-first job; more split it at a BFS
-	// prefix into up to 256 jobs (see fanoutDepth). The optimum is the
-	// same either way; the witness may differ when several are optimal.
+	// the whole search as one depth-first job. More share one job queue:
+	// an expansion search starts as one job and a bisection as up to 256
+	// BFS-prefix jobs (see fanoutDepth), and whenever a worker waits with
+	// nothing queued, a busy one gives it its shallowest untried branch
+	// (see nodeCounter.donate). The optimum is the same either way; the
+	// witness may differ when several are optimal.
 	Workers int
 	// Bound > 0 seeds the incumbent with a known achievable value (a
 	// witness or heuristic boundary); ≤ 0 searches unseeded. A bound
@@ -140,11 +144,11 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	}
 }
 
-// fanoutDepth is the BFS-prefix depth at which a run splits into jobs:
-// none (one empty-prefix job, the plain depth-first search) on one worker
-// or below 16 nodes, where the fan-out costs more than it balances;
-// otherwise min(8, n/2), up to 2^8 = 256 jobs per search — plenty of
-// slack for load balancing without flooding memory with prefixes.
+// fanoutDepth is the BFS-prefix depth at which a bisection run splits
+// into jobs: none (one empty-prefix job, the plain depth-first search) on
+// one worker or below 16 nodes, where the fan-out costs more than it
+// balances; otherwise min(8, n/2), up to 2^8 = 256 jobs. Their order finds
+// incumbents sooner than one job split only by donation would.
 func fanoutDepth(n, workers int) int {
 	if n < 16 || poolSize(workers) == 1 {
 		return 0
@@ -159,30 +163,108 @@ func poolSize(workers int) int {
 	return workers
 }
 
-// runPool runs jobs 0..jobs-1 on min(poolSize(workers), jobs) workers,
-// handing job indices out in order; the calling goroutine is one of the
-// workers, so a one-worker pool starts no goroutine. Each worker calls
-// newWorker once to build its private state and gets back the function
-// that runs one job on it.
-func runPool(jobs, workers int, newWorker func() func(job int)) {
-	var next atomic.Int64
+// metricDonations counts the branches busy workers gave to idle ones.
+var metricDonations = obs.NewCounter("exact.donations")
+
+// job is one prefix subproblem of a run: the sides of the first
+// len(prefix) nodes of the decision order, in the run's search number
+// search (a bisection run has one search, 0).
+type job struct {
+	search int
+	prefix []int8
+}
+
+// jobQueue is the work queue of one run. Workers take its jobs oldest
+// first, and a running job pushes more when a worker waits with nothing
+// queued (see nodeCounter.donate). Only a running job can push, so the run
+// is over once the queue is empty and no job runs.
+type jobQueue struct {
+	mu      sync.Mutex
+	ready   sync.Cond
+	jobs    []job
+	head    int // jobs[head:] are queued
+	waiting int // workers blocked in take
+	running int // jobs being run
+	// hungry mirrors waiting > queued: busy workers read it at every
+	// flush, so it is one atomic load off the lock.
+	hungry atomic.Bool
+}
+
+func (q *jobQueue) setHungry() {
+	q.hungry.Store(q.waiting > len(q.jobs)-q.head)
+}
+
+// take blocks until a job is queued, and returns it, or until the run is
+// over, and returns false.
+func (q *jobQueue) take() (job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == len(q.jobs) {
+		if q.running == 0 {
+			return job{}, false
+		}
+		q.waiting++
+		q.setHungry()
+		q.ready.Wait()
+		q.waiting--
+	}
+	j := q.jobs[q.head]
+	q.head++
+	if q.head == len(q.jobs) {
+		q.jobs, q.head = nil, 0 // release the taken jobs' prefixes
+	}
+	q.running++
+	q.setHungry()
+	return j, true
+}
+
+// done ends a job that take handed out; the last one to end wakes every
+// waiting worker to return.
+func (q *jobQueue) done() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.running--
+	if q.running == 0 && q.head == len(q.jobs) {
+		q.ready.Broadcast()
+	}
+}
+
+func (q *jobQueue) push(j job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.jobs = append(q.jobs, j)
+	q.setHungry()
+	q.ready.Signal()
+}
+
+// runPool drains jobs, and every job they donate, on poolSize(workers)
+// workers; the calling goroutine is one of them, so a one-worker pool
+// starts no goroutine, and as its one worker never waits for a job while
+// another runs, it never donates. Each worker calls newWorker once to
+// build its private search state and gets back that state's counter and
+// the function that runs one job on it.
+func runPool(jobs []job, workers int, newWorker func() (*nodeCounter, func(job))) {
+	// Clipped, a push reallocates rather than write past the caller's list.
+	q := &jobQueue{jobs: slices.Clip(jobs)}
+	q.ready.L = &q.mu
 	work := func() {
-		run := newWorker()
-		for job := int(next.Add(1) - 1); job < jobs; job = int(next.Add(1) - 1) {
-			run(job)
+		c, run := newWorker()
+		c.q = q
+		for j, ok := q.take(); ok; j, ok = q.take() {
+			c.job = j
+			run(j)
+			q.done()
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(poolSize(workers), jobs); w > 1; w-- {
+	for w := poolSize(workers); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			work()
 		}()
 	}
-	if jobs > 0 {
-		work()
-	}
+	work()
 	wg.Wait()
 }
 
@@ -218,20 +300,48 @@ func (sb *incumbent) record(val int, assign []int8) {
 	sb.mon.SetIncumbent(int64(val))
 }
 
-// nodeCounter is a worker's cooperative cancellation and telemetry, shared
-// by both engines' search states: explored/pruned counts are batched
-// locally and flushed every solve.TickStride nodes into mon (the
-// solve-wide totals) and sb (the totals of the search being run, repointed
-// per job as one state serves every search of a run). tickBudget counts
-// DOWN from solve.TickStride so the per-node fast path is one decrement
-// and one branch; after a stop it stays pinned at zero, steering every
-// later tick into the latched slow path.
+// nodeCounter is the part of a worker's search state that both engines
+// share and the job runner reads: the decision order and the sides decided
+// so far, cooperative cancellation and telemetry, and donation.
+//
+// explored/pruned counts are batched locally and flushed every
+// solve.TickStride nodes into mon (the solve-wide totals) and sb (the
+// totals of the search being run, repointed per job as one state serves
+// every search of a run). tickBudget counts DOWN from solve.TickStride so
+// the per-node fast path is one decrement and one branch; after a stop it
+// stays pinned at zero, steering every later tick into the latched slow
+// path.
+//
+// Each engine's depth-first search sets owed[d] while it searches the
+// first branch at order index d and still owes the second, and clears it
+// before taking the second; a flush that finds a worker waiting in q
+// donates the shallowest owed branch of the running job.
 type nodeCounter struct {
+	order  []int32 // decision order (BFS order keeps edges local)
+	assign []int8  // per node: its side, or unassigned
+
 	mon        *solve.Monitor
 	sb         *incumbent
 	tickBudget int32
 	prunedTick int32
 	stopped    bool
+
+	q    *jobQueue
+	job  job // the job being run
+	owed []bool
+}
+
+func newNodeCounter(order []int32) nodeCounter {
+	c := nodeCounter{
+		order:      order,
+		assign:     make([]int8, len(order)),
+		owed:       make([]bool, len(order)),
+		tickBudget: solve.TickStride,
+	}
+	for i := range c.assign {
+		c.assign[i] = unassigned
+	}
+	return c
 }
 
 // tickNode counts one explored search node and reports whether the search
@@ -248,9 +358,10 @@ func (c *nodeCounter) tickNode() bool {
 }
 
 // flushTicks drains the local counters into the current search and the
-// monitor, sampling the stop flag. After a stop it only re-pins the
-// budget: the drained totals were flushed when the stop was first seen and
-// no nodes are explored past it.
+// monitor, sampling the stop flag, and donates a branch if a worker waits
+// for one. After a stop it only re-pins the budget: the drained totals
+// were flushed when the stop was first seen and no nodes are explored past
+// it.
 func (c *nodeCounter) flushTicks() {
 	if c.stopped {
 		c.tickBudget = 0
@@ -265,5 +376,30 @@ func (c *nodeCounter) flushTicks() {
 	if c.mon.Tick(e, p) {
 		c.stopped = true
 		c.tickBudget = 0
+		return
+	}
+	if c.q.hungry.Load() {
+		c.donate()
+	}
+}
+
+// donate pushes the running job's shallowest owed branch, at order index
+// d, as a job of the same search: the sides of order[:d] as they stand and,
+// at d, the side not being searched. It clears owed[d], so the search
+// skips that branch when its first one returns.
+func (c *nodeCounter) donate() {
+	for d := len(c.job.prefix); d < len(c.owed); d++ {
+		if !c.owed[d] {
+			continue
+		}
+		prefix := make([]int8, d+1)
+		for i := range prefix {
+			prefix[i] = c.assign[c.order[i]]
+		}
+		prefix[d] = sideS + sideSbar - prefix[d]
+		c.owed[d] = false
+		c.q.push(job{search: c.job.search, prefix: prefix})
+		metricDonations.Inc()
+		return
 	}
 }

@@ -76,13 +76,11 @@ func cancelled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// RefineCut runs FM refinement passes on an existing cut in place (it must
-// be a bisection; balance is preserved to within one node). It returns the
-// refined cut's capacity. Use it to try to improve a constructed cut.
+// RefineCut runs at most maxPasses FM refinement passes on an existing cut
+// in place (it must be a bisection; balance is preserved to within one
+// node). It returns the refined cut's capacity. Use it to try to improve a
+// constructed cut.
 func RefineCut(c *cut.Cut, maxPasses int) int {
-	if maxPasses <= 0 {
-		maxPasses = startPasses
-	}
 	refine(c, maxPasses)
 	return c.Capacity()
 }

@@ -422,6 +422,40 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBisectionExactNodesZero: exact-nodes=0 disables the exact solve, as
+// it does for /v1/expansion, while the default budget of 32 certifies W8.
+func TestBisectionExactNodesZero(t *testing.T) {
+	s := New(Config{})
+	base := startServer(t, s)
+	for _, c := range []struct {
+		query     string
+		exact     float64
+		certified bool
+	}{
+		{"network=wn&n=8&exact-nodes=0", -1, false},
+		{"network=wn&n=8", 8, true},
+	} {
+		status, _, body := get(t, base+"/v1/bisection?"+c.query)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.query, status, body)
+		}
+		m, _ := decodeResponse(t, body)
+		tab := m.Table("bisection.wn")
+		if tab == nil {
+			t.Fatalf("%s: missing bisection.wn table:\n%s", c.query, body)
+		}
+		rows, _ := tab.Rows.([]interface{})
+		if len(rows) != 1 {
+			t.Fatalf("%s: bisection.wn rows = %#v, want one", c.query, tab.Rows)
+		}
+		row, _ := rows[0].(map[string]interface{})
+		if row["exact"] != c.exact || row["exact_complete"] != c.certified {
+			t.Errorf("%s: exact %v (complete %v), want %v (complete %v)",
+				c.query, row["exact"], row["exact_complete"], c.exact, c.certified)
+		}
+	}
+}
+
 // TestHealthzFlipsOnDrain: 200 while serving, 503 once draining.
 func TestHealthzFlipsOnDrain(t *testing.T) {
 	s := New(Config{})
