@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -72,6 +73,37 @@ func BenchmarkBisectionBnConstructed(b *testing.B) {
 		if capacity >= 1<<15 {
 			b.Fatalf("capacity %d did not beat folklore", capacity)
 		}
+	}
+}
+
+// BenchmarkBestPlanMillion is the plan layer alone: the class search over
+// every candidate j, then the winner's quota table.
+func BenchmarkBestPlanMillion(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if p := mustPlanB(b, 1<<20); p.Ratio >= 1 {
+			b.Fatalf("ratio %v did not beat folklore", p.Ratio)
+		}
+	}
+}
+
+// BenchmarkButterflyBisectionReport is the whole bn bisection row past the
+// heuristic budget — plan, then word-parallel virtual measurement — at the
+// sizes the server and bwtable ask for.
+func BenchmarkButterflyBisectionReport(b *testing.B) {
+	for _, lg := range []int{17, 20, 22} {
+		b.Run(fmt.Sprintf("n=2^%d", lg), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := core.ButterflyBisection(1<<lg, core.BisectionBudget{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Constructed >= 1<<lg {
+					b.Fatalf("constructed %d did not beat folklore", r.Constructed)
+				}
+			}
+		})
 	}
 }
 

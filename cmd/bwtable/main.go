@@ -49,8 +49,9 @@ func main() {
 	}
 
 	// The classic table, then the -max-log extension: constructed rows at
-	// 2^12–2^20, the large ones verified virtually by the word-parallel
-	// evaluator without ever materializing the graph.
+	// 2^12–2^20. Every constructed row is measured by the virtual plan
+	// evaluator (word-parallel from 64 columns up); the graph is built
+	// only for the small rows the exact or heuristic solve searches.
 	sizes := []int{2, 4, 8, 16, 64, 256, 1024}
 	for _, lg := range []int{12, 15, 18, 20} {
 		if lg <= *maxLog {

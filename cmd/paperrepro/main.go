@@ -10,8 +10,9 @@
 // registry at exit.
 //
 // -max-log extends the E2 table with constructed-bisection rows up to
-// B_{2^max-log} (the 2^18–2^20 rows are verified virtually by the
-// word-parallel evaluator, never materialized).
+// B_{2^max-log}. Every constructed row is verified by the virtual plan
+// evaluator; a graph is built only for the rows the exact or heuristic
+// solve searches.
 //
 // Usage:
 //

@@ -71,8 +71,9 @@ type compQuota struct {
 }
 
 // Plan is a fully determined sub-n bisection of Bn: the class counts (A,B),
-// the per-component quotas, and the predicted capacity. Build materializes
-// it; InA evaluates it virtually for networks too large to materialize.
+// the per-component quotas, and the predicted capacity. InA decides any
+// node's side without the graph, so the virtual evaluators measure a plan
+// at any size; Build materializes it as a cut of a given Bn.
 type Plan struct {
 	N    int `json:"n"`   // columns
 	Dim  int `json:"dim"` // log n
@@ -105,16 +106,27 @@ func (p *Plan) cols() int { return p.N / (p.J * p.J) }
 // (wholly or partially) to reach exact balance. It returns false when the
 // parameters are structurally invalid (j² > n or 2·log j > log n).
 func PlanButterflyBisection(n, j int) (*Plan, bool) {
-	if !bitutil.IsPow2(n) || !bitutil.IsPow2(j) || j < 2 {
+	p, ok := classPlan(n, j)
+	if !ok {
 		return nil, false
+	}
+	p.assignQuotas()
+	return &p, true
+}
+
+// classPlan is PlanButterflyBisection without the quota table: the (a,b)
+// search and the predicted capacity, computed without allocating.
+func classPlan(n, j int) (Plan, bool) {
+	if !bitutil.IsPow2(n) || !bitutil.IsPow2(j) || j < 2 {
+		return Plan{}, false
 	}
 	d := bitutil.Log2(n)
 	if d > 48 { // n·(log n + 1) must stay well inside int64
-		return nil, false
+		return Plan{}, false
 	}
 	lj := bitutil.Log2(j)
 	if j*j > n || 2*lj > d {
-		return nil, false
+		return Plan{}, false
 	}
 	cols := n / (j * j)
 	compSize := cols * (d - 2*lj + 1)
@@ -155,80 +167,73 @@ func PlanButterflyBisection(n, j int) (*Plan, bool) {
 		}
 	}
 	if best < 0 {
-		return nil, false
+		return Plan{}, false
 	}
-	p := &Plan{
+	return Plan{
 		N: n, Dim: d, J: j, LogJ: lj, A: bestA, B: bestB,
 		Groups: best, GroupEdges: 2 * cols, Capacity: best * 2 * cols,
 		Ratio: float64(best*2*cols) / float64(n),
-	}
-	p.assignQuotas()
-	return p, true
+	}, true
 }
 
 // assignQuotas distributes the side-A middle nodes over the components so
-// that the plan is an exact bisection at the predicted capacity.
+// that the plan is an exact bisection at the predicted capacity. Component
+// (pc, sc) — prefix class pc, suffix class sc — is both-A when pc < b and
+// sc < a, both-Ā when pc ≥ b and sc ≥ a, and mixed otherwise; every pass
+// below walks its components row-major.
 func (p *Plan) assignQuotas() {
-	j := p.J
+	j, a, b := p.J, p.A, p.B
 	compSize := p.CompSize()
 	half := p.N * (p.Dim + 1) / 2
-	regionA := p.N * p.LogJ / p.J
-	targetM := half - (p.A+p.B)*regionA
+	regionA := p.N * p.LogJ / j
 
+	// Canonical placement: both-A components fully in A, mixed ones empty
+	// with their A-adjacent end first, both-Ā ones empty.
 	p.quotas = make([]compQuota, j*j)
-	type compRef struct{ pCls, sCls int }
-	var bothA, bothBar, mixed []compRef
 	for pc := 0; pc < j; pc++ {
-		for sc := 0; sc < j; sc++ {
-			ref := compRef{pc, sc}
+		row := p.quotas[pc*j : (pc+1)*j]
+		for sc := range row {
 			switch {
-			case sc < p.A && pc < p.B:
-				bothA = append(bothA, ref)
-			case sc >= p.A && pc >= p.B:
-				bothBar = append(bothBar, ref)
-			default:
-				mixed = append(mixed, ref)
+			case pc < b && sc < a:
+				row[sc] = compQuota{KA: compSize, TopInA: true}
+			case pc < b || sc < a:
+				row[sc].TopInA = sc < a
 			}
 		}
 	}
-	idx := func(r compRef) int { return r.pCls*j + r.sCls }
+	rem := half - (a+b)*regionA - a*b*compSize
 
-	// Canonical placement: both-A components fully in A.
-	for _, r := range bothA {
-		p.quotas[idx(r)] = compQuota{KA: compSize, TopInA: true}
-	}
-	rem := targetM - len(bothA)*compSize
-	if rem >= 0 {
-		// Fill mixed components (A-adjacent end first), then flip both-Ā
-		// components if the mixed pool is not enough.
-		for _, r := range mixed {
-			take := min(rem, compSize)
-			p.quotas[idx(r)] = compQuota{KA: take, TopInA: r.sCls < p.A}
-			rem -= take
-		}
-		for _, r := range bothBar {
-			if rem == 0 {
-				break
+	// fill hands the remaining side-A nodes, at most compSize each, to the
+	// components of prefix classes [p0, p1) × suffix classes [s0, s1).
+	// flip marks both-Ā components, which are filled from the top.
+	fill := func(p0, p1, s0, s1 int, flip bool) {
+		for pc := p0; pc < p1 && rem > 0; pc++ {
+			for sc := s0; sc < s1 && rem > 0; sc++ {
+				q := &p.quotas[pc*j+sc]
+				q.KA = min(rem, compSize)
+				if flip {
+					q.TopInA = true
+				}
+				rem -= q.KA
 			}
-			take := min(rem, compSize)
-			p.quotas[idx(r)] = compQuota{KA: take, TopInA: true}
-			rem -= take
 		}
+	}
+	if rem >= 0 {
+		// Fill the mixed components (rows pc < b hold them at sc ≥ a, the
+		// rest at sc < a), then flip both-Ā components if the mixed pool is
+		// not enough.
+		fill(0, b, a, j, false)
+		fill(b, j, 0, a, false)
+		fill(b, j, a, j, true)
 	} else {
 		// Too many side-A nodes already: drain both-A components.
-		deficit := -rem
-		for _, r := range mixed {
-			p.quotas[idx(r)] = compQuota{KA: 0, TopInA: r.sCls < p.A}
-		}
-		for _, r := range bothA {
-			if deficit == 0 {
-				break
+		for pc := 0; pc < b && rem < 0; pc++ {
+			for sc := 0; sc < a && rem < 0; sc++ {
+				take := min(-rem, compSize)
+				p.quotas[pc*j+sc].KA -= take
+				rem += take
 			}
-			take := min(deficit, compSize)
-			p.quotas[idx(r)] = compQuota{KA: compSize - take, TopInA: true}
-			deficit -= take
 		}
-		rem = 0
 	}
 	if rem != 0 {
 		panic(fmt.Sprintf("construct: plan balance infeasible (rem=%d); PlanButterflyBisection should have rejected it", rem))
@@ -299,9 +304,10 @@ func (p *Plan) EvaluateVirtual() (capacity, sizeA int) {
 	return capacity, sizeA
 }
 
-// maxPlanJ caps the class-grid sweep: the optimizer is O(j²) per candidate
-// and plans with log j anywhere near log n / 2 have no middle region to
-// balance through, so they are never optimal.
+// maxPlanJ caps the class-grid sweep: the (a,b) search is O(j²) per
+// candidate (it allocates nothing, but the whole sweep still takes about
+// 5 ms at n = 2^20), and plans with log j anywhere near log n / 2 have no
+// middle region to balance through, so they are never optimal.
 const maxPlanJ = 4096
 
 // EvaluateVirtualParallelCtx is EvaluateVirtual under ctx, with the same
@@ -354,26 +360,27 @@ func (p *Plan) VirtualBisectionCapacity(ctx context.Context, workers int) (int, 
 }
 
 // BestPlan sweeps j over the valid powers of two and returns the cheapest
-// plan for an n-column butterfly. For small n it returns the folklore
-// column cut expressed as a plan (j = 2); the capacity drops below n once
-// log n is large enough for a finer class grid. When no class grid fits —
-// n below 4, not a power of two, or beyond the log n ≤ 48 plan range — it
-// returns an error instead of the panic this path used to take.
+// plan for an n-column butterfly, the first such j on a tie. For small n it
+// returns the folklore column cut expressed as a plan (j = 2); the capacity
+// drops below n once log n is large enough for a finer class grid. Only the
+// winner's quota table is filled, so the sweep allocates nothing but the
+// returned plan. When no class grid fits — n below 4, not a power of two,
+// or beyond the log n ≤ 48 plan range — it returns an error instead of the
+// panic this path used to take.
 func BestPlan(n int) (*Plan, error) {
-	var best *Plan
+	var best Plan
+	found := false
 	for j := 2; j*j <= n && j <= maxPlanJ; j *= 2 {
-		p, ok := PlanButterflyBisection(n, j)
-		if !ok {
-			continue
-		}
-		if best == nil || p.Capacity < best.Capacity {
-			best = p
+		p, ok := classPlan(n, j)
+		if ok && (!found || p.Capacity < best.Capacity) {
+			best, found = p, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, fmt.Errorf("construct: no valid bisection plan for n=%d (need a power of two with 4 ≤ n ≤ 2^48)", n)
 	}
-	return best, nil
+	best.assignQuotas()
+	return &best, nil
 }
 
 // TheoreticalRatio is the Theorem 2.20 limit 2(√2−1) ≈ 0.828 that the plan

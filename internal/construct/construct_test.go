@@ -1,6 +1,7 @@
 package construct
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/heuristic"
@@ -128,6 +129,39 @@ func TestSubFolkloreVirtualBalanceLarge(t *testing.T) {
 	}
 	if capacity >= n {
 		t.Errorf("capacity %d did not beat folklore n = %d", capacity, n)
+	}
+}
+
+func TestBestPlanIsFirstCheapestPlan(t *testing.T) {
+	// BestPlan fills only the winner's quotas; the plan it returns must be
+	// the one a sweep over fully built PlanButterflyBisection candidates
+	// picks (the first j on a tie), quota table included.
+	for d := 2; d <= 20; d++ {
+		n := 1 << d
+		var want *Plan
+		for j := 2; j*j <= n && j <= maxPlanJ; j *= 2 {
+			if p, ok := PlanButterflyBisection(n, j); ok && (want == nil || p.Capacity < want.Capacity) {
+				want = p
+			}
+		}
+		got := mustBestPlan(t, n)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=2^%d: BestPlan j=%d a=%d b=%d capacity %d, first cheapest plan j=%d a=%d b=%d capacity %d (or quotas differ)",
+				d, got.J, got.A, got.B, got.Capacity, want.J, want.A, want.B, want.Capacity)
+		}
+	}
+}
+
+func TestBestPlanAllocatesOnlyTheWinner(t *testing.T) {
+	// The candidates' class searches allocate nothing: the sweep costs the
+	// returned plan and its quota table, not every candidate's j² quotas.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := BestPlan(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("BestPlan(2^20) made %v allocations, want ≤ 2", allocs)
 	}
 }
 

@@ -53,15 +53,9 @@ type BisectionReport struct {
 	TheoryLabel string `json:"theory_label"`
 }
 
-const (
-	// heuristicNodes is the largest node count a report runs the heuristic
-	// search on.
-	heuristicNodes = 16384
-	// materializeNodes is the largest node count for which a report builds
-	// the butterfly graph; beyond it, constructed cuts are evaluated
-	// virtually.
-	materializeNodes = 1 << 22
-)
+// heuristicNodes is the largest node count a report runs the heuristic
+// search on.
+const heuristicNodes = 16384
 
 // BisectionBudget bounds the expensive computations in a report.
 type BisectionBudget struct {
@@ -109,7 +103,9 @@ func durationMS(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-// ButterflyBisection analyzes BW(Bn) (experiment E2, Theorem 2.20). A
+// ButterflyBisection analyzes BW(Bn) (experiment E2, Theorem 2.20). The
+// constructed cut is measured by the virtual plan evaluator at every size,
+// and Bn is built only for the exact and heuristic solves that search it. A
 // cancelled budget.Ctx degrades gracefully — incumbents instead of optima,
 // the plan's predicted capacity instead of the virtually verified one — and
 // the only error is a genuinely unbalanced virtual plan (a construction
@@ -128,33 +124,12 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 		TheoryLabel: "2(√2−1)n + o(n) (Thm 2.20)",
 	}
 
-	if nodes <= materializeNodes {
-		b := topology.NewButterfly(n)
-		if n >= 4 {
-			plan, err := construct.BestPlan(n)
-			if err != nil {
-				return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
-			}
-			rep.Constructed = plan.Build(b).Capacity()
-		} else {
-			// B2 is too small for the class-grid plan; the folklore column
-			// cut is the construction.
-			rep.Constructed = construct.ColumnBisection(b).Capacity()
-		}
-		if nodes <= budget.ExactNodes {
-			rep.recordSolve(exact.SolveBisection(budget.Ctx, b.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
-		}
-		if nodes <= heuristicNodes {
-			h := heuristic.BisectParallel(b.Graph, budget.bisectOptions("bisection "+rep.Network))
-			rep.Heuristic = h.Capacity()
-		}
-		if nodes <= budget.ExactNodes {
-			// Recompute the embedding-based bound exactly rather than
-			// quoting n/2.
-			e := embed.DoubledCompleteIntoButterfly(b)
-			rep.LowerBound = e.BisectionLowerBound(embed.DoubledCompleteBisectionWidth(nodes))
-		}
-	} else {
+	runExact, runHeuristic := nodes <= budget.ExactNodes, nodes <= heuristicNodes
+	var b *topology.Butterfly
+	if runExact || runHeuristic {
+		b = topology.NewButterfly(n)
+	}
+	if n >= 4 {
 		plan, err := construct.BestPlan(n)
 		if err != nil {
 			return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
@@ -174,6 +149,20 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 		default:
 			return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
 		}
+	} else {
+		// B2 is too small for the class-grid plan; the folklore column cut
+		// is the construction (B2 is under heuristicNodes, so b is built).
+		rep.Constructed = construct.ColumnBisection(b).Capacity()
+	}
+	if runExact {
+		rep.recordSolve(exact.SolveBisection(budget.Ctx, b.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
+		// Recompute the embedding-based bound exactly rather than quoting
+		// n/2.
+		e := embed.DoubledCompleteIntoButterfly(b)
+		rep.LowerBound = e.BisectionLowerBound(embed.DoubledCompleteBisectionWidth(nodes))
+	}
+	if runHeuristic {
+		rep.Heuristic = heuristic.BisectParallel(b.Graph, budget.bisectOptions("bisection "+rep.Network)).Capacity()
 	}
 	return rep, nil
 }

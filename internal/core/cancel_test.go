@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/construct"
 )
 
 func cancelledCtx() context.Context {
@@ -35,23 +37,33 @@ func TestButterflyBisectionCancelledExactIsIncumbent(t *testing.T) {
 }
 
 func TestButterflyBisectionCancelledVirtualFallsBack(t *testing.T) {
-	// Beyond the materialization budget with a dead context, the report
-	// quotes the plan's analytic capacity rather than erroring: -timeout
-	// runs must exit cleanly.
-	start := time.Now()
-	r, err := ButterflyBisection(1<<18, BisectionBudget{Ctx: cancelledCtx()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("cancelled virtual report took %v", took)
-	}
-	live, err := ButterflyBisection(1<<18, BisectionBudget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Constructed != live.Constructed {
-		t.Errorf("fallback capacity %d differs from verified %d", r.Constructed, live.Constructed)
+	// With a dead context the report quotes the plan's analytic capacity
+	// rather than erroring: -timeout runs must exit cleanly. Every size
+	// from 4 up is measured virtually, so this holds at 2^12 as well as
+	// at 2^18.
+	for _, n := range []int{1 << 12, 1 << 18} {
+		start := time.Now()
+		r, err := ButterflyBisection(n, BisectionBudget{Ctx: cancelledCtx()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Fatalf("B%d: cancelled virtual report took %v", n, took)
+		}
+		plan, err := construct.BestPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Constructed != plan.Capacity {
+			t.Errorf("B%d: fallback capacity %d, plan capacity %d", n, r.Constructed, plan.Capacity)
+		}
+		live, err := ButterflyBisection(n, BisectionBudget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Constructed != live.Constructed {
+			t.Errorf("B%d: fallback capacity %d differs from verified %d", n, r.Constructed, live.Constructed)
+		}
 	}
 }
 

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/construct"
+	"repro/internal/obs"
+	"repro/internal/route"
+	"repro/internal/topology"
 )
 
 func TestButterflyBisectionSmall(t *testing.T) {
@@ -49,9 +55,9 @@ func TestButterflyBisectionExactB8(t *testing.T) {
 }
 
 func TestButterflyBisectionVirtualLarge(t *testing.T) {
-	// Beyond the materialization budget (B(2^18) has 4,980,736 nodes, past
-	// 2^22), the constructed capacity comes from the virtual evaluator and
-	// beats folklore at large sizes.
+	// Far past the heuristic budget (B(2^18) has 4,980,736 nodes), only
+	// the virtually measured constructed cut is reported, and it beats
+	// folklore at large sizes.
 	r, err := ButterflyBisection(1<<18, BisectionBudget{})
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +67,31 @@ func TestButterflyBisectionVirtualLarge(t *testing.T) {
 	}
 	if r.Constructed >= 1<<18 {
 		t.Errorf("constructed %d did not beat folklore", r.Constructed)
+	}
+}
+
+func TestButterflyBisectionMeasuresVirtuallyWithoutGraph(t *testing.T) {
+	// Past the heuristic budget with no exact budget, the report builds no
+	// graph (graph.arena_bytes stays put), and its virtually measured cut
+	// equals the best plan built on a real Bn.
+	arena := obs.Default.Counter("graph.arena_bytes")
+	for d := 11; d <= 14; d++ {
+		n := 1 << d
+		before := arena.Value()
+		r, err := ButterflyBisection(n, BisectionBudget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := arena.Value() - before; grew != 0 {
+			t.Errorf("B%d: report built a graph (graph.arena_bytes grew by %d)", n, grew)
+		}
+		plan, err := construct.BestPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built := plan.Build(topology.NewButterfly(n)).Capacity(); r.Constructed != built {
+			t.Errorf("B%d: constructed %d, built cut capacity %d", n, r.Constructed, built)
+		}
 	}
 }
 
@@ -255,5 +286,34 @@ func TestRoutingExperiments(t *testing.T) {
 	out := RenderRoutingTable("routing", []RoutingReport{r, p})
 	if !strings.Contains(out, "crossings") || !strings.Contains(out, "steps/bound") {
 		t.Errorf("table missing aggregate headers:\n%s", out)
+	}
+}
+
+func TestRoutingDegradationMatchesOneRateSweeps(t *testing.T) {
+	// The sweep builds Bn and its reference cut once for all rates; each
+	// row must equal the one-rate sweep at the same seed.
+	drops := []float64{0, 0.05, 0.1}
+	opt := RoutingOptions{Trials: 3, Workers: 2, Fault: route.FaultOptions{MaxRetransmits: 4}}
+	sweep := RoutingDegradation(32, 7, route.RandomDestinations, drops, opt)
+	if len(sweep) != len(drops) {
+		t.Fatalf("%d rows for %d rates", len(sweep), len(drops))
+	}
+	for i, p := range drops {
+		one := RoutingDegradation(32, 7, route.RandomDestinations, []float64{p}, opt)
+		if !reflect.DeepEqual(sweep[i], one[0]) {
+			t.Errorf("drop %g: sweep row %+v, one-rate row %+v", p, sweep[i], one[0])
+		}
+	}
+	plan, err := construct.BestPlan(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep[0].CutCapacity != plan.Capacity {
+		t.Errorf("B32 routed against capacity %d, want the best plan's %d", sweep[0].CutCapacity, plan.Capacity)
+	}
+	// B2 is below the class grid: its reference is the folklore column cut.
+	b2 := RandomRoutingExperiment(2, 7, RoutingOptions{Trials: 2})
+	if want := construct.ColumnBisection(topology.NewButterfly(2)).Capacity(); b2.CutCapacity != want {
+		t.Errorf("B2 routed against capacity %d, want the column cut's %d", b2.CutCapacity, want)
 	}
 }

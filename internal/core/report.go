@@ -31,8 +31,9 @@ type ReportOptions struct {
 	Trace *obs.Tracer
 	// MaxConstructedLog, when ≥ 12, extends the E2 Bn table with extra
 	// constructed-bisection rows at log n ∈ {12, 15, 18, 20} up to the
-	// bound. The large sizes are evaluated virtually by the word-parallel
-	// kernel; below 12 (the default) the classic table is unchanged.
+	// bound, evaluated virtually by the word-parallel kernel like every
+	// constructed row; below 12 (the default) the classic table is
+	// unchanged.
 	MaxConstructedLog int
 }
 

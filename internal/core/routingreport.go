@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/construct"
+	"repro/internal/cut"
 	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/solve"
@@ -92,51 +93,56 @@ func BitReversalRoutingExperiment(n int, seed int64, opt RoutingOptions) Routing
 // row per rate in drops, all other knobs taken from opt. It is the
 // measured degradation curve of ROADMAP's scenario-diversity item — mean
 // steps and delivery rate versus link loss, each row still scored
-// against the §1.2 N/(4·BW) floor.
+// against the §1.2 N/(4·BW) floor. Bn and its reference cut are built
+// once and shared by every rate.
 func RoutingDegradation(n int, seed int64, kind route.TrialKind, drops []float64, opt RoutingOptions) []RoutingReport {
+	b := topology.NewButterfly(n)
+	// The class-grid plan needs n ≥ 4; for B2 (or any size the planner
+	// rejects) the folklore column cut is the reference bisection.
+	var ref *cut.Cut
+	if plan, err := construct.BestPlan(n); err == nil {
+		ref = plan.Build(b)
+	} else {
+		ref = construct.ColumnBisection(b)
+	}
+	capacity := ref.Capacity()
 	reports := make([]RoutingReport, 0, len(drops))
 	for _, p := range drops {
-		o := opt
-		o.Fault.DropProb = p
-		reports = append(reports, routingExperiment(n, seed, kind, o))
+		fault := opt.Fault
+		fault.DropProb = p
+		stats := route.SimulateMany(b, ref, kind, route.ManyOptions{
+			Trials:  opt.Trials,
+			Workers: opt.Workers,
+			Seed:    seed,
+			Label:   fmt.Sprintf("routing B%d %s", n, kind),
+			Trace:   opt.Trace,
+			// Greedy store-and-forward empirically sits 3–5× above the
+			// §1.2 floor, so a 4× threshold splits the trial distribution
+			// instead of counting all or nothing.
+			TightFactor: 4,
+			Ctx:         opt.Ctx,
+			OnProgress:  opt.OnProgress,
+			Fault:       fault,
+			Switching:   opt.Switching,
+		})
+		reports = append(reports, RoutingReport{
+			N:              n,
+			Trials:         stats.Trials,
+			CutCapacity:    capacity,
+			Pattern:        kind.Slug(),
+			Switching:      opt.Switching.Slug(),
+			DropProb:       p,
+			DeadLinkProb:   fault.DeadLinkProb,
+			MaxRetransmits: fault.MaxRetransmits,
+			Stats:          stats,
+		})
 	}
 	return reports
 }
 
+// routingExperiment is the one-rate sweep at opt's own drop rate.
 func routingExperiment(n int, seed int64, kind route.TrialKind, opt RoutingOptions) RoutingReport {
-	b := topology.NewButterfly(n)
-	// The class-grid plan needs n ≥ 4; for B2 (or any size the planner
-	// rejects) the folklore column cut is the reference bisection.
-	ref := construct.ColumnBisection(b)
-	if plan, err := construct.BestPlan(n); err == nil {
-		ref = plan.Build(b)
-	}
-	stats := route.SimulateMany(b, ref, kind, route.ManyOptions{
-		Trials:  opt.Trials,
-		Workers: opt.Workers,
-		Seed:    seed,
-		Label:   fmt.Sprintf("routing B%d %s", n, kind),
-		Trace:   opt.Trace,
-		// Greedy store-and-forward empirically sits 3–5× above the §1.2
-		// floor, so a 4× threshold splits the trial distribution instead
-		// of counting all or nothing.
-		TightFactor: 4,
-		Ctx:         opt.Ctx,
-		OnProgress:  opt.OnProgress,
-		Fault:       opt.Fault,
-		Switching:   opt.Switching,
-	})
-	return RoutingReport{
-		N:              n,
-		Trials:         stats.Trials,
-		CutCapacity:    ref.Capacity(),
-		Pattern:        kind.Slug(),
-		Switching:      opt.Switching.Slug(),
-		DropProb:       opt.Fault.DropProb,
-		DeadLinkProb:   opt.Fault.DeadLinkProb,
-		MaxRetransmits: opt.Fault.MaxRetransmits,
-		Stats:          stats,
-	}
+	return RoutingDegradation(n, seed, kind, []float64{opt.Fault.DropProb}, opt)[0]
 }
 
 // RenderRoutingTable renders E8 reports with per-row trial aggregates.
