@@ -260,22 +260,54 @@ func BenchmarkExpansionExactHeavyPrefix(b *testing.B) {
 	}
 }
 
+// BenchmarkExpansionExactBn measures the two Bn certificates of the
+// repository benchmark's certify workload through core.ExpansionTable, with
+// its options: EE(B16,k≤12), whose rows k = 4 and 12 certify 4 and 8, and
+// NE(B32,k≤12), whose row k = 8 certifies 4. Bn declares ⌊log n/2⌋ + 1
+// node classes (level i with level log n − i), so each search runs one
+// rooted job per class.
+func BenchmarkExpansionExactBn(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		kind       core.ExpansionKind
+		n, nodes   int
+		dims       []int
+		k, optimum int
+	}{
+		{"EE(B16,k<=12)", core.BnEdge, 16, 80, []int{1, 2, 3}, 12, 8},
+		{"NE(B32,k<=12)", core.BnNode, 32, 192, []int{1, 2, 3, 4}, 8, 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := core.ExpansionTableOptions{ExactNodes: c.nodes, KMax: 12}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range core.ExpansionTable(c.kind, c.n, c.dims, opts) {
+					if r.K == c.k && (r.Exact != c.optimum || !r.ExactComplete) {
+						b.Fatalf("%s row k=%d: %d (complete %v), want %d", c.name, r.K, r.Exact, r.ExactComplete, c.optimum)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExpansionSurvey measures the batched engine: one BFS order, one
 // worker pool and per-worker scratch reused across the whole k-sweep, each
-// search root-forced (Wn is vertex-transitive) and seeded by its witness.
+// search rooted (Wn is one node class) and k = 4 seeded by its witness.
 func BenchmarkExpansionSurvey(b *testing.B) {
 	w := topology.NewWrappedButterfly(8)
 	ks := []int{2, 3, 4, 5, 6}
-	seed := func(k int) int {
-		if k == 4 {
-			return cut.EdgeBoundary(w.Graph, expansion.WnEdgeWitness(w, 1))
+	witness := expansion.WnEdgeWitness(w, 1)
+	seed := func(k int) []int {
+		if k == len(witness) {
+			return witness
 		}
-		return -1
+		return nil
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := exact.ExpansionSurveyWithOptions(w.Graph, ks, 0, 0,
+		res := exact.ExpansionSurveyWithOptions(w.Graph, ks, -1, 0,
 			exact.SurveyOptions{EdgeSeed: seed})
 		if res[2].EE != 8 {
 			b.Fatalf("EE(W8,4) = %d", res[2].EE)

@@ -22,29 +22,31 @@ func main() {
 	w := topology.NewWrappedButterfly(16) // 64 nodes: exact up to k=12
 	ks := []int{2, 4, 6, 8, 10, 12}
 
-	// Seed every k with the cheapest achievable bound available: the Lemma
-	// 4.1 witness where k is a witness size, a greedy set otherwise. Wn is
-	// vertex-transitive, so rooting the search at node 0 is exact and a
-	// factor-N cheaper (Lemma 2.2/3.2 automorphisms).
+	// Seed every k with the best set at hand: the Lemma 4.1 witness where k
+	// is a witness size, a greedy set otherwise. Wn is vertex-transitive
+	// (Lemma 2.2/3.2 automorphisms), one node class, so the engine roots
+	// every search at node 0, which is exact and a factor-N cheaper.
+	witness := make(map[int][]int)
 	witnessUB := make(map[int]int)
 	for d := 1; d <= w.Dim()-2; d++ {
 		set := expansion.WnEdgeWitness(w, d)
+		witness[len(set)] = set
 		witnessUB[len(set)] = cut.EdgeBoundary(w.Graph, set)
 	}
-	edgeSeed := func(k int) int {
-		if ub, ok := witnessUB[k]; ok {
-			return ub
+	edgeSeed := func(k int) []int {
+		if set, ok := witness[k]; ok {
+			return set
 		}
-		_, b := heuristic.GreedyEdgeExpansion(w.Graph, k, heuristic.ExpansionOptions{})
-		return b
+		set, _ := heuristic.GreedyEdgeExpansion(w.Graph, k, heuristic.ExpansionOptions{})
+		return set
 	}
-	nodeSeed := func(k int) int {
-		_, b := heuristic.GreedyNodeExpansion(w.Graph, k, heuristic.ExpansionOptions{})
-		return b
+	nodeSeed := func(k int) []int {
+		set, _ := heuristic.GreedyNodeExpansion(w.Graph, k, heuristic.ExpansionOptions{})
+		return set
 	}
 
 	start := time.Now()
-	results := exact.ExpansionSurveyWithOptions(w.Graph, ks, 0, 0, exact.SurveyOptions{
+	results := exact.ExpansionSurveyWithOptions(w.Graph, ks, -1, 0, exact.SurveyOptions{
 		EdgeSeed: edgeSeed,
 		NodeSeed: nodeSeed,
 	})

@@ -84,6 +84,29 @@ func TestExpansionTableCancelledFlagsRows(t *testing.T) {
 	}
 }
 
+// TestExpansionTableCancelledRowsKeepWitness runs every §4.3 table on B32
+// and W32 under an already-cancelled context: each search is cut short
+// before it records a set, so each row must fall back to the witness set
+// it was seeded with, reading at most the witness bound, and be flagged
+// non-exact.
+func TestExpansionTableCancelledRowsKeepWitness(t *testing.T) {
+	for _, kind := range []ExpansionKind{WnEdge, WnNode, BnEdge, BnNode} {
+		dims := []int{1, 2}
+		rows := ExpansionTable(kind, 32, dims, ExpansionTableOptions{
+			ExactNodes: 200, KMax: 24, Ctx: cancelledCtx(),
+		})
+		for _, r := range rows {
+			if r.Exact == Unknown {
+				t.Fatalf("%s k=%d: no exact pass under the budget", kind, r.K)
+			}
+			if r.ExactComplete || r.Exact > r.WitnessUB {
+				t.Errorf("%s k=%d: cancelled row reads %d (complete %v), witness bound %d",
+					kind, r.K, r.Exact, r.ExactComplete, r.WitnessUB)
+			}
+		}
+	}
+}
+
 func TestExpansionTableUncancelledMarksComplete(t *testing.T) {
 	rows := ExpansionTable(WnEdge, 8, []int{1}, ExpansionTableOptions{ExactNodes: 64})
 	r := rows[0]

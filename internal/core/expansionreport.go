@@ -206,10 +206,10 @@ func (o ExpansionTableOptions) withDefaults() ExpansionTableOptions {
 // ExpansionTable evaluates one §4.3 row family on an n-input network for
 // each witness dimension in dims. Exact optima are computed when the
 // enumeration is affordable (small n and k): all affordable rows are
-// batched into one exact.ExpansionSurveyWithOptions call, root-forced on
-// a network declared vertex-transitive (Wn) and seeded with the witness
-// boundaries so the branch-and-bound prunes against a tight incumbent
-// from the start.
+// batched into one exact.ExpansionSurveyWithOptions call, which searches
+// each k once per node class the network declares, and seeded with the
+// witness sets so the branch-and-bound prunes against a tight incumbent
+// from the start, and a cancelled row still reads its witness.
 func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOptions) []ExpansionRow {
 	opts = opts.withDefaults()
 	rows := make([]ExpansionRow, 0, len(dims))
@@ -220,34 +220,30 @@ func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOp
 	case BnEdge, BnNode:
 		g = topology.NewButterfly(n)
 	}
-	// On a vertex-transitive network the root-forced solver is exact and a
-	// factor-N cheaper (the halved cost proxy reflects that).
-	root, costNodes := -1, g.N()
-	if g.VertexTransitive() {
-		root, costNodes = 0, g.N()/2
+	// Wn is one node class, so its search is rooted and a factor N cheaper
+	// (the halved cost proxy reflects that).
+	costNodes := g.N()
+	if g.Wraparound() {
+		costNodes = g.N() / 2
 	}
+	witnesses := make(map[int][]int)
 	for _, d := range dims {
-		rows = append(rows, expansionRow(kind, g, d))
+		row, set := expansionRow(kind, g, d)
+		rows = append(rows, row)
+		witnesses[row.K] = set
 	}
 
 	// Batch the affordable rows into one survey, seeded by their witnesses.
 	var ks []int
-	seeds := make(map[int]int)
 	for _, r := range rows {
 		if expansionExactAffordable(costNodes, r.K, opts.ExactNodes, opts.KMax) {
 			ks = append(ks, r.K)
-			seeds[r.K] = r.WitnessUB
 		}
 	}
 	if len(ks) == 0 {
 		return rows
 	}
-	seed := func(k int) int {
-		if ub, ok := seeds[k]; ok {
-			return ub
-		}
-		return -1
-	}
+	seed := func(k int) []int { return witnesses[k] }
 	surveyOpts := exact.SurveyOptions{
 		EdgeOnly:   kind == WnEdge || kind == BnEdge,
 		NodeOnly:   kind == WnNode || kind == BnNode,
@@ -265,7 +261,7 @@ func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOp
 		pruned   int64
 	}
 	exactByK := make(map[int]exactOutcome)
-	for _, res := range exact.ExpansionSurveyWithOptions(g.Graph, ks, root, opts.Workers, surveyOpts) {
+	for _, res := range exact.ExpansionSurveyWithOptions(g.Graph, ks, -1, opts.Workers, surveyOpts) {
 		if res.EE != exact.NotComputed {
 			exactByK[res.K] = exactOutcome{res.EE, res.EEExact, res.EEExplored, res.EEPruned}
 		} else {
@@ -285,7 +281,8 @@ func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOp
 
 // expansionRow measures one witness row: the set, its boundary, the credit
 // certificate and the theory band — everything except the exact optimum.
-func expansionRow(kind ExpansionKind, g *topology.Butterfly, d int) ExpansionRow {
+// It returns the witness set with the row.
+func expansionRow(kind ExpansionKind, g *topology.Butterfly, d int) (ExpansionRow, []int) {
 	var set []int
 	var ub int
 	switch kind {
@@ -315,7 +312,7 @@ func expansionRow(kind ExpansionKind, g *topology.Butterfly, d int) ExpansionRow
 		row.CreditLB = expansion.BnNodeCreditBound(g, set).LowerBound
 	}
 	row.TheoryLB, row.TheoryUB = theoryBounds(kind, row.K)
-	return row
+	return row, set
 }
 
 func theoryBounds(kind ExpansionKind, k int) (lo, hi float64) {

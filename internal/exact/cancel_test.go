@@ -39,11 +39,11 @@ func checkFeasibleSet(t *testing.T, g *graph.Graph, set []int, k, val int, edge 
 }
 
 func TestSolveEdgeExpansionCancelledMidSearch(t *testing.T) {
-	// W16 with a large unseeded k runs for many seconds uncancelled
-	// (EE(W16,10) alone takes ~4s serial); cancelling after 30ms must
+	// EE(W32,24) unseeded runs for many seconds uncancelled (its rooted
+	// search alone explores over 100M nodes); cancelling after 30ms must
 	// return promptly with a feasible non-exact incumbent.
-	g := topology.NewWrappedButterfly(16).Graph
-	k := 16
+	g := topology.NewWrappedButterfly(32).Graph
+	k := 24
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -235,13 +235,13 @@ func TestSolveSubsetBisection(t *testing.T) {
 }
 
 func TestSolveProgressCallbackFires(t *testing.T) {
-	g := topology.NewWrappedButterfly(16).Graph
+	g := topology.NewWrappedButterfly(32).Graph
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
 	done := make(chan Result, 1)
 	go func() {
-		done <- SolveEdgeExpansion(ctx, g, 16, SolveOptions{
+		done <- SolveEdgeExpansion(ctx, g, 24, SolveOptions{
 			OnProgress: func(p solve.Progress) {
 				if calls.Add(1) >= 3 {
 					cancel()

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -11,13 +12,13 @@ import (
 )
 
 // The expansion engine: every EE/NE search (SolveEdge/NodeExpansion and
-// the k-sweeps of ExpansionSurveyWithOptions) starts as one empty-prefix
-// job drained by runExpansionJobs, and an idle worker is fed by a busy one
-// donating its shallowest untried branch as a prefix job of the same
-// search. A prefix fixes the decisions on the first nodes of the BFS
-// order; each worker owns one expState, reused across every job of every
-// search — a prefix is placed, searched, and unplaced, so no per-job
-// allocation or re-initialisation happens on the hot path.
+// the k-sweeps of ExpansionSurveyWithOptions) starts as one job per start
+// (see start), drained by runExpansionJobs, and an idle worker is fed by a
+// busy one donating its shallowest untried branch as a prefix job of the
+// same search and start. A prefix fixes the decisions on the first nodes
+// of the start's order; each worker owns one expState, reused across every
+// job of every search — a prefix is placed, searched, and unplaced, so no
+// per-job allocation or re-initialisation happens on the hot path.
 // Before the edge searches of a run start, sweepEdgeTable certifies
 // EE(g, m) for every smaller m on the same job runner, so their bound can
 // prune with it.
@@ -31,14 +32,81 @@ const (
 	noBound = -1
 )
 
-// expSearch is one (quantity, k) search of a run: the incumbent every job
-// of the search prunes against and records into, the EE(g, m) table its
-// edge bound reads (nil for node searches), and whether any of its jobs
-// was cut short by cancellation (the result is then not a certified
-// optimum).
+// start is one decision order of a search, searched as one job: the job's
+// prefix decides every node before index forced out, the node at forced
+// goes into S with no exclude branch, and the rest are decided in order.
+// forced is −1 when nothing is forced (and the prefix is empty).
+type start struct {
+	order  []int32
+	forced int
+	prefix []int8
+}
+
+// rootedStarts is the one start of a search over the sets containing
+// root: root forced at index 0, then BFS order from it.
+func rootedStarts(g *graph.Graph, root int) []start {
+	return []start{{order: bfsOrderFrom(g, root), forced: 0}}
+}
+
+// unrootedStarts returns the starts of a search over all k-sets. On a
+// graph that declares no node classes that is one start in plain BFS
+// order, nothing forced. Otherwise there is one start per class j (see
+// graph.DeclareOrbits): it decides the nodes of the classes below j out,
+// forces j's representative in and decides the rest in BFS order from
+// it. Together they search every optimum up to automorphism: if j is the
+// lowest class an optimal set S meets, an automorphism that maps every
+// class onto itself and carries one of S's class-j nodes onto the
+// representative carries S onto an equally good set that start j covers.
+// On a one-class graph this is the one search rooted at node 0.
+func unrootedStarts(g *graph.Graph) []start {
+	if g.Orbits() == 0 {
+		return []start{{order: bfsOrder(g), forced: -1}}
+	}
+	n := g.N()
+	class, reps := make([]int, n), make([]int, g.Orbits())
+	for j := range reps {
+		reps[j] = -1
+	}
+	for v := n - 1; v >= 0; v-- {
+		class[v] = g.Orbit(v)
+		reps[class[v]] = v
+	}
+	out := make([]int8, n)
+	for i := range out {
+		out[i] = sideSbar
+	}
+	starts := make([]start, len(reps))
+	for j, rep := range reps {
+		if rep < 0 {
+			panic(fmt.Sprintf("exact: declared node class %d has no node", j))
+		}
+		order := make([]int32, 0, n)
+		for v, c := range class {
+			if c < j {
+				order = append(order, int32(v))
+			}
+		}
+		forced := len(order)
+		for _, v := range bfsOrderFrom(g, rep) {
+			if class[v] >= j {
+				order = append(order, v)
+			}
+		}
+		starts[j] = start{order: order, forced: forced, prefix: out[:forced]}
+	}
+	return starts
+}
+
+// expSearch is one (quantity, k) search of a run: its starts, the
+// incumbent every job of the search prunes against and records into, the
+// seed set it started from (nil if unseeded), the EE(g, m) table its edge
+// bound reads (nil for node searches), and whether any of its jobs was
+// cut short by cancellation (the result is then not a certified optimum).
 type expSearch struct {
 	k          int
 	edge       bool
+	starts     []start
+	seed       []int
 	sb         *incumbent
 	table      []int
 	incomplete atomic.Bool
@@ -52,16 +120,35 @@ func newExpSearch(g *graph.Graph, k int, edge bool, bound int, mon *solve.Monito
 	return s
 }
 
+// seedWith seeds s with set if it is k distinct nodes of g: the incumbent
+// starts one past the set's measured boundary, as a bound of that value
+// would start it, and a search cancelled before it records a set returns
+// this one. Any other set leaves s as it was.
+func (s *expSearch) seedWith(g *graph.Graph, set []int) {
+	if len(set) != s.k {
+		return
+	}
+	seen := make([]bool, g.N())
+	for _, v := range set {
+		if v < 0 || v >= g.N() || seen[v] {
+			return
+		}
+		seen[v] = true
+	}
+	s.seed = slices.Clone(set)
+	s.sb.best.Store(initialExpBest(g, s.edge, boundary(g, set, s.edge)))
+}
+
 // runExpansionJobs drains jobs, each naming its search by index into
-// searches, through a pool of workers (≤ 0: GOMAXPROCS). Searches are
-// independent (each has its own incumbent), so jobs of several searches
-// share the pool and it load-balances across them. On cancellation, jobs
-// not run to completion mark their search incomplete; the pool always
-// drains, so the call returns promptly with whatever incumbents were
-// found.
-func runExpansionJobs(g *graph.Graph, order []int32, searches []*expSearch, jobs []job, rootForced bool, workers int, mon *solve.Monitor) {
+// searches and its start by index into the search's starts, through a
+// pool of workers (≤ 0: GOMAXPROCS). Searches are independent (each has
+// its own incumbent), so jobs of several searches share the pool and it
+// load-balances across them. On cancellation, jobs not run to completion
+// mark their search incomplete; the pool always drains, so the call
+// returns promptly with whatever incumbents were found.
+func runExpansionJobs(g *graph.Graph, searches []*expSearch, jobs []job, workers int, mon *solve.Monitor) {
 	runPool(jobs, workers, func() (*nodeCounter, func(job)) {
-		st := newExpState(g, order)
+		st := newExpState(g, searches[0].starts[0].order)
 		st.mon = mon
 		return &st.nodeCounter, func(j job) {
 			s := searches[j.search]
@@ -69,15 +156,16 @@ func runExpansionJobs(g *graph.Graph, order []int32, searches []*expSearch, jobs
 				s.incomplete.Store(true)
 				return
 			}
-			st.sb, st.table = s.sb, s.table
+			from := s.starts[j.start]
+			st.sb, st.table, st.order = s.sb, s.table, from.order
 			for d, side := range j.prefix {
-				st.place(int(order[d]), side, s.edge)
+				st.place(int(st.order[d]), side, s.edge)
 			}
 			// dfsExpansion re-checks the bound first thing, so prefixes that
 			// are already prunable cost only the placements.
-			dfsExpansion(st, len(j.prefix), s.k, s.edge, rootForced, s.sb)
+			dfsExpansion(st, len(j.prefix), s.k, s.edge, from.forced, s.sb)
 			for d := len(j.prefix) - 1; d >= 0; d-- {
-				st.unplace(int(order[d]), s.edge)
+				st.unplace(int(st.order[d]), s.edge)
 			}
 			st.flushTicks()
 			if st.stopped {
@@ -87,31 +175,52 @@ func runExpansionJobs(g *graph.Graph, order []int32, searches []*expSearch, jobs
 	})
 }
 
-// searchExpansion runs searches (all with 0 < k < n) to completion and
-// returns their decision order. The edge table sweep runs first and may
-// run some of the searches as its steps; the rest then share one pool.
-func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers int, mon *solve.Monitor) []int32 {
-	order := expansionOrder(g, root)
-	rest := sweepEdgeTable(g, root, order, searches, workers, mon)
-	runSearches(g, order, root >= 0, rest, workers, mon)
-	return order
+// startJobs returns the first jobs of searches: one per start of each, in
+// order.
+func startJobs(searches []*expSearch) []job {
+	var jobs []job
+	for i, s := range searches {
+		for j, from := range s.starts {
+			jobs = append(jobs, job{search: i, start: j, prefix: from.prefix})
+		}
+	}
+	return jobs
+}
+
+// searchExpansion runs searches (all with 0 < k < n) to completion: over
+// the sets containing root when root ≥ 0, over all sets otherwise. The
+// edge table sweep runs first and, in an unrooted run, may run some of the
+// searches as its steps; the rest then share one pool.
+func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers int, mon *solve.Monitor) {
+	if len(searches) == 0 {
+		return
+	}
+	var starts []start
+	if root >= 0 {
+		starts = rootedStarts(g, root)
+	} else {
+		starts = unrootedStarts(g)
+	}
+	for _, s := range searches {
+		s.starts = starts
+	}
+	rest := sweepEdgeTable(g, root < 0, searches, workers, mon)
+	runSearches(g, rest, workers, mon)
 }
 
 // runSearches runs searches to completion on one pool, each starting as
-// one empty-prefix job. A search whose seed undercut its optimum finishes
-// without a witness and is rerun unseeded, so a completed search is exact
-// either way.
-func runSearches(g *graph.Graph, order []int32, rootForced bool, searches []*expSearch, workers int, mon *solve.Monitor) {
+// its start jobs. A search whose seed bound undercut its optimum — a
+// SolveOptions.Bound below it, or a seed set of a rooted search that
+// misses the root — finishes without a witness and is rerun unseeded, so
+// a completed search is exact either way.
+func runSearches(g *graph.Graph, searches []*expSearch, workers int, mon *solve.Monitor) {
 	for len(searches) > 0 {
-		jobs := make([]job, len(searches))
-		for i := range jobs {
-			jobs[i].search = i
-		}
-		runExpansionJobs(g, order, searches, jobs, rootForced, workers, mon)
+		runExpansionJobs(g, searches, startJobs(searches), workers, mon)
 		var redo []*expSearch
 		for _, s := range searches {
 			if s.sb.side == nil && !s.incomplete.Load() {
 				s.sb.best.Store(initialExpBest(g, s.edge, noBound))
+				s.seed = nil
 				redo = append(redo, s)
 			}
 		}
@@ -125,15 +234,14 @@ func runSearches(g *graph.Graph, order []int32, rootForced bool, searches []*exp
 // pruning with the entries before it, and points every edge search at the
 // table. A cancelled step leaves its entry 0.
 //
-// An entry must be the unrooted minimum, so the steps are rooted — at
-// root, or at node 0 when root < 0 — only on a graph declared
-// vertex-transitive, and unrooted on any other. When the steps have the
-// run's root, an edge search of size m is step m itself, with its seed
-// and its telemetry. Every other step is a table step: unseeded,
+// An entry must be the minimum over all m-sets, so every step runs from
+// the unrooted starts. When the searches are unrooted too, they share
+// those starts, and an edge search of size m is step m itself, with its
+// seed and its telemetry. Every other step is a table step: unseeded,
 // publishing no incumbent, and counted in the explored/pruned totals of
 // the smallest edge search above it. Each step emits one trace event. The
 // searches the sweep did not run are returned.
-func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSearch, workers int, mon *solve.Monitor) []*expSearch {
+func sweepEdgeTable(g *graph.Graph, searchesUnrooted bool, searches []*expSearch, workers int, mon *solve.Monitor) []*expSearch {
 	var edges, rest []*expSearch
 	for _, s := range searches {
 		if s.edge {
@@ -149,19 +257,16 @@ func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSear
 	for _, s := range edges {
 		s.table = table
 	}
-	stepRoot, stepOrder := -1, order
-	if g.VertexTransitive() {
-		stepRoot = max(root, 0)
-	}
-	if stepRoot != root {
-		stepOrder = expansionOrder(g, stepRoot)
+	unrooted := edges[0].starts
+	if !searchesUnrooted && kmax > 1 {
+		unrooted = unrootedStarts(g)
 	}
 	swept := make(map[*expSearch]bool)
 	next := 0 // edges[next] is the smallest edge search with k > m
 	for m := 1; m < kmax; m++ {
 		var step *expSearch
 		for ; edges[next].k <= m; next++ {
-			if edges[next].k == m && stepRoot == root && step == nil {
+			if edges[next].k == m && searchesUnrooted && step == nil {
 				step = edges[next]
 				swept[step] = true
 			}
@@ -169,9 +274,9 @@ func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSear
 		tableStep := step == nil
 		if tableStep {
 			step = newExpSearch(g, m, edgeExpansion, noBound, nil)
-			step.table = table
+			step.table, step.starts = table, unrooted
 		}
-		runSearches(g, stepOrder, stepRoot >= 0, []*expSearch{step}, workers, mon)
+		runSearches(g, []*expSearch{step}, workers, mon)
 		if !step.incomplete.Load() {
 			table[m] = int(step.sb.best.Load())
 		}
@@ -193,10 +298,11 @@ func sweepEdgeTable(g *graph.Graph, root int, order []int32, searches []*expSear
 }
 
 // result returns the search's witness, its value and whether it is
-// certified. A search cancelled before recording any set returns the
-// first k nodes of the decision order (a BFS-connected prefix, so already
-// a reasonable set) with its measured boundary.
-func (s *expSearch) result(g *graph.Graph, order []int32) ([]int, int, bool) {
+// certified. A search cancelled before recording any set returns its seed
+// set, or, unseeded, the first k nodes of its first start's order (a
+// BFS-connected prefix, so already a reasonable set), with its measured
+// boundary.
+func (s *expSearch) result(g *graph.Graph) ([]int, int, bool) {
 	if s.sb.side != nil {
 		set := make([]int, 0, s.k)
 		for v, in := range s.sb.side {
@@ -206,21 +312,14 @@ func (s *expSearch) result(g *graph.Graph, order []int32) ([]int, int, bool) {
 		}
 		return set, int(s.sb.best.Load()), !s.incomplete.Load()
 	}
-	set := make([]int, s.k)
-	for i := range set {
-		set[i] = int(order[i])
+	set := s.seed
+	if set == nil {
+		set = make([]int, s.k)
+		for i := range set {
+			set[i] = int(s.starts[0].order[i])
+		}
 	}
 	return set, boundary(g, set, s.edge), false
-}
-
-// expansionOrder is the decision order of every expansion search: BFS from
-// the forced root when there is one (so the exclude-branch cut at depth 0
-// applies to it), plain BFS otherwise.
-func expansionOrder(g *graph.Graph, root int) []int32 {
-	if root >= 0 {
-		return bfsOrderFrom(g, root)
-	}
-	return bfsOrder(g)
 }
 
 // initialExpBest is the starting incumbent: one past the seed bound when

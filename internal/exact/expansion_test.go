@@ -91,9 +91,12 @@ func TestExpansionTrivialSizes(t *testing.T) {
 // TestExpansionAgainstBruteForce checks every route into the expansion
 // engine — Solve* and the survey, each on one and on three workers —
 // against plain enumeration, unrooted and rooted, for every k on B4, Q4,
-// W4 and random graphs of up to 18 nodes. Q4 and W4 are declared
-// vertex-transitive, so their edge table sweeps run rooted; W4 has
-// parallel edges.
+// W4 and random graphs of up to 18 nodes. B4, Q4 and W4 declare node
+// classes, so their unrooted searches and edge table sweeps run one rooted
+// job per class (two on B4, one on Q4 and W4); W4 has parallel edges. B8
+// (three classes) is checked against enumeration up to k = 6 and, for
+// every k, against the same search on an undeclared copy, which runs
+// unrooted in plain BFS order.
 func TestExpansionAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
@@ -144,6 +147,49 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
+
+	b8 := topology.NewButterfly(8).Graph
+	plain := undeclaredCopy(b8)
+	var ks []int
+	for k := 1; k < b8.N(); k++ {
+		ks = append(ks, k)
+	}
+	for _, workers := range []int{1, 3} {
+		opts := SolveOptions{Workers: workers}
+		orbit := ExpansionSurveyWithOptions(b8, ks, -1, workers, SurveyOptions{})
+		flat := ExpansionSurveyWithOptions(plain, ks, -1, workers, SurveyOptions{})
+		for i, k := range ks {
+			r, want := orbit[i], flat[i]
+			if r.EE != want.EE || r.NE != want.NE || !r.EEExact || !r.NEExact {
+				t.Fatalf("B8 k=%d workers=%d: survey EE/NE %d/%d (exact %v/%v), undeclared copy %d/%d",
+					k, workers, r.EE, r.NE, r.EEExact, r.NEExact, want.EE, want.NE)
+			}
+			checkFeasibleSet(t, b8, r.EESet, k, r.EE, true)
+			checkFeasibleSet(t, b8, r.NESet, k, r.NE, false)
+			ee := SolveEdgeExpansion(ctx, b8, k, opts)
+			ne := SolveNodeExpansion(ctx, b8, k, opts)
+			if ee.Value != want.EE || ne.Value != want.NE {
+				t.Fatalf("B8 k=%d workers=%d: Solve* EE/NE %d/%d, undeclared copy %d/%d",
+					k, workers, ee.Value, ne.Value, want.EE, want.NE)
+			}
+			checkFeasibleSet(t, b8, ee.Set, k, ee.Value, true)
+			checkFeasibleSet(t, b8, ne.Set, k, ne.Value, false)
+			if k <= 6 {
+				if bee, bne := bruteMinBoundary(b8, k); r.EE != bee || r.NE != bne {
+					t.Fatalf("B8 k=%d: EE/NE %d/%d, brute force %d/%d", k, r.EE, r.NE, bee, bne)
+				}
+			}
+		}
+	}
+}
+
+// undeclaredCopy rebuilds g edge for edge, without its node classes.
+func undeclaredCopy(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		b.AddEdge(int(e.U), int(e.V))
+	}
+	return b.Build()
 }
 
 func randomGraph(rng *rand.Rand, n, pairs int) *graph.Graph {

@@ -194,18 +194,14 @@ func TestExpansionSurveyMatchesIndividual(t *testing.T) {
 }
 
 func TestExpansionSurveyRootedSeeded(t *testing.T) {
+	// Seed sets: an optimal one for one k, a malformed one (a repeated
+	// node) for another and none for the third — every row must still come
+	// out exact.
 	g := topology.NewWrappedButterfly(8).Graph
 	ks := []int{2, 4, 6}
-	// Seeds straddle the optima: exact for one k, undercut for another,
-	// absent for the third — every row must still come out exact.
-	seeds := map[int]int{2: 6, 4: 7}
+	seeds := map[int][]int{2: SolveEdgeExpansion(context.Background(), g, 2, serial).Set, 4: {0, 1, 1, 2}}
 	res := ExpansionSurveyWithOptions(g, ks, 0, 2, SurveyOptions{
-		EdgeSeed: func(k int) int {
-			if s, ok := seeds[k]; ok {
-				return s
-			}
-			return -1
-		},
+		EdgeSeed: func(k int) []int { return seeds[k] },
 	})
 	for i, k := range ks {
 		ee, ne := minEE(g, k, rootedAt(0, serial)), minNE(g, k, rootedAt(0, serial))
@@ -215,6 +211,22 @@ func TestExpansionSurveyRootedSeeded(t *testing.T) {
 		}
 		if !contains(res[i].EESet, 0) || !contains(res[i].NESet, 0) {
 			t.Errorf("k=%d: root missing from survey witness", k)
+		}
+	}
+
+	// On B4, rooted at an interior node, the unrestricted optima seed
+	// below the rooted ones: those searches find no set as good, rerun
+	// unseeded and still certify the rooted optimum.
+	b := topology.NewButterfly(4)
+	root := b.Node(0, 1)
+	global := func(k int) []int { return SolveNodeExpansion(context.Background(), b.Graph, k, serial).Set }
+	ks = []int{1, 2, 3}
+	res = ExpansionSurveyWithOptions(b.Graph, ks, root, 1, SurveyOptions{NodeOnly: true, NodeSeed: global})
+	for i, k := range ks {
+		want := minNE(b.Graph, k, rootedAt(root, serial))
+		if !res[i].NEExact || res[i].NE != want || !contains(res[i].NESet, root) {
+			t.Errorf("B4 k=%d: rooted survey NE %d (exact %v, set %v), want %d containing %d",
+				k, res[i].NE, res[i].NEExact, res[i].NESet, want, root)
 		}
 	}
 }
@@ -228,9 +240,11 @@ func TestSurveyEdgeTableTelemetry(t *testing.T) {
 	g := topology.NewWrappedButterfly(16).Graph
 	var trace bytes.Buffer
 	seeds := map[int]int{4: 8, 12: 16}
-	res := ExpansionSurveyWithOptions(g, []int{4, 12}, 0, 1, SurveyOptions{
+	witness := func(k int) []int { return SolveEdgeExpansion(context.Background(), g, k, serial).Set }
+	witnesses := map[int][]int{4: witness(4), 12: witness(12)}
+	res := ExpansionSurveyWithOptions(g, []int{4, 12}, -1, 1, SurveyOptions{
 		EdgeOnly: true,
-		EdgeSeed: func(k int) int { return seeds[k] },
+		EdgeSeed: func(k int) []int { return witnesses[k] },
 		Trace:    obs.NewTracer(&trace),
 	})
 	var steps []int

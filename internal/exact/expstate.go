@@ -282,10 +282,10 @@ func (st *expState) nodeLB(k int) int {
 
 // dfsEdgeExpansion explores all decisions for order[idx:] given the prefix
 // already placed in st, recording edge-boundary improvements over sb.best.
-// rootForced skips the exclude branch at idx 0 (root-forced searches). The
-// exclude branch is owed while the include branch runs, and skipped if a
-// flush donated it meanwhile.
-func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) {
+// The node at index forced (−1: none) has no exclude branch (see start).
+// The exclude branch is owed while the include branch runs, and skipped if
+// a flush donated it meanwhile.
+func dfsEdgeExpansion(st *expState, idx, k, forced int, sb *incumbent) {
 	if st.tickNode() {
 		return
 	}
@@ -304,9 +304,9 @@ func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	v := int(st.order[idx])
 
 	owed := &st.owed[idx]
-	*owed = !rootForced || idx > 0
+	*owed = idx != forced
 	st.placeEdge(v, sideS)
-	dfsEdgeExpansion(st, idx+1, k, rootForced, sb)
+	dfsEdgeExpansion(st, idx+1, k, forced, sb)
 	st.unplaceEdge(v)
 
 	if !*owed {
@@ -314,12 +314,12 @@ func dfsEdgeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	}
 	*owed = false
 	st.placeEdge(v, sideSbar)
-	dfsEdgeExpansion(st, idx+1, k, rootForced, sb)
+	dfsEdgeExpansion(st, idx+1, k, forced, sb)
 	st.unplaceEdge(v)
 }
 
 // dfsNodeExpansion is the neighbor-set analogue of dfsEdgeExpansion.
-func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) {
+func dfsNodeExpansion(st *expState, idx, k, forced int, sb *incumbent) {
 	if st.tickNode() {
 		return
 	}
@@ -338,9 +338,9 @@ func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	v := int(st.order[idx])
 
 	owed := &st.owed[idx]
-	*owed = !rootForced || idx > 0
+	*owed = idx != forced
 	st.placeNode(v, sideS)
-	dfsNodeExpansion(st, idx+1, k, rootForced, sb)
+	dfsNodeExpansion(st, idx+1, k, forced, sb)
 	st.unplaceNode(v)
 
 	if !*owed {
@@ -348,14 +348,14 @@ func dfsNodeExpansion(st *expState, idx, k int, rootForced bool, sb *incumbent) 
 	}
 	*owed = false
 	st.placeNode(v, sideSbar)
-	dfsNodeExpansion(st, idx+1, k, rootForced, sb)
+	dfsNodeExpansion(st, idx+1, k, forced, sb)
 	st.unplaceNode(v)
 }
 
-func dfsExpansion(st *expState, idx, k int, edge, rootForced bool, sb *incumbent) {
+func dfsExpansion(st *expState, idx, k int, edge bool, forced int, sb *incumbent) {
 	if edge {
-		dfsEdgeExpansion(st, idx, k, rootForced, sb)
+		dfsEdgeExpansion(st, idx, k, forced, sb)
 	} else {
-		dfsNodeExpansion(st, idx, k, rootForced, sb)
+		dfsNodeExpansion(st, idx, k, forced, sb)
 	}
 }

@@ -27,8 +27,9 @@ import (
 // unseeded search on GOMAXPROCS workers.
 type SolveOptions struct {
 	// Workers is the pool size, ≤ 0 meaning GOMAXPROCS. One worker runs
-	// the whole search as one depth-first job. More share one job queue:
-	// an expansion search starts as one job and a bisection as up to 256
+	// the whole search depth-first, one first job after another. More
+	// share one job queue: an expansion search starts as one job per
+	// declared node class (see unrootedStarts) and a bisection as up to 256
 	// BFS-prefix jobs (see fanoutDepth), and whenever a worker waits with
 	// nothing queued, a busy one gives it its shallowest untried branch
 	// (see nodeCounter.donate). The optimum is the same either way; the
@@ -40,8 +41,10 @@ type SolveOptions struct {
 	// solve is exact either way.
 	Bound int
 	// Containing forces Root into every candidate set (expansion solvers
-	// only): exact on vertex-transitive networks, an upper bound
-	// elsewhere.
+	// only): the minimum over those sets, an upper bound on the unrestricted
+	// one unless an automorphism fixing every declared node class carries
+	// each node onto Root (graph.DeclareOrbits). Without it a search covers
+	// every set, rooted once per declared class.
 	Containing bool
 	Root       int
 	// OnProgress, when non-nil, receives Progress snapshots every
@@ -135,8 +138,8 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	set, val, exact := prefixSet(k), 0, true
 	if k > 0 && k < g.N() {
 		s := newExpSearch(g, k, edge, bound, mon)
-		order := searchExpansion(g, root, []*expSearch{s}, opts.Workers, mon)
-		set, val, exact = s.result(g, order)
+		searchExpansion(g, root, []*expSearch{s}, opts.Workers, mon)
+		set, val, exact = s.result(g)
 	}
 	return Result{
 		Set: set, Value: val, Exact: exact,
@@ -168,9 +171,11 @@ var metricDonations = obs.NewCounter("exact.donations")
 
 // job is one prefix subproblem of a run: the sides of the first
 // len(prefix) nodes of the decision order, in the run's search number
-// search (a bisection run has one search, 0).
+// search (a bisection run has one search, 0). An expansion search has one
+// decision order per start, and start names the job's.
 type job struct {
 	search int
+	start  int
 	prefix []int8
 }
 
@@ -398,7 +403,7 @@ func (c *nodeCounter) donate() {
 		}
 		prefix[d] = sideS + sideSbar - prefix[d]
 		c.owed[d] = false
-		c.q.push(job{search: c.job.search, prefix: prefix})
+		c.q.push(job{search: c.job.search, start: c.job.start, prefix: prefix})
 		metricDonations.Inc()
 		return
 	}

@@ -49,34 +49,51 @@ func checkPartition(t *testing.T, name string, rounds int, drain func(workers in
 
 // TestDonationPartitionsTheTree checks that donation splits the search
 // tree without losing or repeating a branch, on both engines: for the
-// expansion engine, one run holding an NE and an EE search (one
-// empty-prefix job each) on W16 and W32, rooted; for the bisection
-// runner, BW on W8, CCC8 and B8, drained as one empty-prefix job and as
-// the static BFS-prefix split. The expansion cases and B8 are big enough
-// that a busy worker flushes while another waits; W8 and CCC8 finish
-// within one flush and pin the static split.
+// expansion engine, one run holding an NE and an EE search on W16 and W32,
+// rooted (one job each), and orbit-job runs, EE(B8,8) and NE(B16,8), one
+// job per declared node class; for the bisection runner, BW on W8, CCC8
+// and B8, drained as one empty-prefix job and as the static BFS-prefix
+// split. The expansion cases and B8 are big enough that a busy worker
+// flushes while another waits; W8 and CCC8 finish within one flush and pin
+// the static split.
 func TestDonationPartitionsTheTree(t *testing.T) {
 	var expDonations, bisDonations int64
 	for _, c := range []struct {
 		name   string
 		g      *graph.Graph
-		ne, ee int // set sizes
+		rooted bool
+		ne, ee int // set sizes, 0 for no search
 	}{
-		{"W16", topology.NewWrappedButterfly(16).Graph, 8, 8},
-		{"W32", topology.NewWrappedButterfly(32).Graph, 5, 5},
+		{"rooted W16", topology.NewWrappedButterfly(16).Graph, true, 8, 8},
+		{"rooted W32", topology.NewWrappedButterfly(32).Graph, true, 5, 5},
+		{"B8", topology.NewButterfly(8).Graph, false, 0, 8},
+		{"B16", topology.NewButterfly(16).Graph, false, 8, 0},
 	} {
-		rooted := SolveOptions{Workers: 1, Containing: true}
-		ne := SolveNodeExpansion(context.Background(), c.g, c.ne, rooted).Value
-		ee := SolveEdgeExpansion(context.Background(), c.g, c.ee, rooted).Value
-		order := expansionOrder(c.g, 0)
-		jobs := []job{{search: 0}, {search: 1}}
+		opts, starts := SolveOptions{Workers: 1}, unrootedStarts(c.g)
+		if c.rooted {
+			opts, starts = rootedAt(0, opts), rootedStarts(c.g, 0)
+		}
+		type sized struct {
+			k    int
+			edge bool
+			opt  int
+		}
+		var want []sized
+		if c.ne > 0 {
+			want = append(want, sized{c.ne, nodeExpansion, SolveNodeExpansion(context.Background(), c.g, c.ne, opts).Value})
+		}
+		if c.ee > 0 {
+			want = append(want, sized{c.ee, edgeExpansion, SolveEdgeExpansion(context.Background(), c.g, c.ee, opts).Value})
+		}
 		expDonations += checkPartition(t, c.name, 10, func(workers int) drainTotals {
 			// A bound of optimum − 1 sets best to the optimum.
-			searches := []*expSearch{
-				newExpSearch(c.g, c.ne, nodeExpansion, ne-1, nil),
-				newExpSearch(c.g, c.ee, edgeExpansion, ee-1, nil),
+			var searches []*expSearch
+			for _, w := range want {
+				s := newExpSearch(c.g, w.k, w.edge, w.opt-1, nil)
+				s.starts = starts
+				searches = append(searches, s)
 			}
-			runExpansionJobs(c.g, order, searches, jobs, true, workers, nil)
+			runExpansionJobs(c.g, searches, startJobs(searches), workers, nil)
 			var out drainTotals
 			for _, s := range searches {
 				if s.sb.side != nil || s.incomplete.Load() {

@@ -42,12 +42,14 @@ type SurveyOptions struct {
 	// (or both) set, both EE and NE are computed.
 	EdgeOnly bool
 	NodeOnly bool
-	// EdgeSeed/NodeSeed return an achievable upper bound on EE(g,k) /
-	// NE(g,k) used to seed that k's incumbent — typically a §4 witness
-	// boundary or a greedy set from package heuristic. nil functions or
-	// negative returns leave the search unseeded.
-	EdgeSeed func(k int) int
-	NodeSeed func(k int) int
+	// EdgeSeed/NodeSeed return a k-set whose boundary seeds that k's EE /
+	// NE incumbent — typically a §4 witness or a greedy set from package
+	// heuristic. A search cancelled before it finds a set as good returns
+	// the seed, so a row never reads worse than its seed. nil functions, nil
+	// returns and anything but k distinct nodes of g leave the search
+	// unseeded.
+	EdgeSeed func(k int) []int
+	NodeSeed func(k int) []int
 
 	// Ctx cancels the survey: searches not yet complete return their
 	// incumbents with the *Exact flags false. nil means never cancelled.
@@ -62,15 +64,17 @@ type SurveyOptions struct {
 }
 
 // ExpansionSurveyWithOptions computes EE(g,k) and NE(g,k) exactly for
-// every k in ks, batched: the BFS order is computed once, one sweep over
-// m = 1, 2, … certifies EE(g, m) for the edge bound (a requested k is that
-// sweep's step whenever the sweep shares root, and is never searched
-// twice), and one run of the expansion engine then drains the remaining
-// jobs jointly. root ≥ 0 forces that node into every set (exact on
-// vertex-transitive networks, an upper bound elsewhere); root < 0 searches
-// unrestricted. workers is the pool size as in SolveOptions.Workers. opts
-// adds quantity selection, incumbent seeding, cancellation and progress
-// reporting; the zero SurveyOptions surveys both quantities unseeded.
+// every k in ks, batched: the decision orders are computed once, one sweep
+// over m = 1, 2, … certifies EE(g, m) for the edge bound (in an unrooted
+// survey a requested k is that sweep's step, and is never searched twice),
+// and one run of the expansion engine then drains the remaining jobs
+// jointly. root < 0 searches every k-set, once per node class the graph's
+// constructor declared (see graph.DeclareOrbits); root ≥ 0 searches only
+// the sets containing that node, an upper bound unless some automorphism
+// fixing every class carries each node onto it (one class, as on Wn).
+// workers is the pool size as in SolveOptions.Workers. opts adds quantity
+// selection, incumbent seeding, cancellation and progress reporting; the
+// zero SurveyOptions surveys both quantities unseeded.
 func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opts SurveyOptions) []SurveyResult {
 	if root >= g.N() {
 		panic("exact: root out of range")
@@ -89,14 +93,12 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 	})
 	defer mon.Close()
 
-	seedFor := func(f func(int) int, k int) int {
-		if f == nil {
-			return noBound
+	search := func(k int, edge bool, seed func(int) []int) *expSearch {
+		s := newExpSearch(g, k, edge, noBound, mon)
+		if seed != nil {
+			s.seedWith(g, seed(k))
 		}
-		if b := f(k); b >= 0 {
-			return b
-		}
-		return noBound
+		return s
 	}
 
 	results := make([]SurveyResult, len(ks))
@@ -117,17 +119,17 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 			continue
 		}
 		if doEdge {
-			searches = append(searches, newExpSearch(g, k, edgeExpansion, seedFor(opts.EdgeSeed, k), mon))
+			searches = append(searches, search(k, edgeExpansion, opts.EdgeSeed))
 			target = append(target, r)
 		}
 		if doNode {
-			searches = append(searches, newExpSearch(g, k, nodeExpansion, seedFor(opts.NodeSeed, k), mon))
+			searches = append(searches, search(k, nodeExpansion, opts.NodeSeed))
 			target = append(target, r)
 		}
 	}
-	order := searchExpansion(g, root, searches, workers, mon)
+	searchExpansion(g, root, searches, workers, mon)
 	for i, s := range searches {
-		set, val, exact := s.result(g, order)
+		set, val, exact := s.result(g)
 		explored, pruned := s.sb.explored.Load(), s.sb.pruned.Load()
 		if s.edge {
 			target[i].EE, target[i].EESet = val, set

@@ -85,23 +85,42 @@ type Graph struct {
 	adjNode  []int32 // neighbor endpoint per adjacency slot
 	adjEdge  []int32 // edge index per adjacency slot
 
-	vertexTransitive bool // see VertexTransitive
+	// orbits and orbit are the node classes the constructor declared (see
+	// DeclareOrbits); orbits is 0 when it declared none.
+	orbits int
+	orbit  func(v int) int
 }
 
-// VertexTransitive reports whether the graph's constructor declared it
-// vertex-transitive: for any two nodes some automorphism carries one onto
-// the other, so a minimum over the node sets containing one fixed node is
-// the minimum over all node sets. Only constructors that know such
-// automorphisms declare it (Wn, CCCn and Q_d in package topology); every
-// other graph, including subgraphs of declared ones, reports false.
-func (g *Graph) VertexTransitive() bool { return g.vertexTransitive }
-
-// DeclareVertexTransitive marks g vertex-transitive and returns it. A
-// constructor calls it on the graph it has just built, before sharing it;
-// a false declaration makes rooted exact searches miss optima.
-func (g *Graph) DeclareVertexTransitive() *Graph {
-	g.vertexTransitive = true
+// DeclareOrbits records the constructor's partition of the nodes into
+// classes 0..classes−1, class(v) being node v's, and returns g. The lowest
+// node of a class is its representative, and every node must be carried
+// onto its representative by an automorphism that maps every class onto
+// itself: a minimum over node sets is then found among the sets that
+// contain some class's representative and no node of a lower class. One
+// class declares the graph vertex-transitive. A constructor calls it on
+// the graph it has just built, before sharing it; a false declaration
+// makes exact searches miss optima. class is called only when a search
+// needs the classes, so the declaration costs a build nothing per node.
+func (g *Graph) DeclareOrbits(classes int, class func(v int) int) *Graph {
+	if classes < 1 {
+		panic("graph: a declaration needs at least one node class")
+	}
+	g.orbits, g.orbit = classes, class
 	return g
+}
+
+// Orbits returns the number of node classes the graph's constructor
+// declared, or 0 when it declared none: every graph built directly,
+// subgraphs of declared ones included.
+func (g *Graph) Orbits() int { return g.orbits }
+
+// Orbit returns node v's declared class, in [0, Orbits()). It panics on a
+// graph with no declared classes.
+func (g *Graph) Orbit(v int) int {
+	if g.orbit == nil {
+		panic("graph: no node classes declared")
+	}
+	return g.orbit(v)
 }
 
 // N returns the number of nodes.

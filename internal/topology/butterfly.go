@@ -47,6 +47,13 @@ func NewButterfly(n int) *Butterfly {
 			}
 		}
 	})
+	// Column XOR carries ⟨w,i⟩ onto ⟨0,i⟩, and level reversal (Lemma 2.1)
+	// carries level i onto level log n − i, so level i is in class
+	// min(i, log n − i); both map every class onto itself.
+	b.Graph.DeclareOrbits(dim/2+1, func(v int) int {
+		i := v >> dim
+		return min(i, dim-i)
+	})
 	return b
 }
 
@@ -71,10 +78,13 @@ func NewWrappedButterfly(n int) *Butterfly {
 		}
 	})
 	// ColumnXorAutomorphism and LevelRotationAutomorphism together carry
-	// any node to any other.
-	b.Graph.DeclareVertexTransitive()
+	// any node to any other: one class.
+	b.Graph.DeclareOrbits(1, oneClass)
 	return b
 }
+
+// oneClass is the node class of a vertex-transitive network.
+func oneClass(int) int { return 0 }
 
 // Inputs returns n, the number of columns.
 func (b *Butterfly) Inputs() int { return b.n }

@@ -68,6 +68,6 @@ func NewHypercube(d int) *Hypercube {
 		}
 	}
 	// Xor-ing every label with a mask carries any node to any other.
-	h.Graph = b.Build().DeclareVertexTransitive()
+	h.Graph = b.Build().DeclareOrbits(1, oneClass)
 	return h
 }

@@ -2,54 +2,104 @@ package topology
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/graph"
 )
 
-// TestVertexTransitiveMark pins the vertex-transitive declaration, which
-// lets the exact engine root its searches and its EE(g, m) table: a wrong
-// mark would certify rooted minima as global ones. Each marked family (Wn,
-// CCCn, Q_d) is checked at its two smallest sizes — W4 has parallel edges
-// — by finding, for every node v, an automorphism that takes node 0 to v
-// and maps the edge multiset onto itself. Bn must stay unmarked, and the
-// search must find it is not vertex-transitive.
+// TestVertexTransitiveMark pins the node classes each constructor
+// declares, which let the exact engine search a minimum once per class,
+// rooted at the class's representative (its lowest node): a wrong
+// declaration would certify rooted minima as global ones. For every node
+// it checks an automorphism that carries the node onto its class
+// representative and maps every class onto itself. Wn, CCCn and Q_d
+// declare one class and are checked at their two smallest sizes (W4 has
+// parallel edges), by searching for an automorphism that takes node 0 to
+// the node and inverting it. Bn declares level i with level log n − i,
+// ⌊log n/2⌋ + 1 classes, and its automorphism is explicit: column XOR,
+// composed with level reversal (Lemma 2.1) for levels above the middle.
 func TestVertexTransitiveMark(t *testing.T) {
 	for _, c := range []struct {
-		name       string
-		g          *graph.Graph
-		transitive bool
+		name string
+		g    *graph.Graph
 	}{
-		{"W4", NewWrappedButterfly(4).Graph, true},
-		{"W8", NewWrappedButterfly(8).Graph, true},
-		{"CCC8", NewCCC(8).Graph, true},
-		{"CCC16", NewCCC(16).Graph, true},
-		{"Q1", NewHypercube(1).Graph, true},
-		{"Q2", NewHypercube(2).Graph, true},
-		{"B4", NewButterfly(4).Graph, false},
-		{"B8", NewButterfly(8).Graph, false},
+		{"W4", NewWrappedButterfly(4).Graph},
+		{"W8", NewWrappedButterfly(8).Graph},
+		{"CCC8", NewCCC(8).Graph},
+		{"CCC16", NewCCC(16).Graph},
+		{"Q1", NewHypercube(1).Graph},
+		{"Q2", NewHypercube(2).Graph},
 	} {
-		if c.g.VertexTransitive() != c.transitive {
-			t.Errorf("%s: VertexTransitive() = %v, want %v", c.name, c.g.VertexTransitive(), c.transitive)
+		if c.g.Orbits() != 1 {
+			t.Errorf("%s: %d node classes, want 1", c.name, c.g.Orbits())
 		}
-		missing := -1
 		for v := 0; v < c.g.N(); v++ {
 			perm := automorphismTaking0To(c.g, v)
 			if perm == nil {
-				missing = v
+				t.Errorf("%s: no automorphism takes node 0 to node %d", c.name, v)
 				break
 			}
-			if !mapsEdgeMultiset(c.g, perm) {
-				t.Fatalf("%s: the permutation found for node %d is not an automorphism", c.name, v)
+			inverse := make([]int, len(perm))
+			for u, p := range perm {
+				inverse[p] = u
 			}
+			checkCarriesToRepresentative(t, c.name, c.g, v, inverse)
 		}
-		if c.transitive && missing >= 0 {
-			t.Errorf("%s: no automorphism takes node 0 to node %d", c.name, missing)
+	}
+	for _, n := range []int{2, 4, 8, 16} {
+		b := NewButterfly(n)
+		name := fmt.Sprintf("B%d", n)
+		if got, want := b.Orbits(), b.Dim()/2+1; got != want {
+			t.Errorf("%s: %d node classes, want %d", name, got, want)
 		}
-		if !c.transitive && missing < 0 {
-			t.Errorf("%s: every node is the image of node 0, want a node that is not", c.name)
+		rev := b.LevelReversalAutomorphism()
+		for v := 0; v < b.N(); v++ {
+			w, i := b.Column(v), b.Level(v)
+			perm := b.ColumnXorAutomorphism(w)
+			if 2*i > b.Dim() {
+				xor := b.ColumnXorAutomorphism(bitutil.Reverse(w, b.Dim()))
+				for u := range perm {
+					perm[u] = xor[rev[u]]
+				}
+			}
+			checkCarriesToRepresentative(t, name, b.Graph, v, perm)
 		}
+	}
+}
+
+// checkCarriesToRepresentative fails the test unless perm is an
+// automorphism of g that maps every declared class onto itself and carries
+// v onto the lowest node of v's class, and every class has a node.
+func checkCarriesToRepresentative(t *testing.T, name string, g *graph.Graph, v int, perm []int) {
+	t.Helper()
+	if !mapsEdgeMultiset(g, perm) {
+		t.Fatalf("%s: the permutation for node %d is not an automorphism", name, v)
+	}
+	rep := make([]int, g.Orbits())
+	for j := range rep {
+		rep[j] = -1
+	}
+	for u := g.N() - 1; u >= 0; u-- {
+		c := g.Orbit(u)
+		if c < 0 || c >= g.Orbits() {
+			t.Fatalf("%s: node %d in class %d of %d", name, u, c, g.Orbits())
+		}
+		if g.Orbit(perm[u]) != c {
+			t.Fatalf("%s: the automorphism for node %d takes node %d from class %d to class %d",
+				name, v, u, c, g.Orbit(perm[u]))
+		}
+		rep[c] = u
+	}
+	for j, r := range rep {
+		if r < 0 {
+			t.Fatalf("%s: declared class %d has no node", name, j)
+		}
+	}
+	if want := rep[g.Orbit(v)]; perm[v] != want {
+		t.Fatalf("%s: node %d is carried onto %d, not onto its class representative %d", name, v, perm[v], want)
 	}
 }
 
