@@ -76,14 +76,20 @@ func BenchmarkBisectionBnConstructed(b *testing.B) {
 	}
 }
 
-// BenchmarkBestPlanMillion is the plan layer alone: the class search over
-// every candidate j, then the winner's quota table.
-func BenchmarkBestPlanMillion(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if p := mustPlanB(b, 1<<20); p.Ratio >= 1 {
-			b.Fatalf("ratio %v did not beat folklore", p.Ratio)
-		}
+// BenchmarkBestPlan is the plan layer alone: the class search over every
+// candidate j, then the winner's quota table. n = 2^20 is the size the
+// serve-warm set-up fill asks for; 2^48 is the top of the plan range, where
+// maxPlanJ caps the j sweep.
+func BenchmarkBestPlan(b *testing.B) {
+	for _, lg := range []int{20, 24, 30, 48} {
+		b.Run(fmt.Sprintf("n=2^%d", lg), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p := mustPlanB(b, 1<<lg); p.Ratio >= 1 {
+					b.Fatalf("ratio %v did not beat folklore", p.Ratio)
+				}
+			}
+		})
 	}
 }
 
@@ -242,14 +248,15 @@ func BenchmarkExpansionExactParallelNode(b *testing.B) {
 }
 
 // BenchmarkExpansionExactHeavyPrefix measures the expansion engine on
-// GOMAXPROCS workers on a skewed tree: rooted NE(W32,8) = 12, seeded with
-// its witness value, explores 10.6M nodes, 4.7M of them under one branch
-// (root in S, the next seven BFS nodes out), so its wall time shows how
-// well idle workers are fed pieces of that branch. NE(W64,8) has the same
-// shape at ten times the size (63M of 104M nodes).
+// GOMAXPROCS workers on a skewed tree: NE(W32,8) = 12, seeded with its
+// witness value, explores 10.6M nodes, 4.7M of them under one branch (node
+// 0 in S, the next seven BFS nodes out; W32 is one node class, so the
+// search is rooted at node 0), so its wall time shows how well idle
+// workers are fed pieces of that branch. NE(W64,8) has the same shape at
+// ten times the size (63M of 104M nodes).
 func BenchmarkExpansionExactHeavyPrefix(b *testing.B) {
 	w := topology.NewWrappedButterfly(32)
-	opts := exact.SolveOptions{Bound: 12, Containing: true}
+	opts := exact.SolveOptions{Bound: 12}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,7 +314,7 @@ func BenchmarkExpansionSurvey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := exact.ExpansionSurveyWithOptions(w.Graph, ks, -1, 0,
+		res := exact.ExpansionSurveyWithOptions(w.Graph, ks, 0,
 			exact.SurveyOptions{EdgeSeed: seed})
 		if res[2].EE != 8 {
 			b.Fatalf("EE(W8,4) = %d", res[2].EE)

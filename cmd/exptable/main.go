@@ -6,8 +6,10 @@
 //
 // Exact optima come from the parallel witness-seeded branch-and-bound in
 // internal/exact; -workers sizes its pool and -kmax widens the set sizes it
-// is allowed to certify. -timeout bounds the run: searches still open at
-// the deadline report their incumbent, flagged "no" in the exact? column.
+// is allowed to certify. -timeout bounds each of the four tables on its own,
+// so one long row cannot starve the tables after it: searches still open
+// at their table's deadline report their incumbent, flagged "no" in the
+// exact? column.
 // -progress streams explored/pruned/incumbent telemetry to stderr. -json
 // writes the four tables as a machine-readable run manifest; -trace
 // streams survey span events as JSONL.
@@ -51,15 +53,13 @@ func main() {
 		cli.NonNegative("workers", *workers),
 	)
 
-	ctx, cancel, onProgress := long.Start()
-	defer cancel()
+	cli.StartPprof(*long.Pprof)
 	out.Start("exptable")
 	opts := core.ExpansionTableOptions{
 		ExactNodes: *exactNodes,
 		KMax:       *kmax,
 		Workers:    *workers,
-		Ctx:        ctx,
-		OnProgress: onProgress,
+		OnProgress: cli.ProgressPrinter(*long.Progress),
 		Trace:      out.Tracer(),
 	}
 	m := out.Manifest()
@@ -74,7 +74,10 @@ func main() {
 		for d := 1; d <= top; d++ {
 			dims = append(dims, d)
 		}
+		ctx, cancel := cli.WithTimeout(*long.Timeout)
+		opts.Ctx = ctx
 		rows := core.ExpansionTable(kind, *n, dims, opts)
+		cancel()
 		fmt.Print(core.RenderExpansionTable(rows))
 		fmt.Println()
 		m.AddTable("expansion."+kind.Slug(), kind.String()+" (§4.3)", rows)

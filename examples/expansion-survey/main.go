@@ -46,7 +46,7 @@ func main() {
 	}
 
 	start := time.Now()
-	results := exact.ExpansionSurveyWithOptions(w.Graph, ks, -1, 0, exact.SurveyOptions{
+	results := exact.ExpansionSurveyWithOptions(w.Graph, ks, 0, exact.SurveyOptions{
 		EdgeSeed: edgeSeed,
 		NodeSeed: nodeSeed,
 	})

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/heuristic"
 	"repro/internal/topology"
 )
@@ -133,21 +134,43 @@ func TestSubFolkloreVirtualBalanceLarge(t *testing.T) {
 }
 
 func TestBestPlanIsFirstCheapestPlan(t *testing.T) {
-	// BestPlan fills only the winner's quotas; the plan it returns must be
-	// the one a sweep over fully built PlanButterflyBisection candidates
-	// picks (the first j on a tie), quota table included.
-	for d := 2; d <= 20; d++ {
+	// BestPlan fills only the winner's quotas, and maxPlanJ only bounds the
+	// sweep's cost: up to 2^42 the plan it returns must be the one a sweep
+	// over every j with j² ≤ n picks (the first j on a tie), built as
+	// PlanButterflyBisection builds it, quota table included.
+	for d := 2; d <= 42; d++ {
 		n := 1 << d
-		var want *Plan
-		for j := 2; j*j <= n && j <= maxPlanJ; j *= 2 {
-			if p, ok := PlanButterflyBisection(n, j); ok && (want == nil || p.Capacity < want.Capacity) {
-				want = p
+		var want Plan
+		found := false
+		for j := 2; j*j <= n; j *= 2 {
+			if p, ok := classPlan(n, j); ok && (!found || p.Capacity < want.Capacity) {
+				want, found = p, true
 			}
 		}
-		got := mustBestPlan(t, n)
-		if !reflect.DeepEqual(got, want) {
+		want.assignQuotas()
+		if got := mustBestPlan(t, n); !reflect.DeepEqual(got, &want) {
 			t.Errorf("n=2^%d: BestPlan j=%d a=%d b=%d capacity %d, first cheapest plan j=%d a=%d b=%d capacity %d (or quotas differ)",
 				d, got.J, got.A, got.B, got.Capacity, want.J, want.A, want.B, want.Capacity)
+		}
+	}
+}
+
+func TestClassPlanMatchesGrid(t *testing.T) {
+	// mos.CheapestClasses must pick what the (j+1)² class grid picks — the
+	// first cheapest (a,b) in (a,b) order — for every valid (n, j ≤
+	// maxPlanJ) up to 2^30 and for every n up to 2^48 at j ≤ 512.
+	for d := 2; d <= 48; d++ {
+		n := 1 << d
+		for j := 2; j*j <= n && j <= maxPlanJ; j *= 2 {
+			if d > 30 && j > 512 {
+				break
+			}
+			got, ok := classPlan(n, j)
+			want, wantOK := gridClassPlan(n, j)
+			if ok != wantOK || got.A != want.A || got.B != want.B || got.Groups != want.Groups || got.Capacity != want.Capacity {
+				t.Fatalf("n=2^%d j=%d: classPlan a=%d b=%d groups %d capacity %d ok %v, grid a=%d b=%d groups %d capacity %d ok %v",
+					d, j, got.A, got.B, got.Groups, got.Capacity, ok, want.A, want.B, want.Groups, want.Capacity, wantOK)
+			}
 		}
 	}
 }
@@ -235,10 +258,65 @@ func TestPlanValidation(t *testing.T) {
 	p.Build(topology.NewButterfly(32))
 }
 
+// gridClassPlan is classPlan by the (j+1)² grid over the class counts:
+// every (a,b) in order, the middle components' side-A quota filled
+// cheapest-first (mixed, then flipped both-type components at two groups
+// each), the first strict improvement kept. n and j must be a valid pair.
+func gridClassPlan(n, j int) (Plan, bool) {
+	d, lj := bitutil.Log2(n), bitutil.Log2(j)
+	cols := n / (j * j)
+	compSize := cols * (d - 2*lj + 1)
+	half := n * (d + 1) / 2
+	regionA := n * lj / j
+	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
+
+	best := -1
+	bestA, bestB := 0, 0
+	for a := 0; a <= j; a++ {
+		for b := 0; b <= j; b++ {
+			bothA := a * b
+			bothBar := (j - a) * (j - b)
+			mixed := j*j - bothA - bothBar
+			targetM := half - (a+b)*regionA
+			if targetM < 0 || targetM > j*j*compSize {
+				continue
+			}
+			low := bothA * compSize
+			high := low + mixed*compSize
+			groups := mixed
+			switch {
+			case targetM < low:
+				flips := ceilDiv(low-targetM, compSize)
+				if flips > bothA {
+					continue
+				}
+				groups += 2 * flips
+			case targetM > high:
+				flips := ceilDiv(targetM-high, compSize)
+				if flips > bothBar {
+					continue
+				}
+				groups += 2 * flips
+			}
+			if best < 0 || groups < best {
+				best, bestA, bestB = groups, a, b
+			}
+		}
+	}
+	if best < 0 {
+		return Plan{}, false
+	}
+	return Plan{
+		N: n, Dim: d, J: j, LogJ: lj, A: bestA, B: bestB,
+		Groups: best, GroupEdges: 2 * cols, Capacity: best * 2 * cols,
+		Ratio: float64(best*2*cols) / float64(n),
+	}, true
+}
+
 // Lemma216Ratio returns the capacity/n bound the paper's own Lemma 2.16
 // route guarantees with class grid j: 2·BW(MOS_{j,j},M2)/j² + 4/j, where
-// the M2-bisection capacity is supplied by the caller (package mos computes
-// it; construct does not import mos to keep the dependency one-way).
+// the M2-bisection capacity is supplied by the caller (mos.M2BisectionWidth
+// computes it).
 func Lemma216Ratio(j, mosCapacity int) float64 {
 	return 2*float64(mosCapacity)/float64(j*j) + 4/float64(j)
 }

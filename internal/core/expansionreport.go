@@ -261,7 +261,7 @@ func ExpansionTable(kind ExpansionKind, n int, dims []int, opts ExpansionTableOp
 		pruned   int64
 	}
 	exactByK := make(map[int]exactOutcome)
-	for _, res := range exact.ExpansionSurveyWithOptions(g.Graph, ks, -1, opts.Workers, surveyOpts) {
+	for _, res := range exact.ExpansionSurveyWithOptions(g.Graph, ks, opts.Workers, surveyOpts) {
 		if res.EE != exact.NotComputed {
 			exactByK[res.K] = exactOutcome{res.EE, res.EEExact, res.EEExplored, res.EEPruned}
 		} else {

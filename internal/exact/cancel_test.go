@@ -134,23 +134,6 @@ func TestSolveExpansionUncancelledMatchesMin(t *testing.T) {
 	}
 }
 
-func TestSolveExpansionContainingAndBound(t *testing.T) {
-	g := topology.NewWrappedButterfly(8).Graph
-	want := minEE(g, 5, rootedAt(0, serial))
-	res := SolveEdgeExpansion(context.Background(), g, 5, SolveOptions{
-		Containing: true, Root: 0, Bound: want,
-	})
-	if !res.Exact || res.Value != want {
-		t.Fatalf("containing+bound solve = (%d,%v), want (%d,true)", res.Value, res.Exact, want)
-	}
-	for _, v := range res.Set {
-		if v == 0 {
-			return
-		}
-	}
-	t.Fatal("root 0 missing from containing solve witness")
-}
-
 func TestSolveBisectionCancelledMidSearch(t *testing.T) {
 	// Q7 bisection (128 nodes) is far beyond the exact engine in seconds.
 	g := topology.NewHypercube(7).Graph
@@ -271,7 +254,7 @@ func TestSurveyCancelledReportsNonExact(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := ExpansionSurveyWithOptions(g, []int{2, 14, 15, 16}, 0, 0, SurveyOptions{Ctx: ctx})
+	results := ExpansionSurveyWithOptions(g, []int{2, 14, 15, 16}, 0, SurveyOptions{Ctx: ctx})
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("cancelled survey took %v", took)
 	}
@@ -290,14 +273,14 @@ func TestSurveyCancelledReportsNonExact(t *testing.T) {
 
 func TestSurveyUncancelledStaysExact(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
-	results := ExpansionSurveyWithOptions(g, []int{0, 2, 4}, 0, 0, SurveyOptions{})
+	results := ExpansionSurveyWithOptions(g, []int{0, 2, 4}, 0, SurveyOptions{})
 	for _, r := range results {
 		if !r.EEExact || !r.NEExact {
 			t.Fatalf("uncancelled survey row k=%d not exact", r.K)
 		}
 	}
 	// Cross-check against the one-shot solver.
-	want := minEE(g, 4, rootedAt(0, serial))
+	want := minEE(g, 4, serial)
 	if results[2].EE != want {
 		t.Fatalf("survey EE(8,4)=%d, want %d", results[2].EE, want)
 	}

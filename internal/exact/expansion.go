@@ -42,12 +42,6 @@ type start struct {
 	prefix []int8
 }
 
-// rootedStarts is the one start of a search over the sets containing
-// root: root forced at index 0, then BFS order from it.
-func rootedStarts(g *graph.Graph, root int) []start {
-	return []start{{order: bfsOrderFrom(g, root), forced: 0}}
-}
-
 // unrootedStarts returns the starts of a search over all k-sets. On a
 // graph that declares no node classes that is one start in plain BFS
 // order, nothing forced. Otherwise there is one start per class j (see
@@ -187,32 +181,26 @@ func startJobs(searches []*expSearch) []job {
 	return jobs
 }
 
-// searchExpansion runs searches (all with 0 < k < n) to completion: over
-// the sets containing root when root ≥ 0, over all sets otherwise. The
-// edge table sweep runs first and, in an unrooted run, may run some of the
-// searches as its steps; the rest then share one pool.
-func searchExpansion(g *graph.Graph, root int, searches []*expSearch, workers int, mon *solve.Monitor) {
+// searchExpansion runs searches (all with 0 < k < n) over all sets, from
+// the unrooted starts. The edge table sweep runs first and may run some of
+// the searches as its steps; the rest then share one pool.
+func searchExpansion(g *graph.Graph, searches []*expSearch, workers int, mon *solve.Monitor) {
 	if len(searches) == 0 {
 		return
 	}
-	var starts []start
-	if root >= 0 {
-		starts = rootedStarts(g, root)
-	} else {
-		starts = unrootedStarts(g)
-	}
+	starts := unrootedStarts(g)
 	for _, s := range searches {
 		s.starts = starts
 	}
-	rest := sweepEdgeTable(g, root < 0, searches, workers, mon)
+	rest := sweepEdgeTable(g, searches, workers, mon)
 	runSearches(g, rest, workers, mon)
 }
 
 // runSearches runs searches to completion on one pool, each starting as
-// its start jobs. A search whose seed bound undercut its optimum — a
-// SolveOptions.Bound below it, or a seed set of a rooted search that
-// misses the root — finishes without a witness and is rerun unseeded, so
-// a completed search is exact either way.
+// its start jobs. A search whose SolveOptions.Bound undercut its optimum
+// finishes without a witness and is rerun unseeded, so a completed search
+// is exact either way. (A survey's seed set is measured, so its bound is
+// always achievable.)
 func runSearches(g *graph.Graph, searches []*expSearch, workers int, mon *solve.Monitor) {
 	for len(searches) > 0 {
 		runExpansionJobs(g, searches, startJobs(searches), workers, mon)
@@ -234,14 +222,12 @@ func runSearches(g *graph.Graph, searches []*expSearch, workers int, mon *solve.
 // pruning with the entries before it, and points every edge search at the
 // table. A cancelled step leaves its entry 0.
 //
-// An entry must be the minimum over all m-sets, so every step runs from
-// the unrooted starts. When the searches are unrooted too, they share
-// those starts, and an edge search of size m is step m itself, with its
-// seed and its telemetry. Every other step is a table step: unseeded,
-// publishing no incumbent, and counted in the explored/pruned totals of
-// the smallest edge search above it. Each step emits one trace event. The
-// searches the sweep did not run are returned.
-func sweepEdgeTable(g *graph.Graph, searchesUnrooted bool, searches []*expSearch, workers int, mon *solve.Monitor) []*expSearch {
+// Every step runs from the searches' starts. An edge search of size m is
+// step m itself, with its seed and its telemetry. Every other step is a
+// table step: unseeded, publishing no incumbent, and counted in the
+// explored/pruned totals of the smallest edge search above it. Each step
+// emits one trace event. The searches the sweep did not run are returned.
+func sweepEdgeTable(g *graph.Graph, searches []*expSearch, workers int, mon *solve.Monitor) []*expSearch {
 	var edges, rest []*expSearch
 	for _, s := range searches {
 		if s.edge {
@@ -257,16 +243,12 @@ func sweepEdgeTable(g *graph.Graph, searchesUnrooted bool, searches []*expSearch
 	for _, s := range edges {
 		s.table = table
 	}
-	unrooted := edges[0].starts
-	if !searchesUnrooted && kmax > 1 {
-		unrooted = unrootedStarts(g)
-	}
 	swept := make(map[*expSearch]bool)
 	next := 0 // edges[next] is the smallest edge search with k > m
 	for m := 1; m < kmax; m++ {
 		var step *expSearch
 		for ; edges[next].k <= m; next++ {
-			if edges[next].k == m && searchesUnrooted && step == nil {
+			if edges[next].k == m && step == nil {
 				step = edges[next]
 				swept[step] = true
 			}
@@ -274,7 +256,7 @@ func sweepEdgeTable(g *graph.Graph, searchesUnrooted bool, searches []*expSearch
 		tableStep := step == nil
 		if tableStep {
 			step = newExpSearch(g, m, edgeExpansion, noBound, nil)
-			step.table, step.starts = table, unrooted
+			step.table, step.starts = table, edges[0].starts
 		}
 		runSearches(g, []*expSearch{step}, workers, mon)
 		if !step.incomplete.Load() {
@@ -341,12 +323,6 @@ func boundary(g *graph.Graph, set []int, edge bool) int {
 		return cut.EdgeBoundary(g, set)
 	}
 	return len(cut.NodeBoundary(g, set))
-}
-
-func checkRoot(g *graph.Graph, root int) {
-	if root < 0 || root >= g.N() {
-		panic("exact: root out of range")
-	}
 }
 
 func checkSetSize(g *graph.Graph, k int) {

@@ -90,13 +90,12 @@ func TestExpansionTrivialSizes(t *testing.T) {
 
 // TestExpansionAgainstBruteForce checks every route into the expansion
 // engine — Solve* and the survey, each on one and on three workers —
-// against plain enumeration, unrooted and rooted, for every k on B4, Q4,
-// W4 and random graphs of up to 18 nodes. B4, Q4 and W4 declare node
-// classes, so their unrooted searches and edge table sweeps run one rooted
-// job per class (two on B4, one on Q4 and W4); W4 has parallel edges. B8
-// (three classes) is checked against enumeration up to k = 6 and, for
-// every k, against the same search on an undeclared copy, which runs
-// unrooted in plain BFS order.
+// against plain enumeration for every k on B4, Q4, W4 and random graphs of
+// up to 18 nodes. B4, Q4 and W4 declare node classes, so their searches
+// and edge table sweeps run one rooted job per class (two on B4, one on Q4
+// and W4); W4 has parallel edges. B8 (three classes) is checked against
+// enumeration up to k = 6 and, for every k, against the same search on an
+// undeclared copy, which runs unrooted in plain BFS order.
 func TestExpansionAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
@@ -107,43 +106,33 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 	graphs = append(graphs, topology.NewWrappedButterfly(4).Graph)
 	for _, g := range graphs {
 		n := g.N()
-		root := rng.Intn(n)
 		var ks []int
 		for k := 1; k < n; k++ {
 			ks = append(ks, k)
 		}
-		bf := bruteForceExpansion(g, root)
-		for _, rooted := range []bool{false, true} {
-			opts, surveyRoot, wantEE, wantNE := SolveOptions{}, -1, bf.ee, bf.ne
-			if rooted {
-				opts, surveyRoot, wantEE, wantNE = SolveOptions{Containing: true, Root: root}, root, bf.eeRoot, bf.neRoot
+		bf := bruteForceExpansion(g)
+		check := func(how string, k int, set []int, val int, edge bool) {
+			t.Helper()
+			want := bf.ne[k]
+			if edge {
+				want = bf.ee[k]
 			}
-			check := func(how string, k int, set []int, val int, edge bool) {
-				t.Helper()
-				want := wantNE[k]
-				if edge {
-					want = wantEE[k]
-				}
-				if val != want {
-					t.Fatalf("n=%d rooted=%v k=%d edge=%v %s: %d, brute force %d", n, rooted, k, edge, how, val, want)
-				}
-				checkFeasibleSet(t, g, set, k, val, edge)
-				if rooted && !contains(set, root) {
-					t.Fatalf("n=%d k=%d %s: witness misses root %d", n, k, how, root)
-				}
+			if val != want {
+				t.Fatalf("n=%d k=%d edge=%v %s: %d, brute force %d", n, k, edge, how, val, want)
 			}
-			for _, workers := range []int{1, 3} {
-				opts.Workers = workers
-				for _, k := range ks {
-					res := SolveEdgeExpansion(ctx, g, k, opts)
-					check("SolveEdgeExpansion", k, res.Set, res.Value, true)
-					res = SolveNodeExpansion(ctx, g, k, opts)
-					check("SolveNodeExpansion", k, res.Set, res.Value, false)
-				}
-				for _, r := range ExpansionSurveyWithOptions(g, ks, surveyRoot, workers, SurveyOptions{}) {
-					check("survey", r.K, r.EESet, r.EE, true)
-					check("survey", r.K, r.NESet, r.NE, false)
-				}
+			checkFeasibleSet(t, g, set, k, val, edge)
+		}
+		for _, workers := range []int{1, 3} {
+			opts := SolveOptions{Workers: workers}
+			for _, k := range ks {
+				res := SolveEdgeExpansion(ctx, g, k, opts)
+				check("SolveEdgeExpansion", k, res.Set, res.Value, true)
+				res = SolveNodeExpansion(ctx, g, k, opts)
+				check("SolveNodeExpansion", k, res.Set, res.Value, false)
+			}
+			for _, r := range ExpansionSurveyWithOptions(g, ks, workers, SurveyOptions{}) {
+				check("survey", r.K, r.EESet, r.EE, true)
+				check("survey", r.K, r.NESet, r.NE, false)
 			}
 		}
 	}
@@ -156,8 +145,8 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		opts := SolveOptions{Workers: workers}
-		orbit := ExpansionSurveyWithOptions(b8, ks, -1, workers, SurveyOptions{})
-		flat := ExpansionSurveyWithOptions(plain, ks, -1, workers, SurveyOptions{})
+		orbit := ExpansionSurveyWithOptions(b8, ks, workers, SurveyOptions{})
+		flat := ExpansionSurveyWithOptions(plain, ks, workers, SurveyOptions{})
 		for i, k := range ks {
 			r, want := orbit[i], flat[i]
 			if r.EE != want.EE || r.NE != want.NE || !r.EEExact || !r.NEExact {
@@ -204,16 +193,16 @@ func randomGraph(rng *rand.Rand, n, pairs int) *graph.Graph {
 }
 
 // bruteExpansion holds, per set size k, the minimum edge and node
-// boundary over all k-sets and over the k-sets containing one root.
+// boundary over all k-sets.
 type bruteExpansion struct {
-	ee, ne, eeRoot, neRoot []int
+	ee, ne []int
 }
 
 // bruteForceExpansion enumerates every node subset of g as a bitmask.
-func bruteForceExpansion(g *graph.Graph, root int) bruteExpansion {
+func bruteForceExpansion(g *graph.Graph) bruteExpansion {
 	n := g.N()
-	bf := bruteExpansion{make([]int, n+1), make([]int, n+1), make([]int, n+1), make([]int, n+1)}
-	for _, s := range [][]int{bf.ee, bf.ne, bf.eeRoot, bf.neRoot} {
+	bf := bruteExpansion{make([]int, n+1), make([]int, n+1)}
+	for _, s := range [][]int{bf.ee, bf.ne} {
 		for k := range s {
 			s[k] = 1 << 30
 		}
@@ -239,9 +228,6 @@ func bruteForceExpansion(g *graph.Graph, root int) bruteExpansion {
 		}
 		k, ne := bits.OnesCount32(mask), bits.OnesCount32(reach&^mask)
 		bf.ee[k], bf.ne[k] = min(bf.ee[k], ee), min(bf.ne[k], ne)
-		if mask>>root&1 == 1 {
-			bf.eeRoot[k], bf.neRoot[k] = min(bf.eeRoot[k], ee), min(bf.neRoot[k], ne)
-		}
 	}
 	return bf
 }

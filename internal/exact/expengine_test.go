@@ -100,37 +100,6 @@ func TestParallelExpansionMatchesSerialButterflies(t *testing.T) {
 	}
 }
 
-func TestParallelContainingMatchesUnrestrictedOnVertexTransitive(t *testing.T) {
-	// Wn and CCCn are vertex-transitive (the Lemma 2.2/3.2 automorphisms
-	// carry any node to any other), so forcing a root loses nothing.
-	for name, g := range map[string]*graph.Graph{
-		"W8":   topology.NewWrappedButterfly(8).Graph,
-		"CCC8": topology.NewCCC(8).Graph,
-	} {
-		for k := 1; k <= 5; k++ {
-			two := SolveOptions{Workers: 2}
-			ee := minEE(g, k, two)
-			res := SolveEdgeExpansion(context.Background(), g, k, rootedAt(0, two))
-			set, eeRoot := res.Set, res.Value
-			if eeRoot != ee {
-				t.Errorf("%s EE k=%d: rooted %d, unrestricted %d", name, k, eeRoot, ee)
-			}
-			if !contains(set, 0) {
-				t.Errorf("%s EE k=%d: root not in returned set", name, k)
-			}
-			ne := minNE(g, k, two)
-			res = SolveNodeExpansion(context.Background(), g, k, rootedAt(0, two))
-			setN, neRoot := res.Set, res.Value
-			if neRoot != ne {
-				t.Errorf("%s NE k=%d: rooted %d, unrestricted %d", name, k, neRoot, ne)
-			}
-			if !contains(setN, 0) {
-				t.Errorf("%s NE k=%d: root not in returned set", name, k)
-			}
-		}
-	}
-}
-
 func TestParallelExpansionWorkerCounts(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
 	want := minEE(g, 4, serial)
@@ -169,7 +138,7 @@ func TestParallelExpansionSeeding(t *testing.T) {
 func TestExpansionSurveyMatchesIndividual(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
 	ks := []int{0, 1, 2, 3, 4, 5, g.N()}
-	res := ExpansionSurveyWithOptions(g, ks, -1, 3, SurveyOptions{})
+	res := ExpansionSurveyWithOptions(g, ks, 3, SurveyOptions{})
 	if len(res) != len(ks) {
 		t.Fatalf("%d results for %d ks", len(res), len(ks))
 	}
@@ -193,41 +162,24 @@ func TestExpansionSurveyMatchesIndividual(t *testing.T) {
 	}
 }
 
-func TestExpansionSurveyRootedSeeded(t *testing.T) {
+func TestExpansionSurveySeeded(t *testing.T) {
 	// Seed sets: an optimal one for one k, a malformed one (a repeated
 	// node) for another and none for the third — every row must still come
 	// out exact.
 	g := topology.NewWrappedButterfly(8).Graph
 	ks := []int{2, 4, 6}
 	seeds := map[int][]int{2: SolveEdgeExpansion(context.Background(), g, 2, serial).Set, 4: {0, 1, 1, 2}}
-	res := ExpansionSurveyWithOptions(g, ks, 0, 2, SurveyOptions{
+	res := ExpansionSurveyWithOptions(g, ks, 2, SurveyOptions{
 		EdgeSeed: func(k int) []int { return seeds[k] },
 	})
 	for i, k := range ks {
-		ee, ne := minEE(g, k, rootedAt(0, serial)), minNE(g, k, rootedAt(0, serial))
-		if res[i].EE != ee || res[i].NE != ne {
-			t.Errorf("k=%d: survey EE/NE %d/%d, rooted serial %d/%d",
-				k, res[i].EE, res[i].NE, ee, ne)
+		ee, ne := minEE(g, k, serial), minNE(g, k, serial)
+		if !res[i].EEExact || !res[i].NEExact || res[i].EE != ee || res[i].NE != ne {
+			t.Errorf("k=%d: survey EE/NE %d/%d (exact %v/%v), serial %d/%d",
+				k, res[i].EE, res[i].NE, res[i].EEExact, res[i].NEExact, ee, ne)
 		}
-		if !contains(res[i].EESet, 0) || !contains(res[i].NESet, 0) {
-			t.Errorf("k=%d: root missing from survey witness", k)
-		}
-	}
-
-	// On B4, rooted at an interior node, the unrestricted optima seed
-	// below the rooted ones: those searches find no set as good, rerun
-	// unseeded and still certify the rooted optimum.
-	b := topology.NewButterfly(4)
-	root := b.Node(0, 1)
-	global := func(k int) []int { return SolveNodeExpansion(context.Background(), b.Graph, k, serial).Set }
-	ks = []int{1, 2, 3}
-	res = ExpansionSurveyWithOptions(b.Graph, ks, root, 1, SurveyOptions{NodeOnly: true, NodeSeed: global})
-	for i, k := range ks {
-		want := minNE(b.Graph, k, rootedAt(root, serial))
-		if !res[i].NEExact || res[i].NE != want || !contains(res[i].NESet, root) {
-			t.Errorf("B4 k=%d: rooted survey NE %d (exact %v, set %v), want %d containing %d",
-				k, res[i].NE, res[i].NEExact, res[i].NESet, want, root)
-		}
+		checkFeasibleSet(t, g, res[i].EESet, k, res[i].EE, true)
+		checkFeasibleSet(t, g, res[i].NESet, k, res[i].NE, false)
 	}
 }
 
@@ -242,7 +194,7 @@ func TestSurveyEdgeTableTelemetry(t *testing.T) {
 	seeds := map[int]int{4: 8, 12: 16}
 	witness := func(k int) []int { return SolveEdgeExpansion(context.Background(), g, k, serial).Set }
 	witnesses := map[int][]int{4: witness(4), 12: witness(12)}
-	res := ExpansionSurveyWithOptions(g, []int{4, 12}, -1, 1, SurveyOptions{
+	res := ExpansionSurveyWithOptions(g, []int{4, 12}, 1, SurveyOptions{
 		EdgeOnly: true,
 		EdgeSeed: func(k int) []int { return witnesses[k] },
 		Trace:    obs.NewTracer(&trace),
@@ -288,14 +240,14 @@ func TestSurveyEdgeTableTelemetry(t *testing.T) {
 
 func TestExpansionSurveyQuantitySelection(t *testing.T) {
 	g := topology.NewWrappedButterfly(8).Graph
-	edgeOnly := ExpansionSurveyWithOptions(g, []int{3}, -1, 2, SurveyOptions{EdgeOnly: true})
+	edgeOnly := ExpansionSurveyWithOptions(g, []int{3}, 2, SurveyOptions{EdgeOnly: true})
 	if edgeOnly[0].NE != NotComputed || edgeOnly[0].NESet != nil {
 		t.Errorf("EdgeOnly computed NE: %+v", edgeOnly[0])
 	}
 	if ee := minEE(g, 3, serial); edgeOnly[0].EE != ee {
 		t.Errorf("EdgeOnly EE %d, want %d", edgeOnly[0].EE, ee)
 	}
-	nodeOnly := ExpansionSurveyWithOptions(g, []int{3}, -1, 2, SurveyOptions{NodeOnly: true})
+	nodeOnly := ExpansionSurveyWithOptions(g, []int{3}, 2, SurveyOptions{NodeOnly: true})
 	if nodeOnly[0].EE != NotComputed || nodeOnly[0].EESet != nil {
 		t.Errorf("NodeOnly computed EE: %+v", nodeOnly[0])
 	}
@@ -305,7 +257,7 @@ func TestExpansionSurveyTinyGraph(t *testing.T) {
 	// Below 16 nodes every search is one job, however many workers;
 	// results must still match the individual solvers.
 	g := cycleGraph(10)
-	res := ExpansionSurveyWithOptions(g, []int{1, 3, 5}, -1, 4, SurveyOptions{})
+	res := ExpansionSurveyWithOptions(g, []int{1, 3, 5}, 4, SurveyOptions{})
 	for i, k := range []int{1, 3, 5} {
 		if res[i].EE != 2 || res[i].NE != 2 {
 			t.Errorf("k=%d: EE/NE %d/%d, want 2/2", k, res[i].EE, res[i].NE)
@@ -323,17 +275,9 @@ func TestExpansionSurveyValidation(t *testing.T) {
 					t.Errorf("ks=%v did not panic", bad)
 				}
 			}()
-			ExpansionSurveyWithOptions(g, bad, -1, 1, SurveyOptions{})
+			ExpansionSurveyWithOptions(g, bad, 1, SurveyOptions{})
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("oversized root did not panic")
-			}
-		}()
-		ExpansionSurveyWithOptions(g, []int{2}, 6, 1, SurveyOptions{})
-	}()
 }
 
 // TestIncrementalLeafAccounting pins the O(1) leaf counters against the

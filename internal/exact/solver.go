@@ -40,13 +40,6 @@ type SolveOptions struct {
 	// below the optimum falls back to an unseeded rerun, so a completed
 	// solve is exact either way.
 	Bound int
-	// Containing forces Root into every candidate set (expansion solvers
-	// only): the minimum over those sets, an upper bound on the unrestricted
-	// one unless an automorphism fixing every declared node class carries
-	// each node onto Root (graph.DeclareOrbits). Without it a search covers
-	// every set, rooted once per declared class.
-	Containing bool
-	Root       int
 	// OnProgress, when non-nil, receives Progress snapshots every
 	// ProgressInterval (≤ 0: 1s) from a dedicated goroutine.
 	OnProgress       func(solve.Progress)
@@ -126,11 +119,6 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	mon := opts.monitor(ctx)
 	defer mon.Close()
 	checkSetSize(g, k)
-	root := -1
-	if opts.Containing {
-		checkRoot(g, opts.Root)
-		root = opts.Root
-	}
 	bound := noBound
 	if opts.Bound > 0 {
 		bound = opts.Bound
@@ -138,7 +126,7 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 	set, val, exact := prefixSet(k), 0, true
 	if k > 0 && k < g.N() {
 		s := newExpSearch(g, k, edge, bound, mon)
-		searchExpansion(g, root, []*expSearch{s}, opts.Workers, mon)
+		searchExpansion(g, []*expSearch{s}, opts.Workers, mon)
 		set, val, exact = s.result(g)
 	}
 	return Result{

@@ -49,9 +49,9 @@ func checkPartition(t *testing.T, name string, rounds int, drain func(workers in
 
 // TestDonationPartitionsTheTree checks that donation splits the search
 // tree without losing or repeating a branch, on both engines: for the
-// expansion engine, one run holding an NE and an EE search on W16 and W32,
-// rooted (one job each), and orbit-job runs, EE(B8,8) and NE(B16,8), one
-// job per declared node class; for the bisection runner, BW on W8, CCC8
+// expansion engine, one run holding an NE and an EE search on W16 and W32
+// (one node class, so one job each, rooted at node 0), and orbit-job runs,
+// EE(B8,8) and NE(B16,8), one job per declared node class; for the bisection runner, BW on W8, CCC8
 // and B8, drained as one empty-prefix job and as the static BFS-prefix
 // split. The expansion cases and B8 are big enough that a busy worker
 // flushes while another waits; W8 and CCC8 finish within one flush and pin
@@ -61,18 +61,14 @@ func TestDonationPartitionsTheTree(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		g      *graph.Graph
-		rooted bool
 		ne, ee int // set sizes, 0 for no search
 	}{
-		{"rooted W16", topology.NewWrappedButterfly(16).Graph, true, 8, 8},
-		{"rooted W32", topology.NewWrappedButterfly(32).Graph, true, 5, 5},
-		{"B8", topology.NewButterfly(8).Graph, false, 0, 8},
-		{"B16", topology.NewButterfly(16).Graph, false, 8, 0},
+		{"W16", topology.NewWrappedButterfly(16).Graph, 8, 8},
+		{"W32", topology.NewWrappedButterfly(32).Graph, 5, 5},
+		{"B8", topology.NewButterfly(8).Graph, 0, 8},
+		{"B16", topology.NewButterfly(16).Graph, 8, 0},
 	} {
 		opts, starts := SolveOptions{Workers: 1}, unrootedStarts(c.g)
-		if c.rooted {
-			opts, starts = rootedAt(0, opts), rootedStarts(c.g, 0)
-		}
 		type sized struct {
 			k    int
 			edge bool

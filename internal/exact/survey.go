@@ -65,23 +65,15 @@ type SurveyOptions struct {
 
 // ExpansionSurveyWithOptions computes EE(g,k) and NE(g,k) exactly for
 // every k in ks, batched: the decision orders are computed once, one sweep
-// over m = 1, 2, … certifies EE(g, m) for the edge bound (in an unrooted
-// survey a requested k is that sweep's step, and is never searched twice),
-// and one run of the expansion engine then drains the remaining jobs
-// jointly. root < 0 searches every k-set, once per node class the graph's
-// constructor declared (see graph.DeclareOrbits); root ≥ 0 searches only
-// the sets containing that node, an upper bound unless some automorphism
-// fixing every class carries each node onto it (one class, as on Wn).
-// workers is the pool size as in SolveOptions.Workers. opts adds quantity
-// selection, incumbent seeding, cancellation and progress reporting; the
-// zero SurveyOptions surveys both quantities unseeded.
-func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opts SurveyOptions) []SurveyResult {
-	if root >= g.N() {
-		panic("exact: root out of range")
-	}
-	if root < 0 {
-		root = -1
-	}
+// over m = 1, 2, … certifies EE(g, m) for the edge bound (a requested k is
+// that sweep's step, and is never searched twice), and one run of the
+// expansion engine then drains the remaining jobs jointly. Every search
+// covers all k-sets, once per node class the graph's constructor declared
+// (see graph.DeclareOrbits). workers is the pool size as in
+// SolveOptions.Workers. opts adds quantity selection, incumbent seeding,
+// cancellation and progress reporting; the zero SurveyOptions surveys both
+// quantities unseeded.
+func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, workers int, opts SurveyOptions) []SurveyResult {
 	doEdge := !opts.NodeOnly || opts.EdgeOnly
 	doNode := !opts.EdgeOnly || opts.NodeOnly
 
@@ -127,7 +119,7 @@ func ExpansionSurveyWithOptions(g *graph.Graph, ks []int, root, workers int, opt
 			target = append(target, r)
 		}
 	}
-	searchExpansion(g, root, searches, workers, mon)
+	searchExpansion(g, searches, workers, mon)
 	for i, s := range searches {
 		set, val, exact := s.result(g)
 		explored, pruned := s.sb.explored.Load(), s.sb.pruned.Load()

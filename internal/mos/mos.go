@@ -15,27 +15,47 @@ import (
 // the leading constant of BW(Bn)/n (Theorem 2.20).
 var Limit = math.Sqrt2 - 1
 
-// SideCost returns the minimum capacity over cuts (A,Ā) of MOS_{j,k} with
-// |A∩M1| = a, |A∩M3| = b and |A∩M2| = t. Middle nodes are independent: a
-// middle node with both endpoints in A costs 0 in A and 2 in Ā, one with
-// both in Ā costs 2 in A and 0 in Ā, and a mixed one costs 1 on either
-// side; the cheapest placement fills A with both-A middles first, then
-// mixed, then both-Ā.
-func SideCost(j, k, a, b, t int) int {
-	if a < 0 || a > j || b < 0 || b > k || t < 0 || t > j*k {
-		panic("mos: side counts out of range")
+// CheapestClasses minimises the Lemma 2.17 cost over the class counts of
+// MOS_{j,j}: side A takes a of the M1 nodes, b of the M3 nodes and
+// target(a+b) units of the middle level, where each middle node holds size
+// units. A middle node costs, in edge groups, its edges that cross: a
+// mixed one (one endpoint in A) costs 1 wherever its units go, and a
+// both-A or both-Ā one costs 0 if all its units sit on its endpoints' side
+// and 2 otherwise. With s = a + b and p = ab there are p both-A middles and
+// js − 2p mixed ones, so the cheapest placement of T = target(s) units
+// costs js − 2·min(p, ⌊T/size⌋, js − ⌈T/size⌉) groups. That never rises
+// with p, so one pass over s, taking p = ⌊s/2⌋·⌈s/2⌉, finds the minimum.
+// CheapestClasses returns it with the first (a, b) in (a, b) order that
+// attains it; ok is false when no s has 0 ≤ target(s) ≤ j²·size.
+func CheapestClasses(j, size int, target func(s int) int) (cost, a, b int, ok bool) {
+	for s := 0; s <= 2*j; s++ {
+		t := target(s)
+		if t < 0 || t > j*j*size {
+			continue
+		}
+		// saved is p less the both-type middles that placing t units
+		// flips, at the largest p this s allows.
+		saved := min(s/2*(s-s/2), t/size, j*s-(t+size-1)/size)
+		c := j*s - 2*saved
+		if ok && c > cost {
+			continue
+		}
+		// The smallest a with a(s−a) ≥ saved attains c at this s; a(s−a)
+		// rises on [max(0, s−j), ⌊s/2⌋].
+		lo, hi := max(0, s-j), s/2
+		for lo < hi {
+			if mid := (lo + hi) / 2; mid*(s-mid) >= saved {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		// On a tie an equal a has the larger b, as s only grows.
+		if !ok || c < cost || lo < a {
+			cost, a, b, ok = c, lo, s-lo, true
+		}
 	}
-	bothA := a * b
-	bothABar := (j - a) * (k - b)
-	mixed := j*k - bothA - bothABar
-	cost := mixed
-	if t < bothA {
-		cost += 2 * (bothA - t) // both-A middles forced into Ā
-	}
-	if t > bothA+mixed {
-		cost += 2 * (t - bothA - mixed) // both-Ā middles forced into A
-	}
-	return cost
+	return cost, a, b, ok
 }
 
 // Result describes an optimal M2-bisecting cut of MOS_{j,j}.
@@ -49,29 +69,22 @@ type Result struct {
 	Ratio float64 `json:"ratio"` // Capacity / j²
 }
 
-// M2BisectionWidth computes BW(MOS_{j,j},M2) exactly by minimizing SideCost
-// over all (a, b) and both admissible middle counts t ∈ {⌊j²/2⌋, ⌈j²/2⌉}.
-// This is the closed-form counterpart of the paper's Lemma 2.17 argument,
-// valid for every j ≥ 1 (the paper restricts to even j to keep j²/2
-// integral; the floor/ceil handles odd j).
+// M2BisectionWidth computes BW(MOS_{j,j},M2) exactly: CheapestClasses
+// with unit middles, for each admissible middle count t ∈ {⌊j²/2⌋,
+// ⌈j²/2⌉}, keeping the first optimum in (a, b, t) order. This is the
+// closed-form counterpart of the paper's Lemma 2.17 argument, valid for
+// every j ≥ 1 (the paper restricts to even j to keep j²/2 integral; the
+// floor/ceil handles odd j).
 func M2BisectionWidth(j int) Result {
 	if j < 1 {
 		panic("mos: j must be positive")
 	}
 	m2 := j * j
-	ts := []int{m2 / 2}
-	if m2%2 == 1 {
-		ts = append(ts, m2/2+1)
-	}
 	best := Result{J: j, Capacity: -1}
-	for a := 0; a <= j; a++ {
-		for b := 0; b <= j; b++ {
-			for _, t := range ts {
-				c := SideCost(j, j, a, b, t)
-				if best.Capacity < 0 || c < best.Capacity {
-					best = Result{J: j, Capacity: c, A: a, B: b, T: t}
-				}
-			}
+	for t := m2 / 2; t <= (m2+1)/2; t++ {
+		c, a, b, _ := CheapestClasses(j, 1, func(int) int { return t })
+		if best.Capacity < 0 || c < best.Capacity || c == best.Capacity && (a < best.A || a == best.A && b < best.B) {
+			best = Result{J: j, Capacity: c, A: a, B: b, T: t}
 		}
 	}
 	// Costs are symmetric under complementing A, so both (a,b) and

@@ -265,6 +265,71 @@ func TestSideCostValidation(t *testing.T) {
 	SideCost(2, 2, 3, 0, 0)
 }
 
+func TestM2BisectionWidthMatchesGrid(t *testing.T) {
+	// CheapestClasses must return what the (j+1)² grid over SideCost
+	// returns, the first optimum in (a, b, t) order included: every j ≤ 256
+	// (odd j try both middle counts t) and every power of two up to 1024.
+	js := []int{512, 1024}
+	for j := 1; j <= 256; j++ {
+		js = append(js, j)
+	}
+	for _, j := range js {
+		if got, want := M2BisectionWidth(j), gridM2BisectionWidth(j); got != want {
+			t.Fatalf("j=%d: M2BisectionWidth %+v, grid %+v", j, got, want)
+		}
+	}
+}
+
+// gridM2BisectionWidth is M2BisectionWidth by minimizing SideCost over all
+// (a, b) and both admissible middle counts t, first optimum in (a, b, t)
+// order, canonicalized the same way.
+func gridM2BisectionWidth(j int) Result {
+	m2 := j * j
+	ts := []int{m2 / 2}
+	if m2%2 == 1 {
+		ts = append(ts, m2/2+1)
+	}
+	best := Result{J: j, Capacity: -1}
+	for a := 0; a <= j; a++ {
+		for b := 0; b <= j; b++ {
+			for _, t := range ts {
+				c := SideCost(j, j, a, b, t)
+				if best.Capacity < 0 || c < best.Capacity {
+					best = Result{J: j, Capacity: c, A: a, B: b, T: t}
+				}
+			}
+		}
+	}
+	if best.A+best.B < j {
+		best.A, best.B, best.T = j-best.A, j-best.B, m2-best.T
+	}
+	best.Ratio = float64(best.Capacity) / float64(m2)
+	return best
+}
+
+// SideCost returns the minimum capacity over cuts (A,Ā) of MOS_{j,k} with
+// |A∩M1| = a, |A∩M3| = b and |A∩M2| = t. Middle nodes are independent: a
+// middle node with both endpoints in A costs 0 in A and 2 in Ā, one with
+// both in Ā costs 2 in A and 0 in Ā, and a mixed one costs 1 on either
+// side; the cheapest placement fills A with both-A middles first, then
+// mixed, then both-Ā.
+func SideCost(j, k, a, b, t int) int {
+	if a < 0 || a > j || b < 0 || b > k || t < 0 || t > j*k {
+		panic("mos: side counts out of range")
+	}
+	bothA := a * b
+	bothABar := (j - a) * (k - b)
+	mixed := j*k - bothA - bothABar
+	cost := mixed
+	if t < bothA {
+		cost += 2 * (bothA - t) // both-A middles forced into Ā
+	}
+	if t > bothA+mixed {
+		cost += 2 * (t - bothA - mixed) // both-Ā middles forced into A
+	}
+	return cost
+}
+
 // F is the paper's f(x,y) = x + y − min(1, 2xy) (Lemma 2.17). It equals
 // C(g)/j² for the cheapest cut g of MOS_{j,j} that bisects M2 with
 // |A∩M1| = xj and |A∩M3| = yj, for ⟨x,y⟩ in the domain D.
