@@ -326,7 +326,7 @@ func BenchmarkExpansionSurvey(b *testing.B) {
 
 func BenchmarkRouting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := core.RandomRoutingExperiment(32, int64(i), core.RoutingOptions{})
+		r := core.RoutingExperiment(32, int64(i), route.RandomDestinations, core.RoutingOptions{})
 		if r.Stats.MinBound > 0 && r.Stats.MinRatio < 1 {
 			b.Fatalf("steps below certified bound: %+v", r.Stats)
 		}
@@ -602,9 +602,9 @@ func BenchmarkVirtualWordSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		capacity, _ := p.EvaluateVirtualWords()
-		if capacity >= 1<<15 {
-			b.Fatalf("capacity %d did not beat folklore", capacity)
+		capacity, _, err := p.EvaluateVirtualParallelCtx(context.Background(), 1)
+		if err != nil || capacity >= 1<<15 {
+			b.Fatalf("capacity %d did not beat folklore (err %v)", capacity, err)
 		}
 	}
 }
@@ -616,9 +616,9 @@ func BenchmarkVirtualWordMillion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		capacity, _ := p.EvaluateVirtualWords()
-		if capacity >= 1<<20 {
-			b.Fatalf("capacity %d did not beat folklore", capacity)
+		capacity, _, err := p.EvaluateVirtualParallelCtx(context.Background(), 1)
+		if err != nil || capacity >= 1<<20 {
+			b.Fatalf("capacity %d did not beat folklore (err %v)", capacity, err)
 		}
 	}
 }

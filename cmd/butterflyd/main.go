@@ -280,10 +280,11 @@ func main() {
 // runPrecompute is the -precompute batch mode: solve every missing grid
 // point into the store, -inflight points at a time, report, exit. A
 // SIGINT/SIGTERM stops feeding new points and lets in-flight solves
-// finish.
+// finish; a second signal kills the process the default way.
 func runPrecompute(srv *serve.Server, st *store.Store, grid []serve.GridPoint, traceFile *os.File, tracer *obs.Tracer) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, stop)
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "butterflyd: precomputing %d grid points\n", len(grid))

@@ -44,14 +44,6 @@ import (
 	"repro/internal/route"
 )
 
-// experiments maps each Bn traffic pattern to its experiment runner.
-var experiments = map[route.TrialKind]func(int, int64, core.RoutingOptions) core.RoutingReport{
-	route.RandomDestinations:      core.RandomRoutingExperiment,
-	route.RandomPermutations:      core.PermutationRoutingExperiment,
-	route.HotSpotDestinations:     core.HotSpotRoutingExperiment,
-	route.BitReversalDestinations: core.BitReversalRoutingExperiment,
-}
-
 // tableTitles names the per-pattern tables in the rendered output.
 var tableTitles = map[route.TrialKind]string{
 	route.RandomDestinations:      "Random destinations on Bn: time vs the N/(4·BW)-style bound (§1.2)",
@@ -126,10 +118,9 @@ func main() {
 	}
 
 	for _, kind := range kinds {
-		run := experiments[kind]
 		var reports []core.RoutingReport
 		for d := 3; d <= *maxLog; d++ {
-			reports = append(reports, run(1<<d, *seed, opt))
+			reports = append(reports, core.RoutingExperiment(1<<d, *seed, kind, opt))
 		}
 		title := tableTitles[kind]
 		if faulty {
@@ -143,16 +134,13 @@ func main() {
 	out.Finish(m)
 }
 
-// parsePatterns resolves the -pattern CSV to Bn trial kinds.
+// parsePatterns resolves the -pattern CSV to trial kinds.
 func parsePatterns(csv string) ([]route.TrialKind, error) {
 	var kinds []route.TrialKind
 	for _, part := range strings.Split(csv, ",") {
 		kind, err := route.ParseTrialKind(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("-pattern: %v", err)
-		}
-		if _, ok := experiments[kind]; !ok {
-			return nil, fmt.Errorf("-pattern: %s runs on Wn, not on the Bn tables (want random, permutation, hotspot or bitreversal)", kind.Slug())
 		}
 		kinds = append(kinds, kind)
 	}

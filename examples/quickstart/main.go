@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/construct"
@@ -34,7 +35,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	capacity, sizeA := plan.EvaluateVirtualWords()
+	capacity, sizeA, err := plan.EvaluateVirtualParallelCtx(context.Background(), 1)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nB%d: constructed bisection capacity %d < n = %d (ratio %.4f)\n",
 		n, capacity, n, plan.Ratio)
 	fmt.Printf("  exact balance: |A| = %d of %d nodes\n", sizeA, n*(plan.Dim+1))

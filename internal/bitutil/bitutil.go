@@ -1,5 +1,5 @@
 // Package bitutil provides bit-manipulation helpers for butterfly column
-// labels.
+// labels, and the splitmix64 mixer that every seeded stream derives from.
 //
 // Throughout this repository, a column of a (log n)-dimensional butterfly is
 // a (log n)-bit binary number w ∈ {0,1}^log n. Following the paper, bit
@@ -116,4 +116,25 @@ func BitString(w, d int) string {
 		buf[i] = byte('0' + Bit(w, d, i+1))
 	}
 	return string(buf)
+}
+
+// golden is splitmix64's increment, 2^64/φ rounded to odd.
+const golden = 0x9e3779b97f4a7c15
+
+// Mix64 is the splitmix64 output at state x: x advanced by the increment,
+// then finalized. Nearby inputs give unrelated words; the cluster ring
+// scores (peer, key) pairs with it.
+func Mix64(x uint64) uint64 {
+	x += golden
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// SubSeed derives seed i of the stream named by base: the (i+1)-th
+// splitmix64 output from state base. Routing trials, heuristic starts and
+// butterflybench's request sequences draw from it. Plain base+i sub-seeds
+// would make base seeds S and S+1 share all but one stream.
+func SubSeed(base int64, i int) int64 {
+	return int64(Mix64(uint64(base) + golden*uint64(i)))
 }

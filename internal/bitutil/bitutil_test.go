@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -200,4 +201,52 @@ func TestPanicsOnBadRanges(t *testing.T) {
 // OnesCount returns the number of set bits in w.
 func OnesCount(w int) int {
 	return bits.OnesCount(uint(w))
+}
+
+// splitmixStep is the reference seed formula, written out: one splitmix64
+// step from base + γ·(i+1).
+func splitmixStep(base int64, i int) int64 {
+	x := uint64(base) + 0x9e3779b97f4a7c15*uint64(i+1)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int64(x)
+}
+
+// TestSubSeedPinsSplitmix pins every seeded stream (routing trials, fault
+// plans, heuristic starts, loadgen requests, ring scores): SubSeed and
+// Mix64(base + γ·i) against the reference formula over a grid of
+// (base, i), and a few outputs as literals, the first of them splitmix64's
+// published first output from state 0.
+func TestSubSeedPinsSplitmix(t *testing.T) {
+	bases := []int64{0, 1, 2, 7, 42, 1 << 40, -1, ^int64(41), math.MinInt64, math.MaxInt64}
+	for _, base := range bases {
+		for i := 0; i < 1<<17; i += 1 + i/8 {
+			want := splitmixStep(base, i)
+			if got := SubSeed(base, i); got != want {
+				t.Fatalf("SubSeed(%d, %d) = %#x, want %#x", base, i, uint64(got), uint64(want))
+			}
+			if got := Mix64(uint64(base) + 0x9e3779b97f4a7c15*uint64(i)); got != uint64(want) {
+				t.Fatalf("Mix64 at (%d, %d) = %#x, want %#x", base, i, got, uint64(want))
+			}
+		}
+	}
+	for _, c := range []struct {
+		base int64
+		i    int
+		want uint64
+	}{
+		{0, 0, 0xe220a8397b1dcdaf},
+		{1, 0, 0x910a2dec89025cc1},
+		{1, 1, 0xbeeb8da1658eec67},
+		{42, 7, 0xccf635ee9e9e2fa4},
+		{-1, 3, 0x6d1db36ccba982d2},
+		{-6, 0x0fa17, 0x8992ac80fa1326f9},
+	} {
+		if got := uint64(SubSeed(c.base, c.i)); got != c.want {
+			t.Errorf("SubSeed(%d, %d) = %#x, want %#x", c.base, c.i, got, c.want)
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitutil"
 	"repro/internal/serve"
 )
 
@@ -61,7 +62,7 @@ func (s *simNet) setDown(addr string, down bool) {
 
 // coin advances the seeded stream one step; the caller holds the lock.
 func (s *simNet) coin() bool {
-	s.rng = mix64(s.rng + 0x9e3779b97f4a7c15)
+	s.rng = bitutil.Mix64(s.rng + 0x9e3779b97f4a7c15)
 	return s.drop > 0 && float64(s.rng>>11)/float64(1<<53) < s.drop
 }
 

@@ -1,6 +1,10 @@
 package cluster
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	"repro/internal/bitutil"
+)
 
 // NodeID derives a peer's 64-bit identity from its address — fnv64a, so
 // every party computes the same ID table from the same -peers list with
@@ -9,15 +13,6 @@ func NodeID(addr string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(addr))
 	return h.Sum64()
-}
-
-// mix64 is the splitmix64 finalizer: the per-(node, key) score function
-// of the rendezvous hash.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Ring is a rendezvous (highest-random-weight) hash over a fixed peer
@@ -54,7 +49,7 @@ func (r *Ring) Owner(key string, alive func(addr string) bool) (string, bool) {
 		if alive != nil && !alive(addr) {
 			continue
 		}
-		score := mix64(r.ids[i] ^ kh)
+		score := bitutil.Mix64(r.ids[i] ^ kh) // the rendezvous score
 		if !ok || score > bestScore || (score == bestScore && addr < best) {
 			best, bestScore, ok = addr, score, true
 		}

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/bitutil"
 	"repro/internal/cut"
@@ -285,7 +284,8 @@ func (p *Plan) EvaluateVirtual() (capacity, sizeA int) {
 const maxPlanJ = 4096
 
 // EvaluateVirtualParallelCtx is EvaluateVirtual under ctx, with the same
-// counts. Plans with at least one full word of columns run the
+// counts, on workers workers (≤ 0: GOMAXPROCS; 1 runs on the calling
+// goroutine alone). Plans with at least one full word of columns run the
 // word-parallel kernel (see word.go): membership masks for 64 columns at a
 // time, popcount edge accounting, cache-resident blocks fanned over
 // workers, ctx polled between blocks. Any other plan — narrower than one
@@ -296,9 +296,6 @@ const maxPlanJ = 4096
 func (p *Plan) EvaluateVirtualParallelCtx(ctx context.Context, workers int) (capacity, sizeA int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if p.wordEligible() {
 		capacity, sizeA, err = p.evaluateWords(ctx, workers)

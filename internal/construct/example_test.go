@@ -1,6 +1,7 @@
 package construct_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/construct"
@@ -14,7 +15,11 @@ func ExampleBestPlan() {
 		fmt.Println(err)
 		return
 	}
-	capacity, sizeA := p.EvaluateVirtualWords()
+	capacity, sizeA, err := p.EvaluateVirtualParallelCtx(context.Background(), 1)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("capacity:", capacity)
 	fmt.Println("folklore:", 1<<15)
 	fmt.Println("balanced:", sizeA == (1<<15)*(p.Dim+1)/2)

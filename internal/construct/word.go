@@ -39,9 +39,9 @@ package construct
 import (
 	"context"
 	"math/bits"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // Registry metrics of the word evaluator: one uint64 membership mask
@@ -277,67 +277,38 @@ func (e *wordEvaluator) evalBlock(s *wordScratch, blockBase int) (capacity, size
 	return capacity, sizeA
 }
 
-// EvaluateVirtualWords is EvaluateVirtual computed 64 columns at a time on
-// one goroutine: identical counts, roughly an order of magnitude faster.
-// The scalar EvaluateVirtual stays as the reference oracle; the property
-// tests hold the two bit-for-bit equal across the whole (n, j) plan grid.
-// Plans narrower than one word fall back to the scalar oracle.
-func (p *Plan) EvaluateVirtualWords() (capacity, sizeA int) {
-	if !p.wordEligible() {
-		return p.EvaluateVirtual()
-	}
-	capacity, sizeA, _ = p.evaluateWords(context.Background(), 1)
-	return capacity, sizeA
-}
-
-// evaluateWords fans aligned blocks over workers with balanced ranges.
-// Cancellation is polled between blocks; on cancellation the partial
-// counts are meaningless, so it returns zeros and ctx's error.
+// evaluateWords fans the aligned blocks over solve.Run's workers, each
+// summing the blocks it takes into its own counts. Cancellation is polled
+// before each block; on cancellation the partial counts are meaningless,
+// so it returns zeros and ctx's error.
 func (p *Plan) evaluateWords(ctx context.Context, workers int) (capacity, sizeA int, err error) {
 	e := newWordEvaluator(p)
-	numBlocks := p.N / e.blockCols
-	if workers <= 0 {
-		workers = 1
+	blocks := make([]int, p.N/e.blockCols) // each block's first column
+	for i := range blocks {
+		blocks[i] = i * e.blockCols
 	}
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	type partial struct{ capacity, sizeA, words, blocks int }
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := numBlocks * wk / workers
-		hi := numBlocks * (wk + 1) / workers
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			s := e.newScratch()
-			var pt partial
-			for blk := lo; blk < hi; blk++ {
-				if ctx.Err() != nil {
-					return
-				}
-				c, a := e.evalBlock(s, blk*e.blockCols)
-				pt.capacity += c
-				pt.sizeA += a
-				pt.words += (e.d + 1) * e.blockWords
-				pt.blocks++
+	// One mask scratch per worker, so no more workers than blocks.
+	type partial struct{ capacity, sizeA int }
+	parts := make([]partial, min(solve.Workers(workers), len(blocks)))
+	solve.Run(blocks, len(parts), func(w int, _ *solve.Queue[int]) func(int) {
+		s, pt := e.newScratch(), &parts[w]
+		return func(base int) {
+			if ctx.Err() != nil {
+				return
 			}
-			parts[wk] = pt
-		}(wk, lo, hi)
-	}
-	wg.Wait()
+			c, a := e.evalBlock(s, base)
+			pt.capacity += c
+			pt.sizeA += a
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	var words, blocks int
 	for _, pt := range parts {
 		capacity += pt.capacity
 		sizeA += pt.sizeA
-		words += pt.words
-		blocks += pt.blocks
 	}
-	metricWordsEvaluated.Add(int64(words))
-	metricWordBlocks.Add(int64(blocks))
+	metricWordsEvaluated.Add(int64(len(blocks) * (e.d + 1) * e.blockWords))
+	metricWordBlocks.Add(int64(len(blocks)))
 	return capacity, sizeA, nil
 }

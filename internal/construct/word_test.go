@@ -42,7 +42,7 @@ func TestWordEvaluatorMatchesScalarGrid(t *testing.T) {
 				continue
 			}
 			wantCap, wantA := p.EvaluateVirtual()
-			gotCap, gotA := p.EvaluateVirtualWords()
+			gotCap, gotA := evaluateParallel(t, p, 1)
 			if gotCap != wantCap || gotA != wantA {
 				t.Errorf("n=%d j=%d: words (%d,%d) ≠ scalar (%d,%d)",
 					n, j, gotCap, gotA, wantCap, wantA)
@@ -58,7 +58,7 @@ func TestWordEvaluatorMatchesScalarBestPlans(t *testing.T) {
 	for _, d := range []int{6, 8, 10, 12, 13, 14} {
 		p := mustBestPlan(t, 1<<d)
 		wantCap, wantA := p.EvaluateVirtual()
-		gotCap, gotA := p.EvaluateVirtualWords()
+		gotCap, gotA := evaluateParallel(t, p, 1)
 		if gotCap != wantCap || gotA != wantA {
 			t.Errorf("n=2^%d (j=%d): words (%d,%d) ≠ scalar (%d,%d)",
 				d, p.J, gotCap, gotA, wantCap, wantA)
@@ -93,7 +93,7 @@ func TestWordEvaluatorRandomQuotasFuzz(t *testing.T) {
 			}
 		}
 		wantCap, wantA := p.EvaluateVirtual()
-		gotCap, gotA := p.EvaluateVirtualWords()
+		gotCap, gotA := evaluateParallel(t, p, 1)
 		if gotCap != wantCap || gotA != wantA {
 			t.Fatalf("trial %d (n=%d j=%d): words (%d,%d) ≠ scalar (%d,%d)",
 				trial, n, j, gotCap, gotA, wantCap, wantA)
@@ -110,8 +110,7 @@ func TestWordEvaluatorRandomQuotasFuzz(t *testing.T) {
 }
 
 // TestWordEvaluatorWorkerCounts sweeps worker counts over a plan whose
-// block count does not divide them evenly, pinning the balanced-range
-// partitioning.
+// block count does not divide them evenly, pinning the block fan-out.
 func TestWordEvaluatorWorkerCounts(t *testing.T) {
 	p := mustBestPlan(t, 1<<12)
 	wantCap, wantA := p.EvaluateVirtual()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/construct"
+	"repro/internal/route"
 )
 
 func cancelledCtx() context.Context {
@@ -119,7 +120,7 @@ func TestExpansionTableUncancelledMarksComplete(t *testing.T) {
 }
 
 func TestRoutingExperimentCancelled(t *testing.T) {
-	r := RandomRoutingExperiment(8, 3, RoutingOptions{Trials: 10, Ctx: cancelledCtx()})
+	r := RoutingExperiment(8, 3, route.RandomDestinations, RoutingOptions{Trials: 10, Ctx: cancelledCtx()})
 	if !r.Stats.Cancelled {
 		t.Fatal("cancelled run not marked")
 	}

@@ -261,7 +261,7 @@ func TestBenesRearrangeability(t *testing.T) {
 }
 
 func TestRoutingExperiments(t *testing.T) {
-	r := RandomRoutingExperiment(8, 3, RoutingOptions{Trials: 8, Workers: 2})
+	r := RoutingExperiment(8, 3, route.RandomDestinations, RoutingOptions{Trials: 8, Workers: 2})
 	if r.Trials != 8 {
 		t.Errorf("ran %d trials, want 8", r.Trials)
 	}
@@ -271,7 +271,7 @@ func TestRoutingExperiments(t *testing.T) {
 	if r.Stats.TotalPackets == 0 || r.CutCapacity == 0 {
 		t.Errorf("degenerate run: %+v", r)
 	}
-	p := PermutationRoutingExperiment(8, 3, RoutingOptions{Trials: 4})
+	p := RoutingExperiment(8, 3, route.RandomPermutations, RoutingOptions{Trials: 4})
 	if p.Stats.TotalPackets != 4*8 {
 		t.Errorf("permutation trials routed %d packets, want %d", p.Stats.TotalPackets, 4*8)
 	}
@@ -279,7 +279,7 @@ func TestRoutingExperiments(t *testing.T) {
 		t.Errorf("permutation trial beat its bound: %+v", p.Stats)
 	}
 	// Single-trial default matches the flat engine's single-trial run.
-	single := RandomRoutingExperiment(8, 3, RoutingOptions{})
+	single := RoutingExperiment(8, 3, route.RandomDestinations, RoutingOptions{})
 	if single.Trials != 1 {
 		t.Errorf("zero options ran %d trials", single.Trials)
 	}
@@ -312,7 +312,7 @@ func TestRoutingDegradationMatchesOneRateSweeps(t *testing.T) {
 		t.Errorf("B32 routed against capacity %d, want the best plan's %d", sweep[0].CutCapacity, plan.Capacity)
 	}
 	// B2 is below the class grid: its reference is the folklore column cut.
-	b2 := RandomRoutingExperiment(2, 7, RoutingOptions{Trials: 2})
+	b2 := RoutingExperiment(2, 7, route.RandomDestinations, RoutingOptions{Trials: 2})
 	if want := construct.ColumnBisection(topology.NewButterfly(2)).Capacity(); b2.CutCapacity != want {
 		t.Errorf("B2 routed against capacity %d, want the column cut's %d", b2.CutCapacity, want)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/route"
 	"repro/internal/store"
 )
 
@@ -43,7 +44,7 @@ func goldenManifests(t *testing.T) map[string]*obs.Manifest {
 	routing := obs.NewManifest("golden")
 	routing.Seed = 1
 	routing.AddTable("routing.random", "Random destinations on B8 (§1.2)",
-		[]RoutingReport{RandomRoutingExperiment(8, 1, RoutingOptions{Trials: 5})})
+		[]RoutingReport{RoutingExperiment(8, 1, route.RandomDestinations, RoutingOptions{Trials: 5})})
 
 	return map[string]*obs.Manifest{
 		"bisection": bisection,

@@ -172,7 +172,7 @@ func BuildFullReport(opts ReportOptions) (*FullReport, error) {
 		ExpansionTable(BnEdge, 8, []int{1}, smallOpts))
 
 	for _, n := range []int{8, 16, 32, 64} {
-		rep.Routing = append(rep.Routing, RandomRoutingExperiment(n, opts.Seed, RoutingOptions{
+		rep.Routing = append(rep.Routing, RoutingExperiment(n, opts.Seed, route.RandomDestinations, RoutingOptions{
 			Trials:     25,
 			Ctx:        opts.Ctx,
 			OnProgress: opts.OnProgress,

@@ -63,30 +63,11 @@ type RoutingReport struct {
 	Stats route.TrialStats `json:"stats"`
 }
 
-// RandomRoutingExperiment runs the E8 simulation on Bn against the best
-// constructed bisection: opt.Trials independently seeded trials derived
-// from seed, fanned over opt.Workers workers.
-func RandomRoutingExperiment(n int, seed int64, opt RoutingOptions) RoutingReport {
-	return routingExperiment(n, seed, route.RandomDestinations, opt)
-}
-
-// PermutationRoutingExperiment routes random permutations input→output on
-// Bn along monotone paths, with the same trials/workers fan-out.
-func PermutationRoutingExperiment(n int, seed int64, opt RoutingOptions) RoutingReport {
-	return routingExperiment(n, seed, route.RandomPermutations, opt)
-}
-
-// HotSpotRoutingExperiment routes the adversarial all-to-one pattern: a
-// packet from every node to one random hot node per trial.
-func HotSpotRoutingExperiment(n int, seed int64, opt RoutingOptions) RoutingReport {
-	return routingExperiment(n, seed, route.HotSpotDestinations, opt)
-}
-
-// BitReversalRoutingExperiment routes the deterministic bit-reversal
-// permutation ⟨w,l⟩ → ⟨reverse(w),l⟩, the classic adversary of greedy
-// column routing.
-func BitReversalRoutingExperiment(n int, seed int64, opt RoutingOptions) RoutingReport {
-	return routingExperiment(n, seed, route.BitReversalDestinations, opt)
+// RoutingExperiment runs one row of the §1.2 experiment (E8): opt.Trials
+// trials of kind on Bn, independently seeded from seed and fanned over
+// opt.Workers workers, measured against the best constructed bisection.
+func RoutingExperiment(n int, seed int64, kind route.TrialKind, opt RoutingOptions) RoutingReport {
+	return RoutingDegradation(n, seed, kind, []float64{opt.Fault.DropProb}, opt)[0]
 }
 
 // RoutingDegradation sweeps the drop rate at a fixed shape: one report
@@ -138,11 +119,6 @@ func RoutingDegradation(n int, seed int64, kind route.TrialKind, drops []float64
 		})
 	}
 	return reports
-}
-
-// routingExperiment is the one-rate sweep at opt's own drop rate.
-func routingExperiment(n int, seed int64, kind route.TrialKind, opt RoutingOptions) RoutingReport {
-	return RoutingDegradation(n, seed, kind, []float64{opt.Fault.DropProb}, opt)[0]
 }
 
 // RenderRoutingTable renders E8 reports with per-row trial aggregates.

@@ -324,10 +324,11 @@ func searchBisection(g *graph.Graph, inU []int8, bound, workers int, mon *solve.
 // cancellation; the pool always drains, so it returns promptly.
 func runBisectionJobs(g *graph.Graph, order []int32, inU []int8, half, pin int, jobs []job, sb *incumbent, workers int, mon *solve.Monitor) bool {
 	var incomplete atomic.Bool
-	runPool(jobs, workers, func() (*nodeCounter, func(job)) {
+	solve.Run(jobs, workers, func(_ int, q *solve.Queue[job]) func(job) {
 		st := newBBState(g, order, inU, half, pin)
-		st.mon, st.sb = mon, sb
-		return &st.nodeCounter, func(j job) {
+		st.mon, st.sb, st.q = mon, sb, q
+		return func(j job) {
+			st.job = j
 			if mon.Stopped() {
 				incomplete.Store(true)
 				return

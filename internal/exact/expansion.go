@@ -141,10 +141,11 @@ func (s *expSearch) seedWith(g *graph.Graph, set []int) {
 // mark their search incomplete; the pool always drains, so the call
 // returns promptly with whatever incumbents were found.
 func runExpansionJobs(g *graph.Graph, searches []*expSearch, jobs []job, workers int, mon *solve.Monitor) {
-	runPool(jobs, workers, func() (*nodeCounter, func(job)) {
+	solve.Run(jobs, workers, func(_ int, q *solve.Queue[job]) func(job) {
 		st := newExpState(g, searches[0].starts[0].order)
-		st.mon = mon
-		return &st.nodeCounter, func(j job) {
+		st.mon, st.q = mon, q
+		return func(j job) {
+			st.job = j
 			s := searches[j.search]
 			if mon.Stopped() {
 				s.incomplete.Store(true)

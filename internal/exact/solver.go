@@ -2,8 +2,6 @@ package exact
 
 import (
 	"context"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,20 +13,20 @@ import (
 )
 
 // This file is the context-aware entry point to the exact engines, and
-// what both engines run on: the job queue, the incumbent and the node
-// counter. The Min*Bisection functions remain as uncancellable serial
-// conveniences, the U-bisection among them, on the same bisection job
-// runner as SolveBisection; Solve* accept a context.Context (deadline or
-// cancellation), report telemetry, and — the key contract — mark results
-// from an interrupted search Exact=false instead of silently presenting
-// incumbents as optima.
+// what both engines share: the job, the incumbent and the node counter;
+// their jobs run on the shared pool, solve.Run. The Min*Bisection
+// functions remain as uncancellable serial conveniences, the U-bisection
+// among them, on the same bisection job runner as SolveBisection; Solve*
+// accept a context.Context (deadline or cancellation), report telemetry,
+// and — the key contract — mark results from an interrupted search
+// Exact=false instead of silently presenting incumbents as optima.
 
 // SolveOptions tune the context-aware solvers. The zero value runs an
 // unseeded search on GOMAXPROCS workers.
 type SolveOptions struct {
 	// Workers is the pool size, ≤ 0 meaning GOMAXPROCS. One worker runs
 	// the whole search depth-first, one first job after another. More
-	// share one job queue: an expansion search starts as one job per
+	// share one solve.Run queue: an expansion search starts as one job per
 	// declared node class (see unrootedStarts) and a bisection as up to 256
 	// BFS-prefix jobs (see fanoutDepth), and whenever a worker waits with
 	// nothing queued, a busy one gives it its shallowest untried branch
@@ -141,17 +139,10 @@ func solveExpansion(ctx context.Context, g *graph.Graph, k int, edge bool, opts 
 // balances; otherwise min(8, n/2), up to 2^8 = 256 jobs. Their order finds
 // incumbents sooner than one job split only by donation would.
 func fanoutDepth(n, workers int) int {
-	if n < 16 || poolSize(workers) == 1 {
+	if n < 16 || solve.Workers(workers) == 1 {
 		return 0
 	}
 	return min(8, n/2)
-}
-
-func poolSize(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }
 
 // metricDonations counts the branches busy workers gave to idle ones.
@@ -160,105 +151,12 @@ var metricDonations = obs.NewCounter("exact.donations")
 // job is one prefix subproblem of a run: the sides of the first
 // len(prefix) nodes of the decision order, in the run's search number
 // search (a bisection run has one search, 0). An expansion search has one
-// decision order per start, and start names the job's.
+// decision order per start, and start names the job's. Both engines run
+// their jobs on solve.Run, one private search state per worker.
 type job struct {
 	search int
 	start  int
 	prefix []int8
-}
-
-// jobQueue is the work queue of one run. Workers take its jobs oldest
-// first, and a running job pushes more when a worker waits with nothing
-// queued (see nodeCounter.donate). Only a running job can push, so the run
-// is over once the queue is empty and no job runs.
-type jobQueue struct {
-	mu      sync.Mutex
-	ready   sync.Cond
-	jobs    []job
-	head    int // jobs[head:] are queued
-	waiting int // workers blocked in take
-	running int // jobs being run
-	// hungry mirrors waiting > queued: busy workers read it at every
-	// flush, so it is one atomic load off the lock.
-	hungry atomic.Bool
-}
-
-func (q *jobQueue) setHungry() {
-	q.hungry.Store(q.waiting > len(q.jobs)-q.head)
-}
-
-// take blocks until a job is queued, and returns it, or until the run is
-// over, and returns false.
-func (q *jobQueue) take() (job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.jobs) {
-		if q.running == 0 {
-			return job{}, false
-		}
-		q.waiting++
-		q.setHungry()
-		q.ready.Wait()
-		q.waiting--
-	}
-	j := q.jobs[q.head]
-	q.head++
-	if q.head == len(q.jobs) {
-		q.jobs, q.head = nil, 0 // release the taken jobs' prefixes
-	}
-	q.running++
-	q.setHungry()
-	return j, true
-}
-
-// done ends a job that take handed out; the last one to end wakes every
-// waiting worker to return.
-func (q *jobQueue) done() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.running--
-	if q.running == 0 && q.head == len(q.jobs) {
-		q.ready.Broadcast()
-	}
-}
-
-func (q *jobQueue) push(j job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.jobs = append(q.jobs, j)
-	q.setHungry()
-	q.ready.Signal()
-}
-
-// runPool drains jobs, and every job they donate, on poolSize(workers)
-// workers; the calling goroutine is one of them, so a one-worker pool
-// starts no goroutine, and as its one worker never waits for a job while
-// another runs, it never donates. Each worker calls newWorker once to
-// build its private search state and gets back that state's counter and
-// the function that runs one job on it.
-func runPool(jobs []job, workers int, newWorker func() (*nodeCounter, func(job))) {
-	// Clipped, a push reallocates rather than write past the caller's list.
-	q := &jobQueue{jobs: slices.Clip(jobs)}
-	q.ready.L = &q.mu
-	work := func() {
-		c, run := newWorker()
-		c.q = q
-		for j, ok := q.take(); ok; j, ok = q.take() {
-			c.job = j
-			run(j)
-			q.done()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := poolSize(workers); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // incumbent is the best solution of one search, shared by every worker:
@@ -319,7 +217,7 @@ type nodeCounter struct {
 	prunedTick int32
 	stopped    bool
 
-	q    *jobQueue
+	q    *solve.Queue[job]
 	job  job // the job being run
 	owed []bool
 }
@@ -371,7 +269,7 @@ func (c *nodeCounter) flushTicks() {
 		c.tickBudget = 0
 		return
 	}
-	if c.q.hungry.Load() {
+	if c.q.Hungry() {
 		c.donate()
 	}
 }
@@ -391,7 +289,7 @@ func (c *nodeCounter) donate() {
 		}
 		prefix[d] = sideS + sideSbar - prefix[d]
 		c.owed[d] = false
-		c.q.push(job{search: c.job.search, start: c.job.start, prefix: prefix})
+		c.q.Push(job{search: c.job.search, start: c.job.start, prefix: prefix})
 		metricDonations.Inc()
 		return
 	}

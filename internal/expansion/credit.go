@@ -34,13 +34,16 @@ type creditState struct {
 	b     *topology.Butterfly
 	inA   []bool
 	shift uint
+	// edges selects the retaining item: the cut edge (edge schemes) or
+	// the node of N(A) (node schemes).
+	edges bool
 	// retained credit per item; edge schemes key by canonical edge pair,
 	// node schemes by node id.
 	retained map[[2]int32]int64
 	leaked   int64
 }
 
-func newCreditState(b *topology.Butterfly, a []int) *creditState {
+func newCreditState(b *topology.Butterfly, a []int, edges bool) *creditState {
 	inA := make([]bool, b.N())
 	for _, v := range a {
 		inA[v] = true
@@ -49,24 +52,16 @@ func newCreditState(b *topology.Butterfly, a []int) *creditState {
 		b:        b,
 		inA:      inA,
 		shift:    uint(b.Dim() + 2),
+		edges:    edges,
 		retained: make(map[[2]int32]int64),
 	}
 }
 
-func edgeKey(u, v int) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{int32(u), int32(v)}
-}
-
-func nodeKey(v int) [2]int32 { return [2]int32{int32(v), -1} }
-
-// flowEdges runs the edge-retention scheme from source u: credit halves at
-// every tree level; a tree edge retains its credit when it crosses the cut
-// or when it reaches depth (a leaf edge), and passes it on otherwise.
-// dir > 0 uses down-trees, dir < 0 up-trees.
-func (st *creditState) flowEdges(u int, amount int64, dir, depth int) {
+// flow runs the retention scheme from source u ∈ A: credit halves at every
+// tree level and passes on only to children in A, so every frontier node
+// lies in A. A child outside A retains its half (see item); a leaf inside
+// A leaks it. dir > 0 uses down-trees, dir < 0 up-trees.
+func (st *creditState) flow(u int, amount int64, dir, depth int) {
 	type entry struct {
 		v int
 		c int64
@@ -88,46 +83,8 @@ func (st *creditState) flowEdges(u int, amount int64, dir, depth int) {
 			half := e.c / 2
 			for _, child := range []int{s, c} {
 				switch {
-				case st.inA[e.v] != st.inA[child]: // cut edge retains
-					st.retained[edgeKey(e.v, child)] += half
-				case step == depth: // leaf edge retains (inside A)
-					st.leaked += half
-				default:
-					next = append(next, entry{child, half})
-				}
-			}
-		}
-		frontier = next
-	}
-}
-
-// flowNodes runs the node-retention scheme from source u: a node retains the
-// credit it receives when it lies in N(A) (equivalently, outside A — flow
-// only ever leaves A into N(A)) or when it is a leaf.
-func (st *creditState) flowNodes(u int, amount int64, dir, depth int) {
-	type entry struct {
-		v int
-		c int64
-	}
-	frontier := []entry{{u, amount}}
-	for step := 1; step <= depth; step++ {
-		next := frontier[:0:0]
-		for _, e := range frontier {
-			var s, c int
-			var ok bool
-			if dir > 0 {
-				s, c, ok = st.b.DownChildren(e.v)
-			} else {
-				s, c, ok = st.b.UpChildren(e.v)
-			}
-			if !ok {
-				panic("expansion: credit tree ran off the network")
-			}
-			half := e.c / 2
-			for _, child := range []int{s, c} {
-				switch {
-				case !st.inA[child]: // child ∈ N(A): node retains
-					st.retained[nodeKey(child)] += half
+				case !st.inA[child]:
+					st.retained[st.item(e.v, child)] += half
 				case step == depth: // leaf inside A
 					st.leaked += half
 				default:
@@ -137,6 +94,19 @@ func (st *creditState) flowNodes(u int, amount int64, dir, depth int) {
 		}
 		frontier = next
 	}
+}
+
+// item keys the credit that child, a node outside A, retains when it comes
+// from v ∈ A: the cut edge {v, child} in an edge scheme, child itself (a
+// node of N(A)) in a node scheme.
+func (st *creditState) item(v, child int) [2]int32 {
+	if !st.edges {
+		return [2]int32{int32(child), -1}
+	}
+	if v > child {
+		v, child = child, v
+	}
+	return [2]int32{int32(v), int32(child)}
 }
 
 func (st *creditState) result(k int, capNum, capDen int64) CreditResult {
@@ -174,11 +144,11 @@ func WnEdgeCreditBound(w *topology.Butterfly, a []int) CreditResult {
 	if !w.Wraparound() {
 		panic("expansion: WnEdgeCreditBound needs Wn")
 	}
-	st := newCreditState(w, a)
+	st := newCreditState(w, a, true)
 	half := int64(1) << (st.shift - 1)
 	for _, u := range a {
-		st.flowEdges(u, half, +1, w.Dim())
-		st.flowEdges(u, half, -1, w.Dim())
+		st.flow(u, half, +1, w.Dim())
+		st.flow(u, half, -1, w.Dim())
 	}
 	k := len(a)
 	capNum := int64(bitutil.FloorLog2(maxInt(k, 1)) + 1)
@@ -195,11 +165,11 @@ func WnNodeCreditBound(w *topology.Butterfly, a []int) CreditResult {
 	if len(a) < 2 {
 		panic("expansion: node credit bound needs |A| ≥ 2")
 	}
-	st := newCreditState(w, a)
+	st := newCreditState(w, a, false)
 	half := int64(1) << (st.shift - 1)
 	for _, u := range a {
-		st.flowNodes(u, half, +1, w.Dim())
-		st.flowNodes(u, half, -1, w.Dim())
+		st.flow(u, half, +1, w.Dim())
+		st.flow(u, half, -1, w.Dim())
 	}
 	k := len(a)
 	capNum := int64(bitutil.FloorLog2(k))
@@ -214,14 +184,14 @@ func BnEdgeCreditBound(b *topology.Butterfly, a []int) CreditResult {
 	if b.Wraparound() {
 		panic("expansion: BnEdgeCreditBound needs Bn")
 	}
-	st := newCreditState(b, a)
+	st := newCreditState(b, a, true)
 	unit := int64(1) << st.shift
 	mid := (b.Dim() + 1) / 2
 	for _, u := range a {
 		if lvl := b.Level(u); lvl < mid {
-			st.flowEdges(u, unit, +1, b.Dim()-lvl)
+			st.flow(u, unit, +1, b.Dim()-lvl)
 		} else {
-			st.flowEdges(u, unit, -1, lvl)
+			st.flow(u, unit, -1, lvl)
 		}
 	}
 	k := len(a)
@@ -239,14 +209,14 @@ func BnNodeCreditBound(b *topology.Butterfly, a []int) CreditResult {
 	if len(a) < 2 {
 		panic("expansion: node credit bound needs |A| ≥ 2")
 	}
-	st := newCreditState(b, a)
+	st := newCreditState(b, a, false)
 	unit := int64(1) << st.shift
 	mid := (b.Dim() + 1) / 2
 	for _, u := range a {
 		if lvl := b.Level(u); lvl < mid {
-			st.flowNodes(u, unit, +1, b.Dim()-lvl)
+			st.flow(u, unit, +1, b.Dim()-lvl)
 		} else {
-			st.flowNodes(u, unit, -1, lvl)
+			st.flow(u, unit, -1, lvl)
 		}
 	}
 	k := len(a)

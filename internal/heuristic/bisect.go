@@ -43,21 +43,6 @@ func (o BisectOptions) withDefaults() BisectOptions {
 	return o
 }
 
-// StartSeed derives the rng seed of multi-start i from the base seed via
-// a splitmix64 mix (the same scheme route.TrialSeed uses for trials).
-// Plain base+i sub-seeds would make runs with base seeds S and S+1 share
-// all but one start stream; the mix decorrelates both nearby bases and
-// nearby starts.
-func StartSeed(base int64, i int) int64 {
-	x := uint64(base) + 0x9e3779b97f4a7c15*uint64(i+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
-}
-
 // startPasses bounds the refinement passes of one random start, and of
 // RefineCut when its caller gives no bound.
 const startPasses = 16

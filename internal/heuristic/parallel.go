@@ -1,13 +1,13 @@
 package heuristic
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
+	"repro/internal/bitutil"
 	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // Registry metrics of the multi-start search, published per BisectParallel
@@ -19,15 +19,15 @@ var (
 )
 
 // BisectParallel searches for a small bisection of g with the multi-start
-// FM search, the starts distributed over worker goroutines, and returns
-// the best cut found. The result is always a valid bisection; its capacity
-// is an upper bound on BW(g). It is deterministic for a fixed seed and
-// independent of the worker count: each start draws from
-// StartSeed(opts.Seed, i) (a splitmix64 mix, so nearby base seeds share no
-// start streams), and ties between equal capacities resolve to the lowest
-// start index regardless of the work partition. Cancelling opts.Ctx stops
-// refinement early; every start still yields a valid bisection, so the
-// result is a bisection either way.
+// FM search, the starts spread over GOMAXPROCS workers by solve.Run, and
+// returns the best cut found. The result is always a valid bisection; its
+// capacity is an upper bound on BW(g). It is deterministic for a fixed seed
+// and independent of the worker count: start i draws from
+// bitutil.SubSeed(opts.Seed, i) (a splitmix64 mix, so nearby base seeds
+// share no start streams), and ties between equal capacities resolve to
+// the lowest start index regardless of the work partition. Cancelling
+// opts.Ctx stops refinement early; every start still yields a valid
+// bisection, so the result is a bisection either way.
 func BisectParallel(g *graph.Graph, opts BisectOptions) *cut.Cut {
 	opts = opts.withDefaults()
 	began := time.Now()
@@ -42,30 +42,18 @@ func BisectParallel(g *graph.Graph, opts BisectOptions) *cut.Cut {
 		span.End(nil)
 		return cut.FromSet(g, nil)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > opts.Starts {
-		workers = opts.Starts
+	starts := make([]int, opts.Starts)
+	for i := range starts {
+		starts[i] = i
 	}
-
 	results := make([]*cut.Cut, opts.Starts)
-	var wg sync.WaitGroup
-	starts := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for start := range starts {
-				// Each start gets its own deterministic sub-seed, so the
-				// work partition does not affect the outcome.
-				results[start] = oneStart(g, StartSeed(opts.Seed, start), opts.Ctx)
-			}
-		}()
-	}
-	for start := 0; start < opts.Starts; start++ {
-		starts <- start
-	}
-	close(starts)
-	wg.Wait()
+	solve.Run(starts, min(solve.Workers(0), opts.Starts), func(int, *solve.Queue[int]) func(int) {
+		return func(start int) {
+			// Each start gets its own deterministic sub-seed, so the work
+			// partition does not affect the outcome.
+			results[start] = oneStart(g, bitutil.SubSeed(opts.Seed, start), opts.Ctx)
+		}
+	})
 
 	best := results[0]
 	for _, c := range results[1:] {

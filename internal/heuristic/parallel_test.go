@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitutil"
 	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/topology"
@@ -12,7 +13,7 @@ import (
 
 func TestBisectParallelMatchesSerial(t *testing.T) {
 	// Serial and parallel multi-start draw start i from
-	// StartSeed(seed, i) with lowest-index tie-breaks, so for the same
+	// bitutil.SubSeed(seed, i) with lowest-index tie-breaks, so for the same
 	// options they must return identical cuts, independent of the worker
 	// partition — and repeat runs must be deterministic.
 	g := topology.NewWrappedButterfly(8).Graph
@@ -42,9 +43,9 @@ func TestStartSeedDecorrelatesNearbyBases(t *testing.T) {
 	seen := make(map[int64]bool)
 	for base := int64(0); base < 16; base++ {
 		for i := 0; i < 16; i++ {
-			s := StartSeed(base, i)
+			s := bitutil.SubSeed(base, i)
 			if seen[s] {
-				t.Fatalf("StartSeed collision at base=%d i=%d", base, i)
+				t.Fatalf("SubSeed collision at base=%d i=%d", base, i)
 			}
 			seen[s] = true
 		}
@@ -82,7 +83,7 @@ func TestBisectParallelEmpty(t *testing.T) {
 }
 
 // Bisect is the serial multi-start search, the reference BisectParallel is
-// held to: start i draws from StartSeed(opts.Seed, i), and ties between
+// held to: start i draws from bitutil.SubSeed(opts.Seed, i), and ties between
 // equal capacities resolve to the lowest start index, so for the same
 // options both return identical cuts.
 func Bisect(g *graph.Graph, opts BisectOptions) *cut.Cut {
@@ -93,7 +94,7 @@ func Bisect(g *graph.Graph, opts BisectOptions) *cut.Cut {
 	var best *cut.Cut
 	bestCap := -1
 	for start := 0; start < opts.Starts; start++ {
-		c := oneStart(g, StartSeed(opts.Seed, start), opts.Ctx)
+		c := oneStart(g, bitutil.SubSeed(opts.Seed, start), opts.Ctx)
 		if cap := c.Capacity(); bestCap < 0 || cap < bestCap {
 			best, bestCap = c, cap
 		}

@@ -25,11 +25,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Outcome classes the harness distinguishes, mirroring the server's
-// serve.requests.* labels plus the client-only transport class. Fixed
-// and pre-registered so the hot recording path is map-lookup + atomics.
+// Outcome classes the harness distinguishes: the server's
+// serve.requests.* labels that a client can tell apart by status and
+// X-Cache (a budget-truncated 200, the server's timeout, reads as ok),
+// plus the client-only other and transport classes. Fixed and
+// pre-registered so the hot recording path is map-lookup + atomics.
 var outcomeClasses = []string{
-	"ok", "cache_hit", "store_hit", "coalesced",
+	"ok", "cache_hit", "store_hit", "coalesced", "peer",
 	"400", "405", "422", "429", "500", "503", "other", "transport",
 }
 
@@ -44,6 +46,8 @@ func classify(status int, xcache string) string {
 			return "store_hit"
 		case "coalesced":
 			return "coalesced"
+		case "peer":
+			return "peer"
 		}
 		return "ok"
 	}
@@ -58,10 +62,10 @@ func classify(status int, xcache string) string {
 
 // errorClass reports whether an outcome counts against the errors SLO:
 // every rejection, failure and transport error; served answers (cache,
-// store, coalesced, fresh) do not.
+// store, coalesced, peer-relayed, fresh) do not.
 func errorClass(class string) bool {
 	switch class {
-	case "ok", "cache_hit", "store_hit", "coalesced":
+	case "ok", "cache_hit", "store_hit", "coalesced", "peer":
 		return false
 	}
 	return true

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/bitutil"
 )
 
 // Profile names one request-mix: which query paths the generator fires,
@@ -49,16 +51,6 @@ func ParseProfile(s string) (Profile, error) {
 		names = append(names, string(p))
 	}
 	return "", fmt.Errorf("mix: want %s (got %q)", strings.Join(names, ", "), s)
-}
-
-// mix64 is the splitmix64 finalizer — the same mixing discipline
-// route.TrialSeed and heuristic start seeds use, so nearby (seed, i)
-// pairs share no streams.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // stormBurst is how many byte-identical requests each Storm burst holds.
@@ -108,9 +100,10 @@ func u01(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 // report can name the request sequence by (mix, seed, n) alone.
 func Requests(p Profile, seed int64, n int) []string {
 	out := make([]string, n)
-	base := uint64(seed)
 	for i := 0; i < n; i++ {
-		r := mix64(base + uint64(i)*0x9e3779b97f4a7c15)
+		// The same splitmix64 stream routing trials draw from, so nearby
+		// (seed, i) pairs share no draws.
+		r := uint64(bitutil.SubSeed(seed, i))
 		switch p {
 		case HitHeavy:
 			out[i] = hitPool[r%uint64(len(hitPool))]

@@ -20,11 +20,11 @@ import (
 type simState struct {
 	b *topology.Butterfly
 
-	// The directed-edge index and the shape it was built for. The shape
-	// (inputs, wraparound), not the *Butterfly, keys it: every request
-	// builds a fresh butterfly. A new state's zero shape matches none.
-	ix      dirIndex
-	ixShape shapeKey
+	// The directed-edge index and the input count of the Bn it was built
+	// for. The count, not the *Butterfly, keys it: every request builds a
+	// fresh butterfly. A new state's zero count matches none.
+	ix       dirIndex
+	ixInputs int
 
 	// Cut accounting, set per call by setCut.
 	crossing []bool // per directed edge: endpoints on opposite sides
@@ -71,20 +71,15 @@ type simState struct {
 	dirty bool
 }
 
-// shapeKey names a butterfly shape: equal keys mean identical graphs.
-type shapeKey struct {
-	inputs int
-	wrap   bool
-}
-
 // bind points the state at a butterfly, rebuilding the index in place
-// only when the shape changes, growing (never shrinking the capacity of)
-// the per-edge and per-packet arrays, and clearing the queue state.
+// only when the input count changes, growing (never shrinking the
+// capacity of) the per-edge and per-packet arrays, and clearing the queue
+// state.
 func (st *simState) bind(b *topology.Butterfly) {
 	st.b = b
-	if shape := (shapeKey{b.Inputs(), b.Wraparound()}); shape != st.ixShape {
+	if b.Inputs() != st.ixInputs {
 		st.ix.build(b)
-		st.ixShape = shape
+		st.ixInputs = b.Inputs()
 	}
 	e := st.ix.numDir()
 	if cap(st.qHead) < e {
@@ -215,29 +210,6 @@ func (st *simState) endPath() {
 // up/across/down routes. The RNG consumption matches the reference engine
 // draw for draw, so equal seeds give identical trials.
 func (st *simState) compileRandomDestinations(seed int64) {
-	if st.b.Wraparound() {
-		panic("route: simulator targets Bn")
-	}
-	st.src.Seed(seed)
-	st.resetPaths()
-	n := st.b.N()
-	for v := 0; v < n; v++ {
-		dst := st.rng.Intn(n)
-		if dst == v {
-			continue
-		}
-		st.beginPath()
-		st.threeLeg(v, dst)
-		st.endPath()
-	}
-}
-
-// compileRandomDestinationsWrapped is the Wn analogue, following the
-// Theorem 4.3 three-leg shape.
-func (st *simState) compileRandomDestinationsWrapped(seed int64) {
-	if !st.b.Wraparound() {
-		panic("route: wrapped simulator targets Wn")
-	}
 	st.src.Seed(seed)
 	st.resetPaths()
 	n := st.b.N()
@@ -255,9 +227,6 @@ func (st *simState) compileRandomDestinationsWrapped(seed int64) {
 // compilePermutation compiles the monotone Lemma 2.3 routes of an
 // input→output permutation on Bn.
 func (st *simState) compilePermutation(perm []int) error {
-	if st.b.Wraparound() {
-		panic("route: simulator targets Bn")
-	}
 	if err := checkPermutation(perm, st.b.Inputs()); err != nil {
 		return err
 	}
@@ -274,9 +243,6 @@ func (st *simState) compilePermutation(perm []int) error {
 // Fisher–Yates sequence as rand.Perm (so seeds reproduce the experiments'
 // draws) into a reusable buffer, then compiles its monotone routes.
 func (st *simState) compileRandomPermutation(seed int64) {
-	if st.b.Wraparound() {
-		panic("route: simulator targets Bn")
-	}
 	st.src.Seed(seed)
 	n := st.b.Inputs()
 	if cap(st.perm) < n {
@@ -297,9 +263,6 @@ func (st *simState) compileRandomPermutation(seed int64) {
 // from every other node of Bn to it — the adversarial all-to-one pattern
 // that serializes on the hot node's in-edges regardless of bisection.
 func (st *simState) compileHotSpot(seed int64) {
-	if st.b.Wraparound() {
-		panic("route: simulator targets Bn")
-	}
 	st.src.Seed(seed)
 	st.resetPaths()
 	n := st.b.N()
@@ -319,9 +282,6 @@ func (st *simState) compileHotSpot(seed int64) {
 // flips all differing bits, concentrating traffic mid-network). It is
 // deterministic: seeds only vary the fault plan, not the traffic.
 func (st *simState) compileBitReversal() {
-	if st.b.Wraparound() {
-		panic("route: simulator targets Bn")
-	}
 	st.resetPaths()
 	b, d := st.b, st.b.Dim()
 	for v := 0; v < b.N(); v++ {
@@ -336,14 +296,12 @@ func (st *simState) compileBitReversal() {
 	}
 }
 
-// compileKind compiles one trial of kind from seed. The topology has been
-// validated by the caller (checkKindTopology).
+// compileKind compiles one trial of kind from seed. The kind and the
+// topology have been validated by the caller (checkTrial).
 func (st *simState) compileKind(kind TrialKind, seed int64) {
 	switch kind {
 	case RandomDestinations:
 		st.compileRandomDestinations(seed)
-	case WrappedRandomDestinations:
-		st.compileRandomDestinationsWrapped(seed)
 	case RandomPermutations:
 		st.compileRandomPermutation(seed)
 	case HotSpotDestinations:
@@ -356,9 +314,7 @@ func (st *simState) compileKind(kind TrialKind, seed int64) {
 }
 
 // threeLeg walks the three-leg route: up the source column to level 0,
-// across the (rotated, for Wn) monotone path, down the destination column.
-// b.Node's level wraparound makes the same walk serve Bn and Wn (the
-// Theorem 4.3 shape with start level 0).
+// across the monotone path, down the destination column.
 func (st *simState) threeLeg(u, v int) {
 	b, d := st.b, st.b.Dim()
 	wu, iu := b.Column(u), b.Level(u)
@@ -632,6 +588,9 @@ func putState(st *simState) {
 // It runs on the flat engine; the tests pin it result for result to the
 // map-based reference engine kept in this package's test files.
 func SimulateRandomDestinations(b *topology.Butterfly, ref *cut.Cut, seed int64) SimResult {
+	if err := checkTrial(RandomDestinations, b); err != nil {
+		panic(err.Error())
+	}
 	st := getState(b)
 	defer putState(st)
 	st.setCut(ref)
@@ -639,20 +598,16 @@ func SimulateRandomDestinations(b *topology.Butterfly, ref *cut.Cut, seed int64)
 	return st.run(defaultMaxSteps(b))
 }
 
-// checkKindTopology verifies that kind can run on b, surfacing the
-// compile-time panics as a returned error for request-level validation.
-func checkKindTopology(kind TrialKind, b *topology.Butterfly) error {
-	switch kind {
-	case RandomDestinations, RandomPermutations, HotSpotDestinations, BitReversalDestinations:
-		if b.Wraparound() {
-			return fmt.Errorf("route: %s targets Bn, got a wraparound butterfly", kind)
-		}
-	case WrappedRandomDestinations:
-		if !b.Wraparound() {
-			return fmt.Errorf("route: %s targets Wn, got an ordinary butterfly", kind)
-		}
-	default:
+// checkTrial reports whether trials of kind can run on b. The engine routes
+// on Bn only, so every entry point calls it before a state is bound and an
+// index built; SimulateMany and SimulateRandomDestinations panic with its
+// error.
+func checkTrial(kind TrialKind, b *topology.Butterfly) error {
+	if kind < RandomDestinations || kind > BitReversalDestinations {
 		return fmt.Errorf("route: unknown trial kind %d", int(kind))
+	}
+	if b.Wraparound() {
+		return fmt.Errorf("route: %s targets Bn, got a wraparound butterfly", kind)
 	}
 	return nil
 }

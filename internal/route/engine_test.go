@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/cut"
 	"repro/internal/topology"
 )
@@ -27,20 +28,6 @@ func TestFlatMatchesReferenceRandomBn(t *testing.T) {
 		// The nil-cut path must agree too.
 		if got, want := SimulateRandomDestinations(b, nil, 3), SimulateRandomDestinationsReference(b, nil, 3); got != want {
 			t.Errorf("B%d nil cut: flat %+v, reference %+v", d, got, want)
-		}
-	}
-}
-
-func TestFlatMatchesReferenceRandomWn(t *testing.T) {
-	for d := 3; d <= 4; d++ {
-		w := topology.NewWrappedButterfly(1 << d)
-		ref := columnCut(w)
-		for seed := int64(0); seed < 10; seed++ {
-			want := SimulateRandomDestinationsWrappedReference(w, ref, seed)
-			got := SimulateRandomDestinationsWrapped(w, ref, seed)
-			if got != want {
-				t.Errorf("W%d seed %d: flat %+v, reference %+v", d, seed, got, want)
-			}
 		}
 	}
 }
@@ -83,14 +70,12 @@ func TestSimulatePermutationRejectsBadInput(t *testing.T) {
 // statistics at any worker count, for every trial kind.
 func TestSimulateManyDeterministicAcrossWorkers(t *testing.T) {
 	b := topology.NewButterfly(16)
-	w := topology.NewWrappedButterfly(16)
 	cases := []struct {
 		name string
 		net  *topology.Butterfly
 		kind TrialKind
 	}{
 		{"random/Bn", b, RandomDestinations},
-		{"random/Wn", w, WrappedRandomDestinations},
 		{"perm/Bn", b, RandomPermutations},
 	}
 	for _, tc := range cases {
@@ -125,7 +110,7 @@ func TestSimulateManyTrialsMatchSingleRuns(t *testing.T) {
 	var sumSteps, sumPackets int
 	minSteps, maxSteps := int(^uint(0)>>1), 0
 	for tr := 0; tr < trials; tr++ {
-		r := SimulateRandomDestinations(b, ref, TrialSeed(9, tr))
+		r := SimulateRandomDestinations(b, ref, bitutil.SubSeed(9, tr))
 		sumSteps += r.Steps
 		sumPackets += r.Packets
 		if r.Steps < minSteps {
@@ -185,9 +170,6 @@ func TestSimulateManyKindValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("wrapped kind on Bn", func() {
-		SimulateMany(b, nil, WrappedRandomDestinations, ManyOptions{})
-	})
 	mustPanic("Bn kind on Wn", func() {
 		SimulateMany(w, nil, RandomDestinations, ManyOptions{})
 	})
@@ -216,7 +198,7 @@ func TestMaxStepsExhaustion(t *testing.T) {
 	// The pooled states cleared their queues: a follow-up healthy run on
 	// the same shape must agree with a fresh single-trial simulation.
 	after := SimulateMany(b, nil, RandomDestinations, ManyOptions{Trials: 1, Seed: 7})
-	want := SimulateRandomDestinations(b, nil, TrialSeed(7, 0))
+	want := SimulateRandomDestinations(b, nil, bitutil.SubSeed(7, 0))
 	if after.ExhaustedTrials != 0 || after.Trials != 1 || after.MeanSteps != float64(want.Steps) {
 		t.Fatalf("post-exhaustion run disagrees: %+v, want steps %d", after, want.Steps)
 	}
@@ -249,7 +231,6 @@ func TestTrialKindString(t *testing.T) {
 		slug string
 	}{
 		{RandomDestinations, "random destinations", "random"},
-		{WrappedRandomDestinations, "wrapped random destinations", "wrapped"},
 		{RandomPermutations, "random permutations", "permutation"},
 		{HotSpotDestinations, "hot-spot destinations", "hotspot"},
 		{BitReversalDestinations, "bit-reversal destinations", "bitreversal"},
@@ -268,8 +249,10 @@ func TestTrialKindString(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ParseTrialKind("bogus"); err == nil {
-		t.Error("ParseTrialKind accepted a bogus slug")
+	for _, slug := range []string{"bogus", "wrapped"} {
+		if _, err := ParseTrialKind(slug); err == nil {
+			t.Errorf("ParseTrialKind accepted %q", slug)
+		}
 	}
 }
 
@@ -294,8 +277,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 
 func TestDirIndexMatchesGraph(t *testing.T) {
 	for _, b := range []*topology.Butterfly{
+		topology.NewButterfly(2),
 		topology.NewButterfly(8),
-		topology.NewWrappedButterfly(4), // dim 2: parallel edges must collapse
 	} {
 		var ix dirIndex
 		ix.build(b)
@@ -320,16 +303,18 @@ func TestDirIndexMatchesGraph(t *testing.T) {
 	}
 }
 
+// TestTrialSeedDistinct checks the trial seeds SimulateMany draws
+// (bitutil.SubSeed of the base seed and the trial number).
 func TestTrialSeedDistinct(t *testing.T) {
 	seen := make(map[int64]int)
 	for tr := 0; tr < 1000; tr++ {
-		s := TrialSeed(7, tr)
+		s := bitutil.SubSeed(7, tr)
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("trials %d and %d share seed %d", prev, tr, s)
 		}
 		seen[s] = tr
 	}
-	if TrialSeed(7, 0) == TrialSeed(8, 0) {
+	if bitutil.SubSeed(7, 0) == bitutil.SubSeed(8, 0) {
 		t.Errorf("base seeds 7 and 8 collide at trial 0")
 	}
 }
@@ -349,21 +334,12 @@ func ExampleSimulateMany() {
 	// bound respected in all trials: true
 }
 
-// SimulateRandomDestinationsWrapped is the Wn analogue of
-// SimulateRandomDestinations: routes follow the Theorem 4.3 three-leg shape
-// (up the source column to level 0, the rotated monotone path into the
-// destination column, then down to the destination).
-func SimulateRandomDestinationsWrapped(w *topology.Butterfly, ref *cut.Cut, seed int64) SimResult {
-	st := getState(w)
-	defer putState(st)
-	st.setCut(ref)
-	st.compileRandomDestinationsWrapped(seed)
-	return st.run(defaultMaxSteps(w))
-}
-
 // SimulatePermutation routes one packet from every input of Bn to output
 // perm[input] along the monotone paths of Lemma 2.3.
 func SimulatePermutation(b *topology.Butterfly, ref *cut.Cut, perm []int) (SimResult, error) {
+	if err := checkTrial(RandomPermutations, b); err != nil {
+		panic(err.Error())
+	}
 	st := getState(b)
 	defer putState(st)
 	st.setCut(ref)
@@ -380,7 +356,7 @@ func SimulatePermutation(b *topology.Butterfly, ref *cut.Cut, perm []int) (SimRe
 // healthy single-trial entry points. A trial that exceeds the step limit
 // returns with Exhausted set — never a panic.
 func SimulateScenario(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, seed int64, f FaultOptions, sw Switching) (SimResult, error) {
-	if err := checkKindTopology(kind, b); err != nil {
+	if err := checkTrial(kind, b); err != nil {
 		return SimResult{}, err
 	}
 	if err := f.Validate(); err != nil {

@@ -1,6 +1,10 @@
 package route
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/bitutil"
+)
 
 // This file defines the fault model of the routing simulator: lossy links
 // with deterministic seeded retransmission, permanently dead links sampled
@@ -101,4 +105,4 @@ func (f FaultOptions) Validate() error {
 // fault RNG with it and draw in the same order: dead links first, in
 // directed-edge id order, then one draw per transmission attempt in move
 // order, so lossy cross-checks agree draw for draw.
-func faultSeed(seed int64) int64 { return TrialSeed(^seed, 0x0fa17) }
+func faultSeed(seed int64) int64 { return bitutil.SubSeed(^seed, 0x0fa17) }

@@ -7,8 +7,7 @@ import (
 	"repro/internal/topology"
 )
 
-// faultKinds are the Bn trial kinds exercised by the fault cross-checks;
-// the wrapped kind gets its own loop on Wn.
+// faultKinds are the trial kinds exercised by the fault cross-checks.
 var faultKinds = []TrialKind{
 	RandomDestinations,
 	RandomPermutations,
@@ -37,15 +36,6 @@ func TestFaultFreeByteIdentical(t *testing.T) {
 		if got.Delivered != got.Packets || got.Dropped != 0 || got.Retransmits != 0 || got.DeadLinks != 0 {
 			t.Errorf("seed %d: healthy run reports faults: %+v", seed, got)
 		}
-	}
-	w := topology.NewWrappedButterfly(16)
-	wantW := SimulateRandomDestinationsWrapped(w, nil, 3)
-	gotW, err := SimulateScenario(w, nil, WrappedRandomDestinations, 3, FaultOptions{}, StoreAndForward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotW != wantW {
-		t.Errorf("Wn: scenario %+v, plain %+v", gotW, wantW)
 	}
 	var base TrialStats
 	for i, workers := range []int{1, 2, 3, 8} {
@@ -111,31 +101,6 @@ func TestScenarioCrossCheck(t *testing.T) {
 	}
 }
 
-// TestScenarioCrossCheckWrapped is the Wn arm of the cross-check.
-func TestScenarioCrossCheckWrapped(t *testing.T) {
-	for d := 3; d <= 4; d++ {
-		w := topology.NewWrappedButterfly(1 << d)
-		ref := columnCut(w)
-		for _, f := range faultScenarios {
-			for _, sw := range []Switching{StoreAndForward, CutThrough} {
-				for seed := int64(0); seed < 3; seed++ {
-					want, err := SimulateScenarioReference(w, ref, WrappedRandomDestinations, seed, f, sw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := SimulateScenario(w, ref, WrappedRandomDestinations, seed, f, sw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("W%d %s %+v seed %d:\nflat %+v\nref  %+v", d, sw.Slug(), f, seed, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFaultManyDeterministicAcrossWorkers pins the lossy multi-trial
 // aggregate: a fixed seed must reproduce byte-identical statistics at
 // any worker count, for drops, dead links, and cut-through.
@@ -191,7 +156,7 @@ func TestFaultManyTrialsMatchSingleRuns(t *testing.T) {
 	})
 	var delivered, dropped, retx int64
 	for tr := 0; tr < trials; tr++ {
-		r, err := SimulateScenario(b, ref, RandomDestinations, TrialSeed(seed, tr), f, CutThrough)
+		r, err := SimulateScenario(b, ref, RandomDestinations, bitutil.SubSeed(seed, tr), f, CutThrough)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,9 +289,6 @@ func TestScenarioValidation(t *testing.T) {
 	w := topology.NewWrappedButterfly(8)
 	if _, err := SimulateScenario(w, nil, RandomDestinations, 0, FaultOptions{}, StoreAndForward); err == nil {
 		t.Error("Bn kind accepted on Wn")
-	}
-	if _, err := SimulateScenario(b, nil, WrappedRandomDestinations, 0, FaultOptions{}, StoreAndForward); err == nil {
-		t.Error("Wn kind accepted on Bn")
 	}
 	if _, err := SimulateScenario(b, nil, TrialKind(42), 0, FaultOptions{}, StoreAndForward); err == nil {
 		t.Error("unknown kind accepted")

@@ -6,13 +6,12 @@ import (
 	"repro/internal/topology"
 )
 
-// dirIndex is the precompiled directed-edge view of a butterfly that the
-// flat simulation engine runs on. Every ordered node pair (u,v) joined by
-// at least one edge gets one directed-edge id; ids are assigned in
-// lexicographic (u,v) order, so iterating ids in increasing order is
-// exactly the deterministic move order the map-based reference engine
-// obtains by sorting — no per-step sort needed. Parallel edges collapse
-// onto one id, matching the reference engine's node-pair queue keys.
+// dirIndex is the precompiled directed-edge view of Bn that the flat
+// simulation engine runs on. Every ordered node pair (u,v) joined by an
+// edge gets one directed-edge id (Bn has no parallel edges); ids are
+// assigned in lexicographic (u,v) order, so iterating ids in increasing
+// order is exactly the deterministic move order the map-based reference
+// engine obtains by sorting — no per-step sort needed.
 type dirIndex struct {
 	nodes int
 	start []int32 // len nodes+1; out-edges of u are ids start[u]..start[u+1]
@@ -55,9 +54,6 @@ func (ix *dirIndex) build(b *topology.Butterfly) {
 			i := len(ix.to)
 			for i > first && ix.to[i-1] > w {
 				i--
-			}
-			if i > first && ix.to[i-1] == w {
-				continue // parallel edge: one queue per node pair
 			}
 			ix.to = append(ix.to, w)
 			copy(ix.to[i+1:], ix.to[i:])

@@ -14,19 +14,12 @@ import (
 // the race detector. The assertions are per-shape determinism: same seed,
 // same aggregate, whichever state ran it.
 func TestSimulateManyConcurrentShapes(t *testing.T) {
-	type shape struct {
-		n    int
-		wrap bool
-	}
-	shapes := []shape{
-		{2, false}, {4, false}, {8, false}, {16, false}, {32, false},
-		{4, true}, {8, true}, {16, true}, {32, true}, {64, true},
-	}
+	shapes := []int{2, 4, 8, 16, 32}
 
 	// Reference aggregates, computed serially.
 	want := make([]TrialStats, len(shapes))
 	for i, s := range shapes {
-		want[i] = runShape(s.n, s.wrap)
+		want[i] = runShape(s)
 	}
 
 	const rounds = 4
@@ -35,9 +28,9 @@ func TestSimulateManyConcurrentShapes(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for i, s := range shapes {
 			wg.Add(1)
-			go func(i int, s shape) {
+			go func(i, s int) {
 				defer wg.Done()
-				got := runShape(s.n, s.wrap)
+				got := runShape(s)
 				if got.Trials != want[i].Trials || got.MeanSteps != want[i].MeanSteps ||
 					got.TotalPackets != want[i].TotalPackets || got.MaxQueuePeak != want[i].MaxQueuePeak {
 					errs <- "shape diverged under concurrency"
@@ -52,11 +45,7 @@ func TestSimulateManyConcurrentShapes(t *testing.T) {
 	}
 }
 
-func runShape(n int, wrap bool) TrialStats {
-	if wrap {
-		w := topology.NewWrappedButterfly(n)
-		return SimulateMany(w, nil, WrappedRandomDestinations, ManyOptions{Trials: 3, Workers: 2, Seed: 7})
-	}
+func runShape(n int) TrialStats {
 	b := topology.NewButterfly(n)
 	return SimulateMany(b, nil, RandomDestinations, ManyOptions{Trials: 3, Workers: 2, Seed: 7})
 }
@@ -87,15 +76,15 @@ func buildDirIndexSorted(b *topology.Butterfly) *dirIndex {
 	return ix
 }
 
-// indexShapes lists B2…B4096 and then W4…W1024, so the wrapped builds
-// reuse arrays grown for larger graphs; W4 has parallel edges.
+// indexShapes lists B2…B4096 and then B2…B1024 again, so the second
+// builds reuse arrays grown for larger graphs.
 func indexShapes() []*topology.Butterfly {
 	var out []*topology.Butterfly
 	for n := 2; n <= 4096; n *= 2 {
 		out = append(out, topology.NewButterfly(n))
 	}
-	for n := 4; n <= 1024; n *= 2 {
-		out = append(out, topology.NewWrappedButterfly(n))
+	for n := 2; n <= 1024; n *= 2 {
+		out = append(out, topology.NewButterfly(n))
 	}
 	return out
 }
@@ -109,7 +98,7 @@ func TestDirIndexBuildMatchesSorted(t *testing.T) {
 		ix.build(b)
 		want := buildDirIndexSorted(b)
 		if ix.nodes != want.nodes || !slices.Equal(ix.start, want.start) || !slices.Equal(ix.to, want.to) {
-			t.Fatalf("n=%d wrap=%t: in-place build differs from the sorted oracle", b.Inputs(), b.Wraparound())
+			t.Fatalf("n=%d: in-place build differs from the sorted oracle", b.Inputs())
 		}
 	}
 }
@@ -134,13 +123,10 @@ func TestRebindShrinkingShapes(t *testing.T) {
 	for _, b := range []*topology.Butterfly{
 		topology.NewButterfly(1024),
 		topology.NewButterfly(8),
-		topology.NewWrappedButterfly(8),
+		topology.NewButterfly(16),
 		topology.NewButterfly(8),
 	} {
 		kind := RandomDestinations
-		if b.Wraparound() {
-			kind = WrappedRandomDestinations
-		}
 		for _, sw := range []Switching{StoreAndForward, CutThrough} {
 			got := runBound(st, b, kind, 3, f, sw)
 			want, err := SimulateScenarioReference(b, columnCut(b), kind, 3, f, sw)
@@ -148,8 +134,7 @@ func TestRebindShrinkingShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Errorf("n=%d wrap=%t %s: flat %+v, reference %+v",
-					b.Inputs(), b.Wraparound(), sw.Slug(), got, want)
+				t.Errorf("n=%d %s: flat %+v, reference %+v", b.Inputs(), sw.Slug(), got, want)
 			}
 		}
 	}
@@ -168,12 +153,12 @@ func TestRebindAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { st.bind(same) }); allocs != 0 {
 		t.Errorf("same-shape rebind allocates %.1f objects, want 0", allocs)
 	}
-	w := topology.NewWrappedButterfly(64)
+	other := topology.NewButterfly(32)
 	if allocs := testing.AllocsPerRun(20, func() {
-		st.bind(w)
+		st.bind(other)
 		st.bind(same)
 	}); allocs != 0 {
-		t.Errorf("alternating B64/W64 rebinds allocate %.1f objects, want 0", allocs)
+		t.Errorf("alternating B64/B32 rebinds allocate %.1f objects, want 0", allocs)
 	}
 }
 

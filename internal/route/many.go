@@ -3,11 +3,9 @@ package route
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/bitutil"
 	"repro/internal/cut"
 	"repro/internal/obs"
 	"repro/internal/solve"
@@ -25,15 +23,14 @@ var (
 	metricTrialMaxQueue   = obs.NewHistogram("route.trial_max_queue")
 )
 
-// TrialKind selects the workload SimulateMany draws each trial from.
+// TrialKind selects the workload SimulateMany draws each trial from. Every
+// kind routes on Bn.
 type TrialKind int
 
 const (
 	// RandomDestinations routes one packet from every node of Bn to a
 	// uniform random node along three-leg up/across/down routes.
 	RandomDestinations TrialKind = iota
-	// WrappedRandomDestinations is the Wn analogue (Theorem 4.3 routes).
-	WrappedRandomDestinations
 	// RandomPermutations routes a uniform random input→output permutation
 	// of Bn along the monotone paths of Lemma 2.3.
 	RandomPermutations
@@ -51,8 +48,6 @@ func (k TrialKind) String() string {
 	switch k {
 	case RandomDestinations:
 		return "random destinations"
-	case WrappedRandomDestinations:
-		return "wrapped random destinations"
 	case RandomPermutations:
 		return "random permutations"
 	case HotSpotDestinations:
@@ -69,8 +64,6 @@ func (k TrialKind) Slug() string {
 	switch k {
 	case RandomDestinations:
 		return "random"
-	case WrappedRandomDestinations:
-		return "wrapped"
 	case RandomPermutations:
 		return "permutation"
 	case HotSpotDestinations:
@@ -86,8 +79,6 @@ func ParseTrialKind(s string) (TrialKind, error) {
 	switch s {
 	case "random":
 		return RandomDestinations, nil
-	case "wrapped":
-		return WrappedRandomDestinations, nil
 	case "permutation":
 		return RandomPermutations, nil
 	case "hotspot":
@@ -95,7 +86,7 @@ func ParseTrialKind(s string) (TrialKind, error) {
 	case "bitreversal":
 		return BitReversalDestinations, nil
 	}
-	return RandomDestinations, fmt.Errorf("trial kind: want random, wrapped, permutation, hotspot or bitreversal (got %q)", s)
+	return RandomDestinations, fmt.Errorf("trial kind: want random, permutation, hotspot or bitreversal (got %q)", s)
 }
 
 // ManyOptions configures SimulateMany. The zero value runs one trial on
@@ -105,8 +96,8 @@ type ManyOptions struct {
 	Trials int
 	// Workers is the number of worker goroutines (≤0: GOMAXPROCS).
 	Workers int
-	// Seed is the base seed; trial t runs on TrialSeed(Seed, t), so the
-	// aggregate is reproducible at any worker count.
+	// Seed is the base seed; trial t runs on bitutil.SubSeed(Seed, t), so
+	// the aggregate is reproducible at any worker count.
 	Seed int64
 	// TightFactor is the §1.2 tightness threshold: a trial is counted
 	// tight when Steps ≤ TightFactor · CongestionBound (≤0: 2).
@@ -204,43 +195,21 @@ type TrialStats struct {
 	MaxQueueHist map[int]int `json:"max_queue_hist"`
 }
 
-// TrialSeed derives the seed of trial t from a base seed (a splitmix64
-// step), so individual trials of a SimulateMany aggregate can be replayed
-// through the single-trial entry points.
-func TrialSeed(base int64, trial int) int64 {
-	x := uint64(base) + 0x9e3779b97f4a7c15*uint64(trial+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
-}
-
-// SimulateMany fans opt.Trials independently seeded trials of kind over a
-// worker pool. Each worker owns one reusable simState, so the steady state
-// allocates nothing per trial; results land in a per-trial slice indexed
-// by trial number, so the aggregate is byte-identical at any worker count.
+// SimulateMany fans opt.Trials independently seeded trials of kind over
+// solve.Run's workers. Each worker owns one reusable simState, so the
+// steady state allocates nothing per trial; results land in a per-trial
+// slice indexed by trial number, so the aggregate is byte-identical at
+// any worker count. A worker's panic is re-raised on the caller.
 // Each trial's simulated time is bounded at 64·N steps, far above any
 // convergent schedule on a healthy network; a trial that reaches it
 // completes with Exhausted set and is counted in TrialStats.ExhaustedTrials
 // — never a panic: heavy drop rates with unbounded retransmission make
 // non-convergence a legitimate outcome.
 func SimulateMany(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, opt ManyOptions) TrialStats {
-	if err := checkKindTopology(kind, b); err != nil {
+	if err := checkTrial(kind, b); err != nil {
 		panic(err.Error())
 	}
-	trials := opt.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
+	trials := max(opt.Trials, 1)
 	maxSteps := defaultMaxSteps(b)
 	tight := opt.TightFactor
 	if tight <= 0 {
@@ -258,73 +227,61 @@ func SimulateMany(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, opt ManyO
 
 	results := make([]SimResult, trials)
 	completed := make([]bool, trials)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			st := getState(b)
-			defer putState(st)
-			st.setCut(ref)
-			st.setScenario(opt.Fault, opt.Switching)
-			for {
-				if mon.Stopped() {
-					return
-				}
-				t := int(next.Add(1)) - 1
-				if t >= trials {
-					return
-				}
-				seed := TrialSeed(opt.Seed, t)
-				st.compileKind(kind, seed)
-				st.seedFaults(seed)
-				res, ok := st.runMonitored(maxSteps, mon)
-				if !ok {
-					metricTrialsDiscarded.Inc()
-					return // interrupted mid-trial; discard the partial run
-				}
-				results[t] = res
-				completed[t] = true
-				if res.Exhausted {
-					metricTrialsExhausted.Inc()
-				} else {
-					metricTrialsCompleted.Inc()
-					metricTrialSteps.Observe(int64(res.Steps))
-					metricTrialMaxQueue.Observe(int64(res.MaxQueue))
-				}
-				if mon.Tracing() {
-					mon.TraceEvent("trial", obs.Attrs{
-						"trial":     t,
-						"seed":      seed,
-						"steps":     res.Steps,
-						"bound":     res.CongestionBound,
-						"max_queue": res.MaxQueue,
-						"crossings": res.CutCrossings,
-						"delivered": res.Delivered,
-						"dropped":   res.Dropped,
-						"exhausted": res.Exhausted,
-					})
-				}
-				mon.Tick(1, 0)
+	jobs := make([]int, trials)
+	for t := range jobs {
+		jobs[t] = t
+	}
+	// One simState per worker, so no more workers than trials.
+	states := make([]*simState, min(solve.Workers(opt.Workers), trials))
+	defer func() {
+		for _, st := range states {
+			if st != nil {
+				putState(st)
 			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+		}
+	}()
+	solve.Run(jobs, len(states), func(w int, _ *solve.Queue[int]) func(int) {
+		st := getState(b)
+		states[w] = st
+		st.setCut(ref)
+		st.setScenario(opt.Fault, opt.Switching)
+		return func(t int) {
+			if mon.Stopped() {
+				return
+			}
+			seed := bitutil.SubSeed(opt.Seed, t)
+			st.compileKind(kind, seed)
+			st.seedFaults(seed)
+			res, ok := st.runMonitored(maxSteps, mon)
+			if !ok {
+				metricTrialsDiscarded.Inc()
+				return // interrupted mid-trial; discard the partial run
+			}
+			results[t] = res
+			completed[t] = true
+			if res.Exhausted {
+				metricTrialsExhausted.Inc()
+			} else {
+				metricTrialsCompleted.Inc()
+				metricTrialSteps.Observe(int64(res.Steps))
+				metricTrialMaxQueue.Observe(int64(res.MaxQueue))
+			}
+			if mon.Tracing() {
+				mon.TraceEvent("trial", obs.Attrs{
+					"trial":     t,
+					"seed":      seed,
+					"steps":     res.Steps,
+					"bound":     res.CongestionBound,
+					"max_queue": res.MaxQueue,
+					"crossings": res.CutCrossings,
+					"delivered": res.Delivered,
+					"dropped":   res.Dropped,
+					"exhausted": res.Exhausted,
+				})
+			}
+			mon.Tick(1, 0)
+		}
+	})
 	return aggregateTrials(results, completed, tight, trials, mon.Stopped())
 }
 

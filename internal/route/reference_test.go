@@ -36,27 +36,6 @@ func SimulateRandomDestinationsReference(b *topology.Butterfly, ref *cut.Cut, se
 	return simulateReference(b, ref, paths)
 }
 
-// SimulateRandomDestinationsWrappedReference is the Wn analogue of
-// SimulateRandomDestinationsReference: routes follow the Theorem 4.3
-// three-leg shape (up the source column to level 0, the rotated monotone
-// path into the destination column, then down to the destination).
-func SimulateRandomDestinationsWrappedReference(w *topology.Butterfly, ref *cut.Cut, seed int64) SimResult {
-	if !w.Wraparound() {
-		panic("route: wrapped simulator targets Wn")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := w.N()
-	paths := make([][]int, 0, n)
-	for v := 0; v < n; v++ {
-		dst := rng.Intn(n)
-		if dst == v {
-			continue
-		}
-		paths = append(paths, wrappedThreeLegPath(w, v, dst))
-	}
-	return simulateReference(w, ref, paths)
-}
-
 // compressPath removes consecutive duplicate nodes (legs of length 0).
 func compressPath(p []int) []int {
 	out := p[:1]
@@ -315,18 +294,6 @@ func referencePaths(b *topology.Butterfly, kind TrialKind, seed int64) [][]int {
 			paths = append(paths, threeLegPath(b, v, dst))
 		}
 		return paths
-	case WrappedRandomDestinations:
-		rng := rand.New(rand.NewSource(seed))
-		n := b.N()
-		paths := make([][]int, 0, n)
-		for v := 0; v < n; v++ {
-			dst := rng.Intn(n)
-			if dst == v {
-				continue
-			}
-			paths = append(paths, wrappedThreeLegPath(b, v, dst))
-		}
-		return paths
 	case RandomPermutations:
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(b.Inputs())
@@ -363,30 +330,11 @@ func referencePaths(b *topology.Butterfly, kind TrialKind, seed int64) [][]int {
 	panic("route: unknown trial kind")
 }
 
-// wrappedThreeLegPath is the Wn route of the Theorem 4.3 shape: up the
-// source column to level 0, the rotated monotone path, down to the
-// destination.
-func wrappedThreeLegPath(w *topology.Butterfly, v, dst int) []int {
-	d := w.Dim()
-	wu, iu := w.Column(v), w.Level(v)
-	wv, iv := w.Column(dst), w.Level(dst)
-	path := make([]int, 0, iu+d+(d-iv)+1)
-	for l := iu; l >= 0; l-- {
-		path = append(path, w.Node(wu, l))
-	}
-	mono := w.RotatedMonotonePath(wu, wv, 0)
-	path = append(path, mono[1:]...)
-	for l := d - 1; l >= iv; l-- {
-		path = append(path, w.Node(wv, l))
-	}
-	return compressPath(path)
-}
-
 // SimulateScenarioReference is the map-based oracle for SimulateScenario:
 // same traffic kinds, same fault model, same switching disciplines, same
 // RNG streams — field-for-field equal results on every seed.
 func SimulateScenarioReference(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, seed int64, f FaultOptions, sw Switching) (SimResult, error) {
-	if err := checkKindTopology(kind, b); err != nil {
+	if err := checkTrial(kind, b); err != nil {
 		return SimResult{}, err
 	}
 	if err := f.Validate(); err != nil {

@@ -218,29 +218,6 @@ func TestSimulateDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestSimulateRandomDestinationsWrapped(t *testing.T) {
-	w := topology.NewWrappedButterfly(16)
-	ref := columnCut(w)
-	res := SimulateRandomDestinationsWrapped(w, ref, 21)
-	if res.Packets == 0 {
-		t.Fatalf("no packets routed")
-	}
-	if res.Steps < res.CongestionBound {
-		t.Errorf("steps %d below certified bound %d", res.Steps, res.CongestionBound)
-	}
-	// Determinism.
-	if res != SimulateRandomDestinationsWrapped(w, ref, 21) {
-		t.Errorf("same seed, different results")
-	}
-	// Wrong network type panics.
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Bn did not panic")
-		}
-	}()
-	SimulateRandomDestinationsWrapped(topology.NewButterfly(8), nil, 1)
-}
-
 func TestCompressPath(t *testing.T) {
 	got := compressPath([]int{1, 1, 2, 2, 2, 3, 1})
 	want := []int{1, 2, 3, 1}

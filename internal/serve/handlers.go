@@ -349,7 +349,7 @@ func parseRoutingRequest(q queryValues) (queryRequest, error) {
 	}
 	r := &routingRequest{}
 	kind, err := route.ParseTrialKind(q.str("kind", "random"))
-	if err != nil || kind == route.WrappedRandomDestinations {
+	if err != nil {
 		return nil, fmt.Errorf("kind: want random, permutation, hotspot or bitreversal (got %q)", q.str("kind", "random"))
 	}
 	r.kind = kind

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // metricPrecomputed counts grid points the precompute driver solved and
@@ -100,9 +100,10 @@ type PrecomputeResult struct {
 // Precompute fills the configured store for every grid point not already
 // present, MaxInflight points at a time, each solve under the server's
 // MaxDeadline budget. Only complete solves are stored — a truncated row
-// could otherwise mask the full answer forever. Cancelling ctx stops
-// cleanly after the in-flight points; logf (may be nil) receives one line
-// per point.
+// could otherwise mask the full answer forever. Cancelling ctx starts no
+// further point, but a point already started finishes under its own
+// budget and is stored; the result counts the points that ran, and the
+// error is ctx.Err(). logf (may be nil) receives one line per point.
 func (s *Server) Precompute(ctx context.Context, grid []GridPoint, logf func(format string, args ...interface{})) (PrecomputeResult, error) {
 	if s.cfg.Store == nil {
 		return PrecomputeResult{}, fmt.Errorf("precompute: server has no store")
@@ -112,39 +113,26 @@ func (s *Server) Precompute(ctx context.Context, grid []GridPoint, logf func(for
 	}
 
 	var solved, skipped, failed atomic.Int64
-	points := make(chan GridPoint)
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.MaxInflight; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range points {
-				key, err := s.precomputeOne(ctx, p)
-				switch {
-				case err == errAlreadyStored:
-					skipped.Add(1)
-					logf("precompute: %s (already stored)", key)
-				case err != nil:
-					failed.Add(1)
-					logf("precompute: %s FAILED: %v", key, err)
-				default:
-					solved.Add(1)
-					metricPrecomputed.Inc()
-					logf("precompute: %s stored", key)
-				}
+	solve.Run(grid, s.cfg.MaxInflight, func(int, *solve.Queue[GridPoint]) func(GridPoint) {
+		return func(p GridPoint) {
+			if ctx.Err() != nil {
+				return // cancelled before this point started
 			}
-		}()
-	}
-feed:
-	for _, p := range grid {
-		select {
-		case points <- p:
-		case <-ctx.Done():
-			break feed
+			key, err := s.precomputeOne(ctx, p)
+			switch {
+			case err == errAlreadyStored:
+				skipped.Add(1)
+				logf("precompute: %s (already stored)", key)
+			case err != nil:
+				failed.Add(1)
+				logf("precompute: %s FAILED: %v", key, err)
+			default:
+				solved.Add(1)
+				metricPrecomputed.Inc()
+				logf("precompute: %s stored", key)
+			}
 		}
-	}
-	close(points)
-	wg.Wait()
+	})
 
 	res := PrecomputeResult{
 		Solved:  int(solved.Load()),
@@ -166,7 +154,9 @@ var errAlreadyStored = fmt.Errorf("already stored")
 
 // precomputeOne solves one grid point through the live solve path's
 // solve–render–append helper, so its stored body is the one a live
-// query would have stored under the same canonical key.
+// query would have stored under the same canonical key. The solve keeps
+// ctx's values but not its cancellation: once started, a point runs to
+// its MaxDeadline budget.
 func (s *Server) precomputeOne(ctx context.Context, p GridPoint) (string, error) {
 	req, err := p.request()
 	if err != nil {
@@ -176,7 +166,7 @@ func (s *Server) precomputeOne(ctx context.Context, p GridPoint) (string, error)
 	if s.cfg.Store.Has(key) {
 		return key, errAlreadyStored
 	}
-	solveCtx, cancel := context.WithTimeout(ctx, s.cfg.MaxDeadline)
+	solveCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.MaxDeadline)
 	defer cancel()
 	resp, err := s.solveAndStore(solveCtx, "bisection", key, req, s.cfg.MaxDeadline)
 	if err != nil {

@@ -129,7 +129,7 @@ func TestRoutingFaultValidation(t *testing.T) {
 		"/v1/routing?n=8&dead=2",                                 // dead-link probability out of range
 		"/v1/routing?n=8&retransmits=-1",                         // negative budget
 		"/v1/routing?n=8&switching=warp",                         // unknown discipline
-		"/v1/routing?n=8&kind=wrapped",                           // Wn kind not served on Bn rows
+		"/v1/routing?n=8&kind=wrapped",                           // no Wn kind: routing runs on Bn
 		"/v1/routing?n=8&drop=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0", // sweep too long
 	} {
 		status, _, body := get(t, base+url)

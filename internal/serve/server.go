@@ -26,12 +26,12 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -135,9 +135,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = runtime.GOMAXPROCS(0)
-	}
+	c.MaxInflight = solve.Workers(c.MaxInflight)
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInflight
 	}

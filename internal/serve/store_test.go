@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,6 +243,48 @@ func TestPrecomputeFillsStore(t *testing.T) {
 	_, _, fresh := rget(t, cold, "/v1/bisection?network=wn&n=8")
 	if got, want := scrubTelemetry(t, body), scrubTelemetry(t, fresh); !bytes.Equal(got, want) {
 		t.Fatalf("precomputed body diverges from a live solve:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestPrecomputeCancelFinishesInFlight: a cancel starts no further grid
+// point, but a point already running finishes under its own budget and is
+// stored, and the run reports the cancel, not a failure.
+func TestPrecomputeCancelFinishesInFlight(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	s := New(Config{Store: st, MaxInflight: 2})
+	grid, err := ParseGrid("bn:2-10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := s.Precompute(ctx, grid, func(format string, args ...interface{}) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		if strings.HasSuffix(line, " stored") {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Failed != 0 {
+		t.Fatalf("%+v: a cancel failed an in-flight point", res)
+	}
+	stored := 0
+	for _, p := range grid {
+		req, err := p.request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Has("bisection?" + req.Key()) {
+			stored++
+		}
+	}
+	if res.Solved != stored || stored >= len(grid) {
+		t.Fatalf("%+v with %d of %d grid points stored, want Solved = stored < %d",
+			res, stored, len(grid), len(grid))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package solve provides the shared cancellation and telemetry machinery
 // for the repo's long-running search engines (exact branch-and-bound,
 // heuristic multi-start refinement, Monte-Carlo routing, virtual plan
-// evaluation).
+// evaluation), and the one worker pool they fan out through (Run).
 //
 // The design constraint is that the engines' hot loops are 0-alloc and run
 // hundreds of millions of nodes: they cannot afford a ctx.Err() call (let
