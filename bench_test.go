@@ -298,9 +298,39 @@ func BenchmarkExpansionExactBn(b *testing.B) {
 	}
 }
 
-// BenchmarkExpansionSurvey measures the batched engine: one BFS order, one
-// worker pool and per-worker scratch reused across the whole k-sweep, each
-// search rooted (Wn is one node class) and k = 4 seeded by its witness.
+// BenchmarkExpansionExactWn measures Lemma 4.1's d = 2 certificate,
+// EE(Wn,12) = 16, through core.ExpansionTable: EE(W16,k≤12) with the
+// options of the repository benchmark's certify workload, and
+// EE(W64,k≤12). Wn is one node class, so each search, table steps
+// included, is one job rooted at node 0 that decides the other nodes in
+// maximum-adjacency order. BenchmarkExpansionExactHeavyPrefix, a node
+// search in BFS order, is its control.
+func BenchmarkExpansionExactWn(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		n, nodes int
+	}{
+		{"EE(W16,k<=12)", 16, 32},
+		{"EE(W64,k<=12)", 64, 192},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := core.ExpansionTableOptions{ExactNodes: c.nodes, KMax: 12}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range core.ExpansionTable(core.WnEdge, c.n, []int{1, 2}, opts) {
+					if r.K == 12 && (r.Exact != 16 || !r.ExactComplete) {
+						b.Fatalf("%s row k=12: %d (complete %v), want 16", c.name, r.Exact, r.ExactComplete)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExpansionSurvey measures the batched engine: one decision order
+// per quantity, one worker pool and per-worker scratch reused across the
+// whole k-sweep, each search rooted (Wn is one node class) and k = 4
+// seeded by its witness.
 func BenchmarkExpansionSurvey(b *testing.B) {
 	w := topology.NewWrappedButterfly(8)
 	ks := []int{2, 3, 4, 5, 6}

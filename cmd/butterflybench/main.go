@@ -1,7 +1,8 @@
 // Command butterflybench drives a live butterflyd with an open-loop
 // constant-QPS load and reports what the server did under it: µs-level
 // client-side latency quantiles, achieved vs offered rate, the X-Cache
-// hit/coalesced/store-hit breakdown, 429/503/422 rates, and the server's
+// hit/coalesced/store-hit breakdown, 429/503/422 rates, budget-truncated
+// answers (X-Complete: false, the timeout class), and the server's
 // own /debug/metrics deltas over the run — all in the same versioned
 // run-manifest JSON the repo's other commands emit, so bench reports
 // diff and archive like any other artifact (BENCH_pr9.json is one).

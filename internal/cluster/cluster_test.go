@@ -248,6 +248,9 @@ func TestRouterForwardingIntegration(t *testing.T) {
 	if got := hdr.Get("X-Cache"); got != "peer" {
 		t.Fatalf("X-Cache = %q, want peer", got)
 	}
+	if got := hdr.Get(serve.IncompleteHeader); got != "" {
+		t.Fatalf("complete forwarded answer carries %s: %q", serve.IncompleteHeader, got)
+	}
 	status, hdr, direct := fetch(htB.URL, q, nil)
 	if status != http.StatusOK {
 		t.Fatalf("direct query to owner: status %d", status)
@@ -279,6 +282,25 @@ func TestRouterForwardingIntegration(t *testing.T) {
 	}
 	if got := hdr.Get("X-Cluster-Peer"); got != "a:7000" {
 		t.Fatalf("internal-marked query was bounced to %q", got)
+	}
+
+	// A truncated answer: the owner cuts B16's exact bisection short at
+	// its 50ms budget and marks it X-Complete: false, and the relay
+	// carries the mark with the body.
+	var slow []cand
+	for x := 80; x < 120; x++ {
+		slow = append(slow, cand{
+			query: fmt.Sprintf("/v1/bisection?network=bn&n=16&exact-nodes=%d&timeout=50ms", x),
+			key:   fmt.Sprintf("bisection?network=bn&n=16&exact-nodes=%d", x),
+		})
+	}
+	if slow = ownedBy(t, rtA, "b:7000", slow); len(slow) == 0 {
+		t.Fatal("ring put no slow B16 key on b:7000")
+	}
+	status, hdr, cut := fetch(htA.URL, slow[0].query, nil)
+	if status != http.StatusOK || hdr.Get("X-Cache") != "peer" || hdr.Get(serve.IncompleteHeader) != "false" {
+		t.Fatalf("truncated forwarded answer: status %d, X-Cache %q, %s %q: %s",
+			status, hdr.Get("X-Cache"), serve.IncompleteHeader, hdr.Get(serve.IncompleteHeader), cut)
 	}
 
 	if len(ownedByB) < 2 {

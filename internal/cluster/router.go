@@ -167,6 +167,7 @@ func (rt *Router) forward(ctx context.Context, owner, uri, id string) (*serve.Pe
 		Status:     resp.StatusCode,
 		Body:       body,
 		RetryAfter: resp.Header.Get("Retry-After"),
+		Incomplete: resp.Header.Get(serve.IncompleteHeader) == "false",
 		Peer:       owner,
 	}, nil
 }

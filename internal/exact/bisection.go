@@ -10,18 +10,19 @@
 // paper's constructions and certified lower bounds.
 //
 // Bisection and expansion each have one engine: a job runner that drains
-// prefix jobs (subproblems that fix the sides of the first nodes of a BFS
-// order) over a worker pool, every worker reusing one search state,
-// pruning against one shared incumbent and counting its nodes on one
-// counter. A bisection starts split at a BFS prefix, an expansion search
-// as one rooted job per node class the graph's constructor declared (see
-// graph.DeclareOrbits), and whenever a worker waits with nothing queued, a
-// busy one donates its shallowest untried branch as a new job. A serial
-// solve is one worker running those first jobs in turn, which never
-// donates. The bisection engine balances a node set U: every node for
-// BW(g), the given subset for the U-bisection width, so both run on the
-// same job runner. The expansion engine also takes achievable upper-bound
-// seeds (witness or greedy sets) and batches whole k-sweeps
+// prefix jobs (subproblems that fix the sides of the first nodes of a
+// decision order: BFS order, or maximum-adjacency order for an edge
+// expansion search) over a worker pool, every worker reusing one search
+// state, pruning against one shared incumbent and counting its nodes on
+// one counter. A bisection starts split at a BFS prefix, an expansion
+// search as one rooted job per node class the graph's constructor
+// declared (see graph.DeclareOrbits), and whenever a worker waits with
+// nothing queued, a busy one donates its shallowest untried branch as a
+// new job. A serial solve is one worker running those first jobs in turn,
+// which never donates. The bisection engine balances a node set U: every
+// node for BW(g), the given subset for the U-bisection width, so both run
+// on the same job runner. The expansion engine also takes achievable
+// upper-bound seeds (witness or greedy sets) and batches whole k-sweeps
 // (ExpansionSurveyWithOptions) over one pool. An edge search of size k
 // first certifies EE(g, m) for every m < k and prunes with that table
 // (Russian-doll search).

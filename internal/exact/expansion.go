@@ -34,24 +34,27 @@ const (
 
 // start is one decision order of a search, searched as one job: the job's
 // prefix decides every node before index forced out, the node at forced
-// goes into S with no exclude branch, and the rest are decided in order.
-// forced is −1 when nothing is forced (and the prefix is empty).
+// goes into S with no exclude branch, and the rest are decided in order
+// (BFS order for a node search, maximum-adjacency order for an edge
+// search; see edgeStarts). forced is −1 when nothing is forced (and the
+// prefix is empty).
 type start struct {
 	order  []int32
 	forced int
 	prefix []int8
 }
 
-// unrootedStarts returns the starts of a search over all k-sets. On a
-// graph that declares no node classes that is one start in plain BFS
-// order, nothing forced. Otherwise there is one start per class j (see
-// graph.DeclareOrbits): it decides the nodes of the classes below j out,
-// forces j's representative in and decides the rest in BFS order from
-// it. Together they search every optimum up to automorphism: if j is the
-// lowest class an optimal set S meets, an automorphism that maps every
-// class onto itself and carries one of S's class-j nodes onto the
-// representative carries S onto an equally good set that start j covers.
-// On a one-class graph this is the one search rooted at node 0.
+// unrootedStarts returns the starts of a node search over all k-sets. On
+// a graph that declares no node classes that is one start in plain BFS
+// order from node 0, nothing forced. Otherwise there is one start per
+// class j (see graph.DeclareOrbits): it decides the nodes of the classes
+// below j out, forces j's representative in and decides the rest in BFS
+// order from it. Together they search every optimum up to automorphism:
+// if j is the lowest class an optimal set S meets, an automorphism that
+// maps every class onto itself and carries one of S's class-j nodes onto
+// the representative carries S onto an equally good set that start j
+// covers. On a one-class graph this is the one search rooted at node 0.
+// An edge search runs the same starts, reordered by edgeStarts.
 func unrootedStarts(g *graph.Graph) []start {
 	if g.Orbits() == 0 {
 		return []start{{order: bfsOrder(g), forced: -1}}
@@ -89,6 +92,125 @@ func unrootedStarts(g *graph.Graph) []start {
 		starts[j] = start{order: order, forced: forced, prefix: out[:forced]}
 	}
 	return starts
+}
+
+// edgeStarts returns the starts of an edge search: starts (unrootedStarts'
+// result, left as it is) with the nodes after each forced node, or after
+// node 0 when nothing is forced, put in maximum-adjacency order. Deciding
+// next the node with the most edges into the nodes already decided fills
+// in the in/out counts edgeLB reads sooner than BFS order does: EE(W16,12)
+// explores 37.6K nodes instead of 96.2K. The bisection and the node
+// searches keep BFS order.
+func edgeStarts(g *graph.Graph, starts []start) []start {
+	out := make([]start, len(starts))
+	for i, s := range starts {
+		s.order = maxAdjacencyOrder(g, s.order, max(s.forced, 0)+1)
+		out[i] = s
+	}
+	return out
+}
+
+// maxAdjacencyOrder returns a copy of order (every node of g once) that
+// keeps its first fixed nodes in place and puts the rest in
+// maximum-adjacency order (maximum cardinality search; Tarjan and
+// Yannakakis, 1984): each next node is the remaining one with the most
+// edges into the nodes before it, parallel edges counted, ties going to
+// the one earlier in order. An indexed heap over the remaining nodes makes
+// it O((n + m) log n).
+func maxAdjacencyOrder(g *graph.Graph, order []int32, fixed int) []int32 {
+	n := len(order)
+	rank := make([]int32, g.N())
+	for r, v := range order {
+		rank[v] = int32(r)
+	}
+	h := adjacencyHeap{items: make([]int32, 0, n-fixed), links: make([]int32, n), at: make([]int32, n)}
+	for r := range n {
+		h.at[r] = -1
+		if r >= fixed {
+			h.at[r] = int32(len(h.items))
+			h.items = append(h.items, int32(r))
+		}
+	}
+	out := append(make([]int32, 0, n), order[:fixed]...)
+	for _, v := range out {
+		for _, w := range g.Neighbors(int(v)) {
+			if h.at[rank[w]] >= 0 {
+				h.links[rank[w]]++
+			}
+		}
+	}
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h.items) > 0 {
+		v := order[h.pop()]
+		out = append(out, v)
+		for _, w := range g.Neighbors(int(v)) {
+			if i := h.at[rank[w]]; i >= 0 {
+				h.links[rank[w]]++
+				h.up(int(i))
+			}
+		}
+	}
+	return out
+}
+
+// adjacencyHeap is maxAdjacencyOrder's binary heap over the ranks
+// (positions in order) of the nodes not yet placed: the most links into
+// the placed nodes first, the lower rank on a tie. at[r] is rank r's index
+// in items, −1 once it is placed. Links only grow, so a rank only moves up.
+type adjacencyHeap struct {
+	items []int32
+	links []int32
+	at    []int32
+}
+
+// before reports whether rank a leaves the heap before rank b.
+func (h *adjacencyHeap) before(a, b int32) bool {
+	return h.links[a] > h.links[b] || h.links[a] == h.links[b] && a < b
+}
+
+func (h *adjacencyHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.at[h.items[i]], h.at[h.items[j]] = int32(i), int32(j)
+}
+
+func (h *adjacencyHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(h.items[i], h.items[p]) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *adjacencyHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.items) {
+			return
+		}
+		if c+1 < len(h.items) && h.before(h.items[c+1], h.items[c]) {
+			c++
+		}
+		if !h.before(h.items[c], h.items[i]) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// pop removes and returns the first rank.
+func (h *adjacencyHeap) pop() int32 {
+	r, last := h.items[0], len(h.items)-1
+	h.swap(0, last)
+	h.items = h.items[:last]
+	h.at[r] = -1
+	h.down(0)
+	return r
 }
 
 // expSearch is one (quantity, k) search of a run: its starts, the
@@ -183,15 +305,23 @@ func startJobs(searches []*expSearch) []job {
 }
 
 // searchExpansion runs searches (all with 0 < k < n) over all sets, from
-// the unrooted starts. The edge table sweep runs first and may run some of
-// the searches as its steps; the rest then share one pool.
+// the unrooted starts, reordered once for the edge searches. The edge
+// table sweep runs first and may run some of the searches as its steps;
+// the rest then share one pool.
 func searchExpansion(g *graph.Graph, searches []*expSearch, workers int, mon *solve.Monitor) {
 	if len(searches) == 0 {
 		return
 	}
 	starts := unrootedStarts(g)
+	var edge []start
 	for _, s := range searches {
 		s.starts = starts
+		if s.edge {
+			if edge == nil {
+				edge = edgeStarts(g, starts)
+			}
+			s.starts = edge
+		}
 	}
 	rest := sweepEdgeTable(g, searches, workers, mon)
 	runSearches(g, rest, workers, mon)
@@ -283,8 +413,8 @@ func sweepEdgeTable(g *graph.Graph, searches []*expSearch, workers int, mon *sol
 // result returns the search's witness, its value and whether it is
 // certified. A search cancelled before recording any set returns its seed
 // set, or, unseeded, the first k nodes of its first start's order (a
-// BFS-connected prefix, so already a reasonable set), with its measured
-// boundary.
+// connected prefix on a connected graph, in BFS or maximum-adjacency order,
+// so already a reasonable set), with its measured boundary.
 func (s *expSearch) result(g *graph.Graph) ([]int, int, bool) {
 	if s.sb.side != nil {
 		set := make([]int, 0, s.k)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -95,7 +96,7 @@ func TestExpansionTrivialSizes(t *testing.T) {
 // and edge table sweeps run one rooted job per class (two on B4, one on Q4
 // and W4); W4 has parallel edges. B8 (three classes) is checked against
 // enumeration up to k = 6 and, for every k, against the same search on an
-// undeclared copy, which runs unrooted in plain BFS order.
+// undeclared copy, which runs unrooted from node 0.
 func TestExpansionAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
@@ -168,6 +169,92 @@ func TestExpansionAgainstBruteForce(t *testing.T) {
 					t.Fatalf("B8 k=%d: EE/NE %d/%d, brute force %d/%d", k, r.EE, r.NE, bee, bne)
 				}
 			}
+		}
+	}
+}
+
+// TestEdgeStartsMaxAdjacencyOrder checks the edge searches' decision
+// orders against a quadratic maximum-adjacency reference on W8, W16, B8,
+// B16 and a random multigraph (no classes, so one start from node 0): each
+// order is a permutation of its node-search start's nodes that keeps the
+// class prefix and the forced node in place, and every later node has the
+// most edges into the nodes before it, parallel edges counted, the node
+// earliest in BFS order from the forced node winning a tie.
+func TestEdgeStartsMaxAdjacencyOrder(t *testing.T) {
+	multi := randomGraph(rand.New(rand.NewSource(5)), 14, 70)
+	parallel := false
+	for v := range multi.N() {
+		nb := multi.Neighbors(v)
+		for i := range nb {
+			parallel = parallel || slices.Contains(nb[i+1:], nb[i])
+		}
+	}
+	if !parallel {
+		t.Fatal("the random multigraph has no parallel edge")
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"W8", topology.NewWrappedButterfly(8).Graph},
+		{"W16", topology.NewWrappedButterfly(16).Graph},
+		{"B8", topology.NewButterfly(8).Graph},
+		{"B16", topology.NewButterfly(16).Graph},
+		{"random", multi},
+	} {
+		n, nodeStarts := c.g.N(), unrootedStarts(c.g)
+		starts := edgeStarts(c.g, nodeStarts)
+		if len(starts) != len(nodeStarts) {
+			t.Fatalf("%s: %d edge starts, %d node starts", c.name, len(starts), len(nodeStarts))
+		}
+		ties := 0
+		for i, s := range starts {
+			ns := nodeStarts[i]
+			fixed := max(ns.forced, 0) + 1
+			if s.forced != ns.forced || !slices.Equal(s.prefix, ns.prefix) || !slices.Equal(s.order[:fixed], ns.order[:fixed]) {
+				t.Fatalf("%s start %d: forced %d, prefix %v, fixed part %v; node start %d, %v, %v",
+					c.name, i, s.forced, s.prefix, s.order[:fixed], ns.forced, ns.prefix, ns.order[:fixed])
+			}
+			got, want := slices.Clone(s.order), slices.Clone(ns.order)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s start %d: order %v is not a permutation of %v", c.name, i, s.order, ns.order)
+			}
+			links, placed := make([]int, n), make([]bool, n)
+			place := func(v int32) {
+				placed[v] = true
+				for _, w := range c.g.Neighbors(int(v)) {
+					links[w]++
+				}
+			}
+			for _, v := range s.order[:fixed] {
+				place(v)
+			}
+			bfs := bfsOrderFrom(c.g, int(s.order[fixed-1]))
+			for d := fixed; d < n; d++ {
+				best, tied := int32(-1), 0
+				for _, v := range bfs {
+					switch {
+					case placed[v]:
+					case best < 0 || links[v] > links[best]:
+						best, tied = v, 0
+					case links[v] == links[best]:
+						tied++
+					}
+				}
+				if s.order[d] != best {
+					t.Fatalf("%s start %d: order[%d] = %d (%d links), reference %d (%d links, earliest in BFS order)",
+						c.name, i, d, s.order[d], links[s.order[d]], best, links[best])
+				}
+				if tied > 0 {
+					ties++
+				}
+				place(best)
+			}
+		}
+		if ties == 0 {
+			t.Errorf("%s: no tie decided by BFS rank", c.name)
 		}
 	}
 }

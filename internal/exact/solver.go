@@ -102,8 +102,8 @@ func SolveBisection(ctx context.Context, g *graph.Graph, opts SolveOptions) Bise
 // SolveEdgeExpansion computes EE(g,k) under ctx. For k ≥ 2 it first
 // certifies EE(g, m) for m = 1..k−1, one search each, and prunes with
 // those values; Explored and Pruned include them. On cancellation it
-// returns a feasible k-set (best incumbent, or the BFS-prefix fallback if
-// none was found) with Exact=false.
+// returns a feasible k-set (best incumbent, or the decision-order prefix
+// fallback if none was found) with Exact=false.
 func SolveEdgeExpansion(ctx context.Context, g *graph.Graph, k int, opts SolveOptions) Result {
 	return solveExpansion(ctx, g, k, edgeExpansion, opts)
 }
@@ -208,7 +208,7 @@ func (sb *incumbent) record(val int, assign []int8) {
 // before taking the second; a flush that finds a worker waiting in q
 // donates the shallowest owed branch of the running job.
 type nodeCounter struct {
-	order  []int32 // decision order (BFS order keeps edges local)
+	order  []int32 // decision order (BFS or maximum-adjacency order keeps edges local)
 	assign []int8  // per node: its side, or unassigned
 
 	mon        *solve.Monitor

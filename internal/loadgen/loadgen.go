@@ -26,19 +26,24 @@ import (
 )
 
 // Outcome classes the harness distinguishes: the server's
-// serve.requests.* labels that a client can tell apart by status and
-// X-Cache (a budget-truncated 200, the server's timeout, reads as ok),
-// plus the client-only other and transport classes. Fixed and
-// pre-registered so the hot recording path is map-lookup + atomics.
+// serve.requests.* labels, told apart by status, X-Cache and the
+// X-Complete header of a budget-truncated 200 (timeout), plus the
+// client-only other and transport classes. Fixed and pre-registered so the
+// hot recording path is map-lookup + atomics.
 var outcomeClasses = []string{
-	"ok", "cache_hit", "store_hit", "coalesced", "peer",
+	"ok", "cache_hit", "store_hit", "coalesced", "peer", "timeout",
 	"400", "405", "422", "429", "500", "503", "other", "transport",
 }
 
 // classify maps one completed request onto its outcome class from the
-// client-visible evidence: HTTP status and the X-Cache header.
-func classify(status int, xcache string) string {
+// client-visible evidence: HTTP status, the X-Cache header and whether
+// the answer is complete (no X-Complete: false), as the server's own
+// classifyOutcome does.
+func classify(status int, xcache string, complete bool) string {
 	if status == http.StatusOK {
+		if !complete {
+			return "timeout"
+		}
 		switch xcache {
 		case "hit":
 			return "cache_hit"
@@ -61,8 +66,9 @@ func classify(status int, xcache string) string {
 }
 
 // errorClass reports whether an outcome counts against the errors SLO:
-// every rejection, failure and transport error; served answers (cache,
-// store, coalesced, peer-relayed, fresh) do not.
+// every rejection, failure, budget-truncated answer and transport error;
+// complete served answers (cache, store, coalesced, peer-relayed, fresh)
+// do not.
 func errorClass(class string) bool {
 	switch class {
 	case "ok", "cache_hit", "store_hit", "coalesced", "peer":
@@ -252,7 +258,8 @@ dispatch:
 				// the server's business, the latency to the last byte ours.
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				class = classify(resp.StatusCode, resp.Header.Get("X-Cache"))
+				class = classify(resp.StatusCode, resp.Header.Get("X-Cache"),
+					resp.Header.Get("X-Complete") != "false")
 			}
 			rec.observe(class, int64(time.Since(fired)/time.Microsecond))
 		}(paths[i])

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -198,6 +201,47 @@ func TestRunHitHeavyEndToEnd(t *testing.T) {
 	}
 	if dec.Command != "butterflybench" || dec.Seed != 1 {
 		t.Fatalf("command=%q seed=%d", dec.Command, dec.Seed)
+	}
+}
+
+// TestRunCountsTruncatedAnswers: a 200 the daemon cut short at the
+// request's budget (serve row complete: false, header X-Complete: false)
+// is the server's timeout outcome, and the harness must file it so and
+// count it against the errors SLO, not as a served answer. A front handler
+// turns every query into B16's exact bisection with a 50ms timeout=, far
+// too short for that key.
+func TestRunCountsTruncatedAnswers(t *testing.T) {
+	s := serve.New(serve.Config{})
+	slow, err := url.Parse("/v1/bisection?network=bn&n=16&exact-nodes=128&timeout=50ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			r.URL.Path, r.URL.RawQuery = slow.Path, slow.RawQuery
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	res, err := loadgen.Run(context.Background(), loadgen.Options{
+		BaseURL:  front.URL,
+		Profile:  loadgen.HitHeavy,
+		Seed:     1,
+		QPS:      20,
+		Duration: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != res.Planned || res.Outcomes["timeout"] != int64(res.Completed) {
+		t.Fatalf("completed %d of %d, outcomes %v: want every answer filed as timeout", res.Completed, res.Planned, res.Outcomes)
+	}
+	if res.ErrorRate() != 1 {
+		t.Fatalf("error rate %g, want 1: truncated answers count against the errors SLO", res.ErrorRate())
+	}
+	slo, _ := loadgen.ParseSLOs("errors=1%")
+	if loadgen.AllPass(res.Evaluate(slo)) {
+		t.Fatalf("errors SLO passed on a run of truncated answers: %v", res.Outcomes)
 	}
 }
 

@@ -29,6 +29,9 @@ type PeerResponse struct {
 	// RetryAfter is the peer's Retry-After header on a 429/503, relayed
 	// so a client backs off exactly as if it had asked the owner.
 	RetryAfter string
+	// Incomplete reports the peer's IncompleteHeader on a truncated 200,
+	// relayed so the answer counts as a timeout here as it does there.
+	Incomplete bool
 	// Peer is the address that answered — the X-Cluster-Peer provenance.
 	Peer string
 }

@@ -434,12 +434,16 @@ func (s *Server) handleQuery(name string, parse func(q queryValues) (queryReques
 			if pr, fwd := s.cfg.Peers.Route(r, key, id); fwd {
 				status = pr.Status
 				source = "peer"
+				complete = !pr.Incomplete
 				written = len(pr.Body)
 				w.Header().Set("Content-Type", "application/json; charset=utf-8")
 				w.Header().Set("X-Cache", source)
 				w.Header().Set("X-Cluster-Peer", pr.Peer)
 				if pr.RetryAfter != "" {
 					w.Header().Set("Retry-After", pr.RetryAfter)
+				}
+				if pr.Incomplete {
+					w.Header().Set(IncompleteHeader, "false")
 				}
 				if pr.Status != http.StatusOK {
 					w.WriteHeader(pr.Status)
@@ -625,9 +629,18 @@ type requestRow struct {
 	DeadlineMS float64 `json:"deadline_ms"`
 }
 
+// IncompleteHeader marks a budget- or drain-truncated 200 (its serve row
+// reads complete: false) with the value "false", so a client that skips
+// the body can still count it as the timeout outcome. Complete answers
+// never carry it.
+const IncompleteHeader = "X-Complete"
+
 func (s *Server) writeResponse(w http.ResponseWriter, resp *response, source string) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("X-Cache", source)
+	if !resp.complete {
+		w.Header().Set(IncompleteHeader, "false")
+	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	_, _ = w.Write(resp.body)
 }
